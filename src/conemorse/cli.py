@@ -228,6 +228,8 @@ def _cmd_spectral(args) -> int:
         for k in degrees:
             if k not in (0, 1, 2, 3):
                 raise DatumParseError(f"cone degree {k} outside 0..3")
+        if not degrees:
+            raise DatumParseError("spectral needs at least one cone degree")
     try:
         if args.gap_growth:
             rule = (lambda t: args.cutoff) if args.cutoff else suggested_cutoff

@@ -42,7 +42,7 @@ class NotPerfectError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """The dense symmetric eigensolver failed to converge."""
+    """The symmetric eigensolver failed to converge."""
 
 
 class AdequacyError(RuntimeError):

@@ -98,13 +98,26 @@ def _weak_slacks(m, v, b_omega, p: int) -> list:
     return out
 
 
+def _alternating_sums(values, length: int) -> list:
+    """A_k = sum_{i <= k} (-1)^{k-i} values_i for k < length, via A_k = v_k - A_{k-1}."""
+    out = []
+    prev = 0
+    for k in range(length):
+        prev = _at(values, k) - prev
+        out.append(prev)
+    return out
+
+
 def _strong_slacks(m, v, b_omega, p: int) -> list:
     shift = 2 * p + 2
+    alt_m = _alternating_sums(m, len(b_omega))
+    alt_b = _alternating_sums(b_omega, len(b_omega))
     out = []
     for k in range(len(b_omega)):
-        alt_m = sum((-1) ** (k - i) * _at(m, i) for i in range(k - 2 * p, k + 1))
-        alt_b = sum((-1) ** (k - i) * b_omega[i] for i in range(0, k + 1))
-        out.append(alt_m - _at(v, k - shift + 1) - alt_b)
+        # the (2p+1)-term window sum_{i=k-2p}^{k} (-1)^{k-i} m_i is the full
+        # alternating sum A_k plus the tail A_{k-2p-1} it overcounts with sign -1
+        window = alt_m[k] + _at(alt_m, k - 2 * p - 1)
+        out.append(window - _at(v, k - shift + 1) - alt_b[k])
     return out
 
 
@@ -113,11 +126,11 @@ def morse_bott_bounds(m, b_omega) -> tuple:
 
     weak_k = m_k + m_{k-1} - b^w_k, strong_k = m_k - alternating sum of b^w.
     """
+    alt_b = _alternating_sums(b_omega, len(b_omega))
     weak, strong = [], []
     for k in range(len(b_omega)):
         weak.append(_at(m, k) + _at(m, k - 1) - b_omega[k])
-        alt_b = sum((-1) ** (k - i) * b_omega[i] for i in range(0, k + 1))
-        strong.append(_at(m, k) - alt_b)
+        strong.append(_at(m, k) - alt_b[k])
     return weak, strong
 
 

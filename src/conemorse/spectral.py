@@ -21,13 +21,17 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackError, eigsh
 
 from .errors import AdequacyError, DegreeError, DegreeMismatchError, SolverError
 
 LOW_THRESHOLD = 1.0  # eigenvalues in [0, 1] count as the low cluster
 ADEQUACY_RATIO = 10.0  # gap must exceed the cluster top by this factor
+# shift-invert target: strictly below the spectrum of the positive semidefinite
+# form, so A - SHIFT*I stays positive definite even when the low cluster sits
+# at 1e-10, and the eigenvalues nearest the shift are the lowest ones
+SHIFT = -1e-3
 COMPONENTS = (1, 3, 3, 1)  # coefficient fields per cone degree on T^2
 
 # the four critical points of the cosine Morse function, keyed like torus(1)
@@ -163,10 +167,18 @@ def _component_embed(degree: int, cutoff: int, target: int) -> sp.csr_matrix:
     return sp.block_diag(blocks, format="csr")
 
 
+class QuadraticForm(sp.csr_matrix):
+    """CSR matrix of an assembled form that, like an ndarray, reports its storage."""
+
+    @property
+    def nbytes(self) -> int:
+        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+
+
 def assemble_quadratic_form(
     prob: SpectralProblem, _sign: float = 1.0
-) -> np.ndarray:
-    """Dense Galerkin matrix of |d_C s|^2 + |d_C* s|^2 on band-N cone forms.
+) -> QuadraticForm:
+    """Sparse Galerkin matrix of |d_C s|^2 + |d_C* s|^2 on band-N cone forms.
 
     The up matrix maps band N to band N+1 exactly; the down (adjoint) matrix
     is read off as a transpose of the up matrix one degree lower, one band
@@ -177,28 +189,35 @@ def assemble_quadratic_form(
     deform = _sign * prob.t * prob.morse_scale * math.pi
     k, n = prob.degree, prob.cutoff
     up = cone_differential_matrix(k, n, deform)
-    mat = (up.T @ up).toarray()
+    form = up.T @ up
     if k > 0:
         lower = cone_differential_matrix(k - 1, n + 1, deform)
         down = lower.T @ _component_embed(k, n, n + 2)
-        mat += (down.T @ down).toarray()
-    asym = np.abs(mat - mat.T).max() if mat.size else 0.0
-    scale = max(1.0, np.abs(mat).max()) if mat.size else 1.0
-    if asym > 1e-12 * scale:
-        raise SolverError(f"assembled form is asymmetric by {asym}")
-    return 0.5 * (mat + mat.T)
+        form = form + down.T @ down
+    return QuadraticForm(form)
 
 
 def low_spectrum(prob: SpectralProblem, count: int, _sign: float = 1.0) -> np.ndarray:
-    """The smallest `count` eigenvalues of the assembled form, ascending."""
-    mat = assemble_quadratic_form(prob, _sign=_sign)
-    if count > mat.shape[0]:
-        raise ValueError(f"requested {count} eigenvalues of a {mat.shape[0]}-dim form")
+    """The smallest `count` eigenvalues of the assembled form, ascending.
+
+    Shift-invert Lanczos (ARPACK) around SHIFT; a dense solve only when
+    `count` leaves ARPACK no room (count >= size - 1).
+    """
+    form = assemble_quadratic_form(prob, _sign=_sign)
+    size = form.shape[0]
+    if count > size:
+        raise ValueError(f"requested {count} eigenvalues of a {size}-dim form")
+    if count >= size - 1:
+        return np.linalg.eigvalsh(form.toarray())[:count]
+    # a fixed random start vector: ARPACK's default one is drawn afresh on
+    # every call, so repeated solves would differ in the last digits; a
+    # constant vector would miss whole symmetry sectors (the sine modes)
+    start = np.random.default_rng(0).standard_normal(size)
     try:
-        vals = scipy.linalg.eigh(
-            mat, eigvals_only=True, subset_by_index=(0, count - 1)
+        vals = eigsh(
+            form, k=count, sigma=SHIFT, which="LM", v0=start, return_eigenvectors=False
         )
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+    except ArpackError as exc:
         raise SolverError(f"eigensolver failed: {exc}") from exc
     return np.sort(vals)
 
@@ -433,7 +452,7 @@ def quasimode(prob: SpectralProblem, point: str, kind: int) -> QuasimodeResult:
         raise SolverError("quasimode projected to zero")
     vec = vec / norm
     form = assemble_quadratic_form(prob)
-    rayleigh = float(vec @ form @ vec)
+    rayleigh = float(vec @ (form @ vec))
     return QuasimodeResult(point, kind, prob.degree, vec, rayleigh)
 
 

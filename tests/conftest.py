@@ -7,7 +7,7 @@ from conemorse.spectral import SpectralProblem, low_spectrum
 
 @pytest.fixture(scope="session")
 def cached_low_spectrum():
-    """Session-wide memo for the expensive dense eigensolves."""
+    """Session-wide memo for the eigensolves several tests share."""
 
     @functools.lru_cache(maxsize=32)
     def compute(t, cutoff, degree, count, sign=1.0, morse_scale=1.0):

@@ -210,6 +210,15 @@ class TestSpectralCommand:
         code, _, err = run(capsys, "spectral", "--t", "5", "--t", "7", "--cutoff", "8")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "extra", [[], ["--t", "2", "--t", "3", "--gap-growth"]], ids=["counts", "gap-growth"]
+    )
+    def test_empty_degree_list_rejected(self, capsys, extra):
+        code, out, err = run(capsys, "spectral", "--t", "1", *extra, "--degrees", "")
+        assert code == EXIT_USAGE
+        assert "at least one cone degree" in err
+        assert out == ""
+
 
 def test_missing_file_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, "validate", str(tmp_path / "nope.json"))

@@ -8,6 +8,7 @@ from conemorse.errors import RemainderError
 from conemorse.families import projective_space, s2_bundle_over_k3, torus
 from conemorse.fuzz import random_complex_with_chain_map
 from conemorse.inequalities import (
+    _strong_slacks,
     cone_report,
     format_polynomial,
     machon_check,
@@ -207,3 +208,35 @@ def test_negative_slack_is_flagged_not_hidden():
     rep.weak_slack[1] = -1
     assert rep.anomalous
     assert "WARNING" in report_to_text(rep)
+
+
+def _direct_alternating(values, lo, k):
+    """sum_{i=lo}^{k} (-1)^{k-i} values_i, out-of-range entries read as 0."""
+    return sum((-1) ** (k - i) * values[i] for i in range(max(lo, 0), min(k + 1, len(values))))
+
+
+@given(
+    st.lists(st.integers(0, 50), max_size=14),
+    st.lists(st.integers(0, 50), max_size=14),
+    st.lists(st.integers(-50, 50), max_size=20),
+    st.integers(0, 4),
+)
+@settings(max_examples=200, deadline=None)
+def test_running_alternating_sums_match_direct_formula(m, v, b_omega, p):
+    shift = 2 * p + 2
+    strong = [
+        _direct_alternating(m, k - 2 * p, k)
+        - (v[k - shift + 1] if 0 <= k - shift + 1 < len(v) else 0)
+        - _direct_alternating(b_omega, 0, k)
+        for k in range(len(b_omega))
+    ]
+    assert _strong_slacks(m, v, b_omega, p) == strong
+    weak_mb = [
+        (m[k] if k < len(m) else 0) + (m[k - 1] if 0 < k <= len(m) else 0) - b_omega[k]
+        for k in range(len(b_omega))
+    ]
+    strong_mb = [
+        (m[k] if k < len(m) else 0) - _direct_alternating(b_omega, 0, k)
+        for k in range(len(b_omega))
+    ]
+    assert morse_bott_bounds(m, b_omega) == (weak_mb, strong_mb)

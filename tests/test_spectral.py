@@ -181,3 +181,28 @@ class TestQuasimodes:
         # the one mode whose second component is forced by the adjoint equation
         qm = quasimode(SpectralProblem(20, 12, 2), "q12", 1)
         assert qm.rayleigh < 0.1
+
+
+class TestSolver:
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_matches_dense_oracle(self, degree):
+        prob = SpectralProblem(8.0, 6, degree)
+        vals = low_spectrum(prob, 8)
+        dense = np.linalg.eigvalsh(assemble_quadratic_form(prob).toarray())[:8]
+        assert np.abs(vals - dense).max() <= 1e-9 * max(1.0, dense[-1])
+
+    def test_count_near_size_uses_dense_branch(self):
+        # a threshold above the whole spectrum makes the report double its
+        # batch until it asks for size - 1 and then all 25 eigenvalues
+        prob = SpectralProblem(1.0, 2, 0)
+        rep = spectral_report(prob, threshold=1e9)
+        dense = np.linalg.eigvalsh(assemble_quadratic_form(prob).toarray())
+        assert len(rep.eigenvalues) == matrix_size(0, 2) == 25
+        assert np.abs(rep.eigenvalues - dense).max() <= 1e-9 * max(1.0, dense[-1])
+        assert rep.low_count == 25 and rep.gap == math.inf
+
+    def test_repeated_solves_are_bitwise_identical(self):
+        prob = SpectralProblem(20.0, 10, 1)
+        first = low_spectrum(prob, 6)
+        for _ in range(3):
+            assert np.array_equal(low_spectrum(prob, 6), first)
