@@ -8,10 +8,11 @@ negative-slack anomaly in a report, 4 inadequate spectral resolution.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
-from .complexes import cohomology, cone_cohomology_by_decomposition, mapping_cone
+from .complexes import cohomology_dims, cone_cohomology_by_decomposition, mapping_cone
 from .errors import (
     AdequacyError,
     DegreeError,
@@ -182,12 +183,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    datum = load_datum(args.input)
-    violation = validate_datum(datum)
-    if violation is not None:
-        print(f"validation failed: {violation}", file=sys.stderr)
-        return EXIT_VALIDATION
-    report = cone_report(datum)
+    report = cone_report(load_datum(args.input))
     if args.format == "json":
         text = report_to_json(report)
     elif args.format == "csv":
@@ -199,13 +195,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_cone(args) -> int:
-    datum = load_datum(args.input)
-    violation = validate_datum(datum)
-    if violation is not None:
-        print(f"validation failed: {violation}", file=sys.stderr)
-        return EXIT_VALIDATION
-    _, chain_map = morse_complex(datum)
-    direct = list(cohomology(mapping_cone(chain_map)).dims)
+    _, chain_map = morse_complex(load_datum(args.input))
+    direct = cohomology_dims(mapping_cone(chain_map))
     split = cone_cohomology_by_decomposition(chain_map)
     print(f"cone cohomology (direct):        {direct}")
     print(f"cone cohomology (decomposition): {split}")
@@ -232,14 +223,17 @@ def _cmd_spectral(args) -> int:
             raise DatumParseError("spectral needs at least one cone degree")
     try:
         if args.gap_growth:
+            if args.emit and len(degrees) > 1:
+                raise DatumParseError("--emit with --gap-growth takes a single cone degree")
             rule = (lambda t: args.cutoff) if args.cutoff else suggested_cutoff
-            result = gap_growth(
-                t_values, cutoff_rule=rule, degree=degrees[0], morse_scale=args.morse_scale
-            )
-            for t, n, g in zip(result.t_values, result.cutoffs, result.gaps):
-                print(f"t = {t:g}  cutoff = {n}  gap = {g:.9e}")
-            flag = "  (degenerate fit: no spread in t)" if result.degenerate else ""
-            print(f"gap slope = {result.slope:.9e}{flag}")
+            for k in degrees:
+                result = gap_growth(
+                    t_values, cutoff_rule=rule, degree=k, morse_scale=args.morse_scale
+                )
+                for t, n, g in zip(result.t_values, result.cutoffs, result.gaps):
+                    print(f"degree {k}: t = {t:g}  cutoff = {n}  gap = {g:.9e}")
+                flag = "  (degenerate fit: no spread in t)" if result.degenerate else ""
+                print(f"degree {k}: gap slope = {result.slope:.9e}{flag}")
             if args.emit:
                 _write_output(gap_growth_to_csv(result), args.emit, args.quiet)
             return EXIT_OK
@@ -267,7 +261,9 @@ def _cmd_spectral(args) -> int:
         return EXIT_ADEQUACY
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser; built once, since parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="conemorse",
         description="Cone Morse cohomology: exact inequality reports and deformed-cone spectra.",

@@ -20,12 +20,16 @@ from .ratlinalg import (
     nullspace_basis,
     quotient_map,
     rank,
-    _reduced_echelon,
+    _pivots,
 )
 
 
 class CochainComplex:
-    """Per-degree dimensions plus differentials d_k : degree k -> degree k+1."""
+    """Per-degree dimensions plus differentials d_k : degree k -> degree k+1.
+
+    ``checked`` becomes True once d∘d = 0 is known to hold, so the functions
+    below that need a complex check each instance at most once.
+    """
 
     def __init__(
         self,
@@ -50,6 +54,7 @@ class CochainComplex:
             i = len(diffs)
             diffs.append(RationalMatrix.zeros(self._dim_offset(i + 1), self._dim_offset(i)))
         self.differentials = tuple(diffs)
+        self.checked = False
 
     def _dim_offset(self, i: int) -> int:
         return self.dims[i] if 0 <= i < len(self.dims) else 0
@@ -119,7 +124,7 @@ class DegreeChainMap:
     """A chain map phi_k : source degree k -> target degree k + shift, shift even.
 
     The shift being even means the chain-map identity carries no sign:
-    d phi = phi d.
+    d phi = phi d.  ``checked`` becomes True once that identity is known to hold.
     """
 
     def __init__(
@@ -149,6 +154,7 @@ class DegreeChainMap:
             k = degrees[len(mats)]
             mats.append(RationalMatrix.zeros(target.dim(k + shift), source.dim(k)))
         self.matrices = tuple(mats)
+        self.checked = False
 
     def matrix(self, k: int) -> RationalMatrix:
         i = k - self.source.min_degree
@@ -177,6 +183,22 @@ def validate_chain_map(phi: DegreeChainMap) -> Optional[ComplexViolation]:
                     if diff.entry(i, j):
                         return ComplexViolation(k, i, j, diff.entry(i, j))
     return None
+
+
+def _require_complex(c: CochainComplex) -> None:
+    if not c.checked:
+        violation = validate_complex(c)
+        if violation is not None:
+            raise ShapeError(f"not a complex: {violation}")
+        c.checked = True
+
+
+def _require_chain_map(phi: DegreeChainMap) -> None:
+    if not phi.checked:
+        violation = validate_chain_map(phi)
+        if violation is not None:
+            raise ChainMapError(f"chain-map identity fails: {violation}")
+        phi.checked = True
 
 
 class CohomologyData:
@@ -216,26 +238,39 @@ def _extend_to_basis(inner: RationalMatrix, spanning: RationalMatrix) -> Rationa
     if spanning.cols == 0:
         return RationalMatrix.zeros(spanning.rows, 0)
     merged = hstack(inner, spanning) if inner.cols else spanning
-    _, pivots = _reduced_echelon(merged.to_rows())
+    pivots = _pivots(merged)
     chosen = [p - inner.cols for p in pivots if p >= inner.cols]
     return spanning.select_columns(chosen)
 
 
 def cohomology(c: CochainComplex) -> CohomologyData:
     """Exact cohomology dimensions and bases of a validated complex."""
-    violation = validate_complex(c)
-    if violation is not None:
-        raise ShapeError(f"not a complex: {violation}")
+    _require_complex(c)
     return CohomologyData(c)
 
 
-def induced_cohomology_maps(phi: DegreeChainMap) -> dict:
-    """Matrices of [phi] : H^k(source) -> H^{k+shift}(target), keyed by source degree."""
-    violation = validate_chain_map(phi)
-    if violation is not None:
-        raise ChainMapError(f"chain-map identity fails: {violation}")
-    hs = cohomology(phi.source)
-    ht = hs if phi.target is phi.source else cohomology(phi.target)
+def cohomology_dims(c: CochainComplex) -> list:
+    """Cohomology dimensions from ranks alone: dim_k - rank d_k - rank d_{k-1}."""
+    _require_complex(c)
+    ranks = {k: rank(c.d(k)) for k in c.degrees()}
+    return [c.dim(k) - ranks[k] - ranks.get(k - 1, 0) for k in c.degrees()]
+
+
+def induced_cohomology_maps(
+    phi: DegreeChainMap,
+    hs: Optional[CohomologyData] = None,
+    ht: Optional[CohomologyData] = None,
+) -> dict:
+    """Matrices of [phi] : H^k(source) -> H^{k+shift}(target), keyed by source degree.
+
+    ``hs`` and ``ht``, when given, are cohomology(phi.source) and
+    cohomology(phi.target), already computed by the caller.
+    """
+    _require_chain_map(phi)
+    if hs is None:
+        hs = cohomology(phi.source)
+    if ht is None:
+        ht = hs if phi.target is phi.source else cohomology(phi.target)
     out = {}
     for k in phi.source.degrees():
         reps = hs.representatives(k)
@@ -246,9 +281,16 @@ def induced_cohomology_maps(phi: DegreeChainMap) -> dict:
     return out
 
 
-def induced_map_ranks(phi: DegreeChainMap) -> list:
-    """r_k = rank of the induced map on cohomology, listed over source degrees."""
-    maps = induced_cohomology_maps(phi)
+def induced_map_ranks(
+    phi: DegreeChainMap,
+    hs: Optional[CohomologyData] = None,
+    ht: Optional[CohomologyData] = None,
+) -> list:
+    """r_k = rank of the induced map on cohomology, listed over source degrees.
+
+    ``hs`` and ``ht`` are as for induced_cohomology_maps.
+    """
+    maps = induced_cohomology_maps(phi, hs, ht)
     return [rank(maps[k]) for k in phi.source.degrees()]
 
 
@@ -271,9 +313,7 @@ def mapping_cone(phi: DegreeChainMap) -> CochainComplex:
     from d^2 = 0 on both sides plus the (signless, even-shift) chain-map
     identity; the result is validated before being returned.
     """
-    violation = validate_chain_map(phi)
-    if violation is not None:
-        raise ChainMapError(f"chain-map identity fails: {violation}")
+    _require_chain_map(phi)
     degs = cone_degree_range(phi)
     theta = phi.shift - 1
     dims = [phi.target.dim(k) + phi.source.dim(k - theta) for k in degs]
@@ -288,26 +328,34 @@ def mapping_cone(phi: DegreeChainMap) -> CochainComplex:
     check = validate_complex(cone)
     if check is not None:
         raise ChainMapError(f"cone differential does not square to zero: {check}")
+    cone.checked = True
     return cone
 
 
 def cone_cohomology_by_decomposition(phi: DegreeChainMap) -> list:
     """Cone cohomology dimensions from the cokernel + kernel splitting.
 
-    dim_k = (b_k - r_{k-shift}) + (b_{k-shift+1} - r_{k-shift+1}), with b over
-    the target for the cokernel term and over the source for the kernel term.
-    Listed over the same degree range as mapping_cone(phi).
+    Listed over the same degree range as mapping_cone(phi); see
+    decomposition_dims for the formula.
     """
-    maps = induced_cohomology_maps(phi)
     hs = cohomology(phi.source)
     ht = hs if phi.target is phi.source else cohomology(phi.target)
+    return decomposition_dims(phi, hs, ht, induced_map_ranks(phi, hs, ht))
 
-    def r(k: int) -> int:
-        return rank(maps[k]) if k in maps else 0
 
+def decomposition_dims(
+    phi: DegreeChainMap, hs: CohomologyData, ht: CohomologyData, r: Sequence[int]
+) -> list:
+    """dim_k = (b_k - r_{k-shift}) + (b_{k-shift+1} - r_{k-shift+1}) over cone_degree_range(phi).
+
+    b is over the target (``ht``) for the cokernel term and over the source
+    (``hs``) for the kernel term; ``r`` lists the induced-map ranks over the
+    source degrees, as induced_map_ranks returns them.
+    """
+    ranks = dict(zip(phi.source.degrees(), r))
     dims = []
     for k in cone_degree_range(phi):
-        coker = ht.b(k) - r(k - phi.shift)
-        kernel = hs.b(k - phi.shift + 1) - r(k - phi.shift + 1)
+        coker = ht.b(k) - ranks.get(k - phi.shift, 0)
+        kernel = hs.b(k - phi.shift + 1) - ranks.get(k - phi.shift + 1, 0)
         dims.append(coker + kernel)
     return dims

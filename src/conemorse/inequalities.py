@@ -1,9 +1,9 @@
 """Rank bookkeeping, the cone Morse inequality suite and the Q(s) certificate.
 
 Every report computes the cone cohomology dimensions twice (rank formula and
-direct cone cohomology) and insists they agree; the per-degree weak and strong
-slacks plus the certificate polynomial then follow from pure integer
-arithmetic.
+ranks of the cone differentials) and insists they agree; the per-degree weak
+and strong slacks plus the certificate polynomial then follow from pure
+integer arithmetic.
 """
 
 from __future__ import annotations
@@ -14,7 +14,14 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .complexes import chain_ranks, cohomology, induced_map_ranks, mapping_cone
+from .complexes import (
+    chain_ranks,
+    cohomology,
+    cohomology_dims,
+    decomposition_dims,
+    induced_map_ranks,
+    mapping_cone,
+)
 from .errors import ConsistencyError, RemainderError
 from .morse import MorseDatum, morse_complex
 
@@ -148,7 +155,7 @@ def machon_check(d: MorseDatum) -> list:
     of checking it.  Evaluated for the datum's own p.
     """
     _, phi = morse_complex(d)
-    b_omega = list(cohomology(mapping_cone(phi)).dims)
+    b_omega = cohomology_dims(mapping_cone(phi))
     return _machon_violations(d.n, d.p, d.counts(), b_omega)
 
 
@@ -156,21 +163,19 @@ def cone_report(d: MorseDatum) -> InequalityReport:
     """Full inequality report for a validated datum.
 
     b^w is computed both from the rank formula b_k - r_{k-2p-2} + b_{k-2p-1} -
-    r_{k-2p-1} and from the cone complex directly; disagreement raises
-    ConsistencyError (it would mean an internal bug, never bad data).
+    r_{k-2p-1} and from the ranks of the cone differentials; disagreement
+    raises ConsistencyError (it would mean an internal bug, never bad data).
+    The Morse cohomology bases are computed once and serve both b and r.
     """
     complex_, phi = morse_complex(d)
     m = d.counts()
-    b = list(cohomology(complex_).dims)
+    h = cohomology(complex_)
+    b = list(h.dims)
     v = chain_ranks(phi)
-    r = induced_map_ranks(phi)
-    shift = d.cone_shift
+    r = induced_map_ranks(phi, h, h)
 
-    direct = list(cohomology(mapping_cone(phi)).dims)
-    by_formula = [
-        _at(b, k) - _at(r, k - shift) + _at(b, k - shift + 1) - _at(r, k - shift + 1)
-        for k in range(d.manifold_dim + shift)
-    ]
+    direct = cohomology_dims(mapping_cone(phi))
+    by_formula = decomposition_dims(phi, h, h, r)
     if by_formula != direct:
         raise ConsistencyError(
             f"rank formula gives {by_formula} but the cone complex gives {direct}"

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .complexes import CochainComplex, DegreeChainMap, cohomology, mapping_cone
+from .complexes import CochainComplex, DegreeChainMap, cohomology_dims, mapping_cone
 from .errors import DegreeError, InvalidDatumError, UnknownIdError
 from .ratlinalg import RationalMatrix, rat
 
@@ -135,18 +135,15 @@ def _assemble(d: MorseDatum, coeffs, jump: int) -> list:
     by_index = _ordered_generators(d)
     pos = {gid: i for ids in by_index for i, gid in enumerate(ids)}
     index = d.index_of()
-    mats = [
-        [[Fraction(0)] * len(by_index[k]) for _ in range(len(by_index[k + jump]) if k + jump <= d.manifold_dim else 0)]
+    rows = [
+        [{} for _ in range(len(by_index[k + jump]) if k + jump <= d.manifold_dim else 0)]
         for k in range(d.manifold_dim + 1)
     ]
-    for src, dst, value in coeffs:
-        k = index[src]
-        mats[k][pos[dst]][pos[src]] += value
-    out = []
-    for k in range(d.manifold_dim + 1):
-        rows = len(by_index[k + jump]) if k + jump <= d.manifold_dim else 0
-        out.append(RationalMatrix(rows, len(by_index[k]), [x for row in mats[k] for x in row]))
-    return out
+    for src, dst, value in coeffs:  # one nonzero entry per (src, dst), merged by MorseDatum
+        rows[index[src]][pos[dst]][pos[src]] = value
+    return [
+        RationalMatrix.from_sparse(len(r), len(ids), r) for r, ids in zip(rows, by_index)
+    ]
 
 
 def validate_datum(d: MorseDatum) -> Optional[DatumViolation]:
@@ -201,6 +198,8 @@ def morse_complex(d: MorseDatum) -> tuple:
     chain_map = DegreeChainMap(
         complex_, complex_, d.cone_shift, _assemble(d, d.cone_map, d.cone_shift)
     )
+    # validate_datum has checked d∘d = 0 and dc = cd on these very matrices
+    complex_.checked = chain_map.checked = True
     return complex_, chain_map
 
 
@@ -213,7 +212,7 @@ def cone_morse_complex(d: MorseDatum) -> CochainComplex:
 def betti(d: MorseDatum) -> list:
     """Cohomology dimensions of the Morse complex (b_k over k = 0 .. 2n)."""
     complex_, _ = morse_complex(d)
-    return list(cohomology(complex_).dims)
+    return cohomology_dims(complex_)
 
 
 def stabilize(d: MorseDatum, k: int, label: str) -> MorseDatum:

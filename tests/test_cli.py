@@ -162,6 +162,7 @@ class TestAnalyze:
         path.write_text(json.dumps(doc))
         code, _, err = run(capsys, "analyze", str(path))
         assert code == EXIT_VALIDATION
+        assert err.startswith("validation failed: ∂c - c∂ != 0 at degree 0")
 
 
 class TestValidateAndCone:
@@ -170,6 +171,15 @@ class TestValidateAndCone:
         run(capsys, "example", "torus", "--n", "1", "-o", str(path))
         code, out, _ = run(capsys, "validate", str(path))
         assert code == EXIT_OK and "ok" in out
+
+    def test_cone_broken_identity_exits_one(self, tmp_path, capsys):
+        doc = datum_to_dict(stabilize(torus(2), 2, "s"))
+        doc["cone_map"].append({"from": "q0", "to": "s_a", "coeff": "1"})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "cone", str(path))
+        assert code == EXIT_VALIDATION
+        assert err.startswith("validation failed: ∂c - c∂ != 0") and out == ""
 
     def test_cone_agreement(self, tmp_path, capsys):
         path = tmp_path / "cp2.json"
@@ -205,6 +215,28 @@ class TestSpectralCommand:
         )
         assert code == EXIT_OK
         assert "gap slope = " in out
+
+    def test_gap_growth_fits_every_degree(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "spectral", "--t", "5", "--t", "7", "--t", "9",
+            "--cutoff", "9", "--degrees", "1,2", "--gap-growth",
+        )
+        assert code == EXIT_OK
+        for k in (1, 2):
+            assert sum(line.startswith(f"degree {k}: t = ") for line in out.splitlines()) == 3
+            slopes = [line for line in out.splitlines() if line.startswith(f"degree {k}: gap slope = ")]
+            assert len(slopes) == 1 and float(slopes[0].split("= ")[1]) > 0
+
+    def test_gap_growth_emit_needs_one_degree(self, tmp_path, capsys):
+        code, out, err = run(
+            capsys,
+            "spectral", "--t", "5", "--t", "7", "--t", "9", "--cutoff", "9",
+            "--degrees", "1,2", "--gap-growth", "--emit", str(tmp_path / "gap.csv"),
+        )
+        assert code == EXIT_USAGE
+        assert "single cone degree" in err and out == ""
+        assert not (tmp_path / "gap.csv").exists()
 
     def test_multiple_t_without_gap_growth_rejected(self, capsys):
         code, _, err = run(capsys, "spectral", "--t", "5", "--t", "7", "--cutoff", "8")

@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,19 @@ class TestConeReport:
         assert rep.strong_slack == [0] * 6
         assert rep.q_coeffs == []
         assert rep.perfect and not rep.anomalous
+
+    def test_torus_ten_matches_binomial_tables(self):
+        # m = b = C(10, k); wedge with omega has full rank (hard Lefschetz), and
+        # b^w is primitive cohomology below the middle and its mirror above it
+        rep = cone_report(torus(5))
+        m = [comb(10, k) for k in range(11)]
+        v = [min(comb(10, k), comb(10, k + 2)) for k in range(11)]
+        primitive = [comb(10, k) - (comb(10, k - 2) if k >= 2 else 0) for k in range(6)]
+        assert rep.m == m and rep.b == m
+        assert rep.v == v and rep.r == v
+        assert rep.b_omega == primitive + primitive[::-1]
+        assert rep.weak_slack == [0] * 12 and rep.strong_slack == [0] * 12
+        assert rep.q_coeffs == [] and rep.perfect and not rep.anomalous
 
     def test_cp3_is_sharp(self):
         rep = cone_report(projective_space(3))

@@ -1,10 +1,11 @@
 """The benchmark's traced mode keeps working against the program.
 
 perfbench/tracing.py wraps program functions by module and attribute name,
-and measures each assembled spectral form through its ``shape`` and
-``nbytes``.  A renamed function, or a form without ``nbytes``, makes every
-traced operation fail.  The module is loaded from its file, as the benchmark
-loads it, without editing it.
+measures each assembled spectral form through its ``shape`` and ``nbytes``,
+and each matrix handed to elimination through its ``rows`` and ``cols``.  A
+renamed function, a form without ``nbytes`` or an elimination argument
+without ``rows`` makes every traced operation fail.  The module is loaded
+from its file, as the benchmark loads it, without editing it.
 """
 
 import importlib
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from conemorse import cli, spectral  # noqa: F401  (the tracer patches loaded modules only)
+from conemorse import cli, families, inequalities, spectral  # noqa: F401  (the tracer patches loaded modules only)
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -48,3 +49,16 @@ def test_traced_spectral_calls_run(tracing):
     size = spectral.matrix_size(1, 12)  # the quasimode's form is the larger
     assert tracer.max_unknowns == size
     assert 0 < tracer.max_form_bytes < size * size * 8
+
+
+def test_traced_cone_report_runs(tracing):
+    with tracing.Tracer() as tracer:
+        report = inequalities.cone_report(families.torus(2))
+    assert report.b_omega == [1, 4, 5, 5, 4, 1]
+    assert tracer.calls["ratlinalg.eliminate"] > 0
+    assert tracer.entries > 0
+    # the datum's identities are checked once, the cone's d∘d = 0 once, and
+    # the Morse cohomology bases serve both b and r
+    assert tracer.calls["morse.validate_datum"] == 1
+    assert tracer.calls["complexes.validate"] == 1
+    assert tracer.calls["complexes.cohomology"] == 1
