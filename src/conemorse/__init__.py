@@ -26,7 +26,6 @@ from .families import (
     synthetic_from_rank_profile,
     synthetic_from_ranks,
     torus,
-    unstable_pairing_torus,
 )
 from .inequalities import (
     InequalityReport,

@@ -323,7 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_spectral.add_argument("--cutoff", type=int, default=None, help="band limit N")
     p_spectral.add_argument("--degrees", default="all", help='"all" or comma list from 0..3')
-    p_spectral.add_argument("--morse-scale", type=float, default=1.0)
+    p_spectral.add_argument(
+        "--morse-scale", type=float, default=1.0, help="amplitude of f; negative deforms by -f"
+    )
     p_spectral.add_argument("--gap-growth", action="store_true", help="fit gap(t) against t")
     p_spectral.add_argument("--emit", default=None, help="write eigenvalue/gap CSV here")
     add_common(p_spectral)

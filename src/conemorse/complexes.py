@@ -113,10 +113,7 @@ def validate_complex(c: CochainComplex) -> Optional[ComplexViolation]:
     for k in c.degrees():
         comp = c.d(k + 1) @ c.d(k)
         if not comp.is_zero():
-            for i in range(comp.rows):
-                for j in range(comp.cols):
-                    if comp.entry(i, j):
-                        return ComplexViolation(k, i, j, comp.entry(i, j))
+            return ComplexViolation(k, *next(comp.nonzero()))
     return None
 
 
@@ -178,10 +175,7 @@ def validate_chain_map(phi: DegreeChainMap) -> Optional[ComplexViolation]:
         rhs = phi.matrix(k + 1) @ phi.source.d(k)
         diff = lhs - rhs
         if not diff.is_zero():
-            for i in range(diff.rows):
-                for j in range(diff.cols):
-                    if diff.entry(i, j):
-                        return ComplexViolation(k, i, j, diff.entry(i, j))
+            return ComplexViolation(k, *next(diff.nonzero()))
     return None
 
 

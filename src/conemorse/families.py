@@ -169,10 +169,8 @@ def synthetic_from_ranks(betti, omega_maps, p: int = 0, name: str = "synthetic")
             raise ShapeError(
                 f"omega_maps[{k}] has shape {mat.shape}, expected ({betti[k + shift]}, {betti[k]})"
             )
-        for i in range(mat.rows):
-            for j in range(mat.cols):
-                if mat.entry(i, j):
-                    cone.append((f"e{k}_{j}", f"e{k + shift}_{i}", mat.entry(i, j)))
+        for i, j, value in mat.nonzero():
+            cone.append((f"e{k}_{j}", f"e{k + shift}_{i}", value))
     return MorseDatum(
         manifold_dim=manifold_dim,
         points=points,
@@ -227,15 +225,3 @@ def s2_bundle_over_k3(omega_rank: int = 22, b2: int = 23) -> MorseDatum:
     return synthetic_from_rank_profile(
         betti, ranks, p=0, name=f"s2-bundle-over-k3-rank{omega_rank}"
     )
-
-
-def unstable_pairing_torus(conv) -> RationalMatrix:
-    """Pairing of coordinate monomials against closures of unstable submanifolds.
-
-    On the flat torus each closed unstable submanifold is the unit-volume
-    coordinate face spanned by the generator's subset, oriented so the pairing
-    with the matching monomial is +1: the matrix is the 2^{2n} identity.
-    """
-    if not isinstance(conv, TorusConvention):
-        conv = TorusConvention(int(conv))
-    return RationalMatrix.identity(2 ** (2 * conv.n))

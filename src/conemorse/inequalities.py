@@ -154,9 +154,7 @@ def machon_check(d: MorseDatum) -> list:
     The bound fails precisely on non-hard-Lefschetz data, which is the point
     of checking it.  Evaluated for the datum's own p.
     """
-    _, phi = morse_complex(d)
-    b_omega = cohomology_dims(mapping_cone(phi))
-    return _machon_violations(d.n, d.p, d.counts(), b_omega)
+    return cone_report(d).machon_violations
 
 
 def cone_report(d: MorseDatum) -> InequalityReport:

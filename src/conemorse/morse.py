@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional
 
 from .complexes import CochainComplex, DegreeChainMap, cohomology_dims, mapping_cone
@@ -63,8 +64,21 @@ class MorseDatum:
     def cone_shift(self) -> int:
         return 2 * self.p + 2
 
-    def index_of(self) -> dict:
-        return {q.id: q.index for q in self.points}
+    @cached_property
+    def _matrices(self) -> tuple:
+        """(generator ids per index, boundary matrices, cone matrices), built once.
+
+        Raises on structural problems, and then caches nothing.  The datum is
+        immutable, so validation and the Morse complex share these matrices.
+        """
+        index = _check_structure(self)
+        by_index = _ordered_generators(self)
+        pos = {gid: i for ids in by_index for i, gid in enumerate(ids)}
+        return (
+            by_index,
+            _assemble(self.boundary, 1, index, pos, by_index),
+            _assemble(self.cone_map, self.cone_shift, index, pos, by_index),
+        )
 
     def counts(self) -> list:
         """m_k over k = 0 .. manifold_dim."""
@@ -131,13 +145,12 @@ def _ordered_generators(d: MorseDatum) -> list:
     return by_index
 
 
-def _assemble(d: MorseDatum, coeffs, jump: int) -> list:
-    by_index = _ordered_generators(d)
-    pos = {gid: i for ids in by_index for i, gid in enumerate(ids)}
-    index = d.index_of()
+def _assemble(coeffs, jump: int, index: dict, pos: dict, by_index: list) -> list:
+    """Per-degree matrices of one coefficient family, rows and columns in `by_index` order."""
+    top = len(by_index) - 1
     rows = [
-        [{} for _ in range(len(by_index[k + jump]) if k + jump <= d.manifold_dim else 0)]
-        for k in range(d.manifold_dim + 1)
+        [{} for _ in range(len(by_index[k + jump]) if k + jump <= top else 0)]
+        for k in range(top + 1)
     ]
     for src, dst, value in coeffs:  # one nonzero entry per (src, dst), merged by MorseDatum
         rows[index[src]][pos[dst]][pos[src]] = value
@@ -146,34 +159,31 @@ def _assemble(d: MorseDatum, coeffs, jump: int) -> list:
     ]
 
 
+def _violation(identity: str, degree: int, m: RationalMatrix, ids: list) -> DatumViolation:
+    """Witness: the lowest nonzero column of m, read at the lowest row holding it."""
+    _, col, value = min(m.nonzero(), key=lambda e: (e[1], e[0]))
+    return DatumViolation(identity, degree, ids[col], value)
+
+
 def validate_datum(d: MorseDatum) -> Optional[DatumViolation]:
     """Check the two algebraic identities exactly.
 
     Structural problems (unknown ids, bad degrees) raise; a failing identity is
     returned as a report with the first failing degree and a witness generator.
     """
-    _check_structure(d)
-    boundary = _assemble(d, d.boundary, 1)
-    cone = _assemble(d, d.cone_map, d.cone_shift)
-    by_index = _ordered_generators(d)
+    by_index, boundary, cone = d._matrices
     for k in range(d.manifold_dim):
         comp = boundary[k + 1] @ boundary[k]
         if not comp.is_zero():
-            col = next(j for j in range(comp.cols) if any(comp.entry(i, j) for i in range(comp.rows)))
-            row = next(i for i in range(comp.rows) if comp.entry(i, col))
-            return DatumViolation("d_squared", k, by_index[k][col], comp.entry(row, col))
+            return _violation("d_squared", k, comp, by_index[k])
     shift = d.cone_shift
     for k in range(d.manifold_dim + 1):
         if k + shift + 1 > d.manifold_dim:
             # both sides land above the top index; nothing to check
             continue
-        lhs = boundary[k + shift] @ cone[k]
-        rhs = cone[k + 1] @ boundary[k]
-        diff = lhs - rhs
+        diff = boundary[k + shift] @ cone[k] - cone[k + 1] @ boundary[k]
         if not diff.is_zero():
-            col = next(j for j in range(diff.cols) if any(diff.entry(i, j) for i in range(diff.rows)))
-            row = next(i for i in range(diff.rows) if diff.entry(i, col))
-            return DatumViolation("commute", k, by_index[k][col], diff.entry(row, col))
+            return _violation("commute", k, diff, by_index[k])
     return None
 
 
@@ -192,12 +202,9 @@ def morse_complex(d: MorseDatum) -> tuple:
     so matrices are reproducible.
     """
     _require_valid(d)
-    by_index = _ordered_generators(d)
-    dims = [len(ids) for ids in by_index]
-    complex_ = CochainComplex(dims, _assemble(d, d.boundary, 1))
-    chain_map = DegreeChainMap(
-        complex_, complex_, d.cone_shift, _assemble(d, d.cone_map, d.cone_shift)
-    )
+    by_index, boundary, cone = d._matrices
+    complex_ = CochainComplex([len(ids) for ids in by_index], boundary)
+    chain_map = DegreeChainMap(complex_, complex_, d.cone_shift, cone)
     # validate_datum has checked d∘d = 0 and dc = cd on these very matrices
     complex_.checked = chain_map.checked = True
     return complex_, chain_map
@@ -266,9 +273,8 @@ def product(d1: MorseDatum, d2: MorseDatum) -> MorseDatum:
     for src, dst, value in d1.boundary:
         for y in d2.points:
             boundary.append((pid(src, y.id), pid(dst, y.id), value))
-    index1 = d1.index_of()
     for x in d1.points:
-        sign = -1 if index1[x.id] % 2 else 1
+        sign = -1 if x.index % 2 else 1
         for src, dst, value in d2.boundary:
             boundary.append((pid(x.id, src), pid(x.id, dst), sign * value))
     cone = []
@@ -311,18 +317,10 @@ def datum_from_chain_map(phi, name: str = "from-chain-map") -> MorseDatum:
             CriticalPoint(f"g{k}_{i:02d}", k) for i in range(complex_.dim(k))
         )
     for k in range(manifold_dim + 1):
-        d = complex_.d(k)
-        for i in range(d.rows):
-            for j in range(d.cols):
-                if d.entry(i, j):
-                    boundary.append((f"g{k}_{j:02d}", f"g{k + 1}_{i:02d}", d.entry(i, j)))
-        f = phi.matrix(k)
-        for i in range(f.rows):
-            for j in range(f.cols):
-                if f.entry(i, j):
-                    cone.append(
-                        (f"g{k}_{j:02d}", f"g{k + phi.shift}_{i:02d}", f.entry(i, j))
-                    )
+        for i, j, value in complex_.d(k).nonzero():
+            boundary.append((f"g{k}_{j:02d}", f"g{k + 1}_{i:02d}", value))
+        for i, j, value in phi.matrix(k).nonzero():
+            cone.append((f"g{k}_{j:02d}", f"g{k + phi.shift}_{i:02d}", value))
     return MorseDatum(
         manifold_dim=manifold_dim,
         points=tuple(points),

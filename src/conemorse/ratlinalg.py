@@ -30,13 +30,17 @@ _ONE = Fraction(1)
 def rat(value) -> Fraction:
     """Coerce an int, Fraction or string like ``"3/4"`` / ``"-2"`` to an exact rational.
 
-    Floats are rejected: inexact input has no place in the exact pipeline.
+    Floats are rejected: inexact input has no place in the exact pipeline.  So
+    are exponent strings: Fraction would expand ``"1e999999999"`` into an
+    integer with a billion digits.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise ValueError(f"invalid rational {value!r}: exponents are not accepted")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -120,19 +124,18 @@ class RationalMatrix:
             raise ShapeError(f"negative size {n}")
         return _matrix(n, n, tuple({i: _ONE} for i in range(n)))
 
-    @classmethod
-    def column(cls, entries: Sequence) -> "RationalMatrix":
-        return cls(len(entries), 1, list(entries))
-
     def entry(self, i: int, j: int) -> Fraction:
         return self._data[i].get(j, _ZERO)
+
+    def nonzero(self):
+        """Yield (i, j, value) for every nonzero entry, row by row, columns ascending."""
+        for i, r in enumerate(self._data):
+            for j in sorted(r):
+                yield i, j, r[j]
 
     def row(self, i: int) -> tuple:
         r = self._data[i]
         return tuple(r.get(j, _ZERO) for j in range(self.cols))
-
-    def col(self, j: int) -> tuple:
-        return tuple(r.get(j, _ZERO) for r in self._data)
 
     def to_rows(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]

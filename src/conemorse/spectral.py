@@ -49,7 +49,11 @@ CRITICAL_POINTS = {
 
 @dataclass(frozen=True)
 class SpectralProblem:
-    """Configuration of one deformed-cone eigenvalue computation."""
+    """Configuration of one deformed-cone eigenvalue computation.
+
+    ``morse_scale`` is the amplitude a of f; a negative value deforms by -f
+    (degree k at -a mirrors degree 3 - k at a).
+    """
 
     t: float
     cutoff: int
@@ -63,8 +67,8 @@ class SpectralProblem:
             raise ValueError(f"cutoff must be >= 2, got {self.cutoff}")
         if self.degree not in (0, 1, 2, 3):
             raise DegreeError(f"cone degree must be 0..3, got {self.degree}")
-        if self.morse_scale <= 0:
-            raise ValueError(f"morse_scale must be positive, got {self.morse_scale}")
+        if self.morse_scale == 0:
+            raise ValueError(f"morse_scale must be nonzero, got {self.morse_scale}")
 
 
 @dataclass
@@ -185,9 +189,7 @@ def _component_embed(degree: int, cutoff: int, target: int) -> sp.csr_matrix:
     return sp.block_diag(blocks, format="csr")
 
 
-def assemble_quadratic_form(
-    prob: SpectralProblem, _sign: float = 1.0
-) -> sp.csr_matrix:
+def assemble_quadratic_form(prob: SpectralProblem) -> sp.csr_matrix:
     """Sparse Galerkin matrix of |d_C s|^2 + |d_C* s|^2 on band-N cone forms.
 
     Like an ndarray, the CSR result reports its storage in ``nbytes``.
@@ -195,10 +197,9 @@ def assemble_quadratic_form(
     The up matrix maps band N to band N+1 exactly; the down (adjoint) matrix
     is read off as a transpose of the up matrix one degree lower, one band
     higher, restricted to band-N columns -- so the result is exactly A = Bu'Bu
-    + Bd'Bd, symmetric and positive semidefinite.  `_sign` < 0 deforms by -f
-    instead of f (used by the duality check).
+    + Bd'Bd, symmetric and positive semidefinite.
     """
-    deform = _sign * prob.t * prob.morse_scale * math.pi
+    deform = prob.t * prob.morse_scale * math.pi
     k, n = prob.degree, prob.cutoff
     up = cone_differential_matrix(k, n, deform)
     form = up.T @ up
@@ -211,7 +212,7 @@ def assemble_quadratic_form(
     return form
 
 
-def low_spectrum(prob: SpectralProblem, count: int, _sign: float = 1.0) -> np.ndarray:
+def low_spectrum(prob: SpectralProblem, count: int) -> np.ndarray:
     """The smallest `count` eigenvalues of the assembled form, ascending.
 
     Shift-invert Lanczos (ARPACK) around SHIFT; a dense solve only when
@@ -219,7 +220,7 @@ def low_spectrum(prob: SpectralProblem, count: int, _sign: float = 1.0) -> np.nd
     """
     from scipy.sparse.linalg import ArpackError, eigsh
 
-    form = assemble_quadratic_form(prob, _sign=_sign)
+    form = assemble_quadratic_form(prob)
     size = form.shape[0]
     if count > size:
         raise ValueError(f"requested {count} eigenvalues of a {size}-dim form")
@@ -242,7 +243,6 @@ def spectral_report(
     prob: SpectralProblem,
     count: int = 12,
     threshold: float = LOW_THRESHOLD,
-    _sign: float = 1.0,
 ) -> SpectralReport:
     """Eigenvalues, low-cluster count, gap and cluster ratio at one degree.
 
@@ -254,7 +254,7 @@ def spectral_report(
     size = matrix_size(prob.degree, prob.cutoff)
     count = min(max(count, 2), size)
     while True:
-        vals = low_spectrum(prob, count, _sign=_sign)
+        vals = low_spectrum(prob, count)
         low = vals[vals <= threshold]
         if len(low) < len(vals) or count == size:
             break
@@ -418,6 +418,10 @@ def quasimode(prob: SpectralProblem, point: str, kind: int) -> QuasimodeResult:
         raise KeyError(f"unknown critical point {point!r}; choose from {sorted(CRITICAL_POINTS)}")
     if kind not in (1, 2):
         raise ValueError(f"kind must be 1 or 2, got {kind}")
+    if prob.morse_scale < 0:
+        raise ValueError(
+            f"quasimodes are built for +f; morse_scale must be positive, got {prob.morse_scale}"
+        )
     px, py = CRITICAL_POINTS[point]
     descending = (px == 0.5, py == 0.5)
     index = int(descending[0]) + int(descending[1])

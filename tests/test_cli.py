@@ -147,6 +147,15 @@ class TestAnalyze:
         assert code == EXIT_USAGE
         assert "invalid rational" in err
 
+    def test_exponent_rational_exits_two(self, tmp_path, capsys):
+        doc = datum_to_dict(torus(1))
+        doc["cone_map"][0]["coeff"] = "1e5"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == EXIT_USAGE and out == ""
+        assert "malformed datum: invalid rational '1e5'" in err
+
     def test_unknown_id_exits_one(self, tmp_path, capsys):
         doc = datum_to_dict(torus(1))
         doc["boundary"] = [{"from": "q0", "to": "ghost", "coeff": "1"}]
@@ -171,6 +180,15 @@ class TestValidateAndCone:
         run(capsys, "example", "torus", "--n", "1", "-o", str(path))
         code, out, _ = run(capsys, "validate", str(path))
         assert code == EXIT_OK and "ok" in out
+
+    def test_validate_names_lowest_column_witness(self, tmp_path, capsys, split_witness_datum):
+        path = tmp_path / "bad.json"
+        path.write_text(emit_datum(split_witness_datum))
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == EXIT_VALIDATION and err == ""
+        assert out == (
+            "INVALID: ∂∘∂ != 0 at degree 0, witnessed on generator 'a0' (coefficient 6)\n"
+        )
 
     def test_cone_broken_identity_exits_one(self, tmp_path, capsys):
         doc = datum_to_dict(stabilize(torus(2), 2, "s"))
@@ -201,6 +219,20 @@ class TestSpectralCommand:
         assert "degree 0: 1 low eigenvalue(s)" in out
         assert "degree 1: 3 low eigenvalue(s)" in out
         assert csv_path.read_text().splitlines()[0] == "degree,index,eigenvalue"
+
+    def test_negative_morse_scale_deforms_by_minus_f(self, capsys):
+        args = ["spectral", "--t", "8", "--cutoff", "8", "--degrees", "0,3"]
+        _, plus, _ = run(capsys, *args)
+        code, minus, _ = run(capsys, *args, "--morse-scale", "-1")
+        assert code == EXIT_OK
+
+        def gaps(out):
+            return [float(line.split("gap = ")[1].split(",")[0]) for line in out.splitlines()]
+
+        # degree k at -f is degree 3 - k at f, to within solver round-off
+        assert gaps(minus) == pytest.approx(gaps(plus)[::-1], rel=1e-9)
+        code, _, err = run(capsys, *args, "--morse-scale", "0")
+        assert code == EXIT_USAGE and "nonzero" in err
 
     def test_inadequate_resolution_exits_four(self, capsys):
         code, _, err = run(capsys, "spectral", "--t", "80", "--cutoff", "6", "--degrees", "0")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conemorse.complexes import (
     CochainComplex,
+    ComplexViolation,
     DegreeChainMap,
     chain_ranks,
     cohomology,
@@ -43,6 +44,17 @@ class TestValidateComplex:
         assert violation is not None
         assert violation.degree == 0
         assert violation.value == 1
+
+    def test_witness_is_first_entry_in_row_order(self):
+        # d1 d0 = [[0, 5], [6, 0]]: the row-major first entry, not the lowest column
+        c = CochainComplex((2, 2, 2), [M([[2, 0], [0, 1]]), M([[0, 5], [3, 0]])])
+        assert validate_complex(c) == ComplexViolation(0, 0, 1, Fraction(5))
+
+    def test_chain_map_witness_is_first_entry_in_row_order(self):
+        # d2 phi0 - phi1 d0 = [[0, 5], [6, 0]] at degree 0
+        c = CochainComplex((2, 2, 2, 2), [M([[0, 0], [0, 0]])] * 2 + [M([[0, 5], [3, 0]])])
+        phi = DegreeChainMap(c, c, 2, [M([[2, 0], [0, 1]])])
+        assert validate_chain_map(phi) == ComplexViolation(0, 0, 1, Fraction(5))
 
     def test_torus_morse_complex_ok(self):
         complex_, _ = exterior_torus_model(2)

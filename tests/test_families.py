@@ -15,7 +15,6 @@ from conemorse.families import (
     synthetic_from_rank_profile,
     synthetic_from_ranks,
     torus,
-    unstable_pairing_torus,
 )
 from conemorse.morse import (
     cone_morse_complex,
@@ -190,16 +189,3 @@ class TestSynthetic:
         with pytest.raises(ShapeError):
             canonical_rank_matrix(2, 2, 3)
 
-
-class TestUnstablePairing:
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_identity(self, n):
-        assert unstable_pairing_torus(TorusConvention(n)) == RationalMatrix.identity(4**n)
-
-    def test_chain_level_compatibility(self):
-        # pairing matrix P conjugates the wedge matrix into the cone map:
-        # with P the identity the two matrices must agree entry for entry,
-        # which test_matches_wedge_oracle checks against the oracle; here we
-        # confirm P itself is the identity in the chosen orientations
-        pairing = unstable_pairing_torus(TorusConvention(2))
-        assert pairing @ pairing == pairing

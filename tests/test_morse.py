@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conemorse import morse
 from conemorse.complexes import (
     chain_ranks,
     cohomology,
@@ -13,6 +14,7 @@ from conemorse.complexes import (
 )
 from conemorse.errors import DegreeError, InvalidDatumError, UnknownIdError
 from conemorse.families import projective_space, torus
+from conemorse.inequalities import cone_report
 from conemorse.morse import (
     CriticalPoint,
     MorseDatum,
@@ -83,6 +85,52 @@ class TestValidate:
                     boundary=(("a", "b", 1),),
                 )
             )
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(morse, name)
+
+    def counted(*args):
+        calls.append(name)
+        return real(*args)
+
+    monkeypatch.setattr(morse, name, counted)
+    return calls
+
+
+class TestAssembleOnce:
+    def test_cone_report_assembles_each_family_once(self, monkeypatch):
+        assembled = count_calls(monkeypatch, "_assemble")
+        ordered = count_calls(monkeypatch, "_ordered_generators")
+        cone_report(torus(2))
+        assert len(assembled) == 2  # boundary and cone map
+        assert len(ordered) == 1
+
+    def test_validation_and_complex_share_the_matrices(self, monkeypatch):
+        assembled = count_calls(monkeypatch, "_assemble")
+        datum = torus(2)
+        assert validate_datum(datum) is None
+        assert len(assembled) == 2
+        first, phi = morse_complex(datum)
+        second, _ = morse_complex(datum)
+        assert len(assembled) == 2
+        # the checked-flag carriers are fresh per call, their matrices shared
+        assert first is not second and first.differentials == second.differentials
+        assert phi.matrices[0] is datum._matrices[2][0]
+
+    def test_structural_error_is_not_cached(self):
+        bad = MorseDatum(
+            manifold_dim=2, points=(CriticalPoint("a", 0),), boundary=(("a", "ghost", 1),)
+        )
+        for _ in range(2):
+            with pytest.raises(UnknownIdError):
+                validate_datum(bad)
+
+    def test_witness_is_lowest_column_then_lowest_row(self, split_witness_datum):
+        violation = validate_datum(split_witness_datum)
+        assert (violation.identity, violation.degree) == ("d_squared", 0)
+        assert (violation.witness, violation.value) == ("a0", 6)
 
 
 class TestMorseComplex:

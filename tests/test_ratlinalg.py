@@ -39,6 +39,12 @@ class TestRat:
         with pytest.raises(TypeError):
             rat(0.5)
 
+    def test_exponents_rejected(self):
+        # Fraction would expand an exponent into an integer of any size
+        for text in ["1e5", "1E-3"]:
+            with pytest.raises(ValueError, match="exponents are not accepted"):
+                rat(text)
+
     def test_format_round_trip(self):
         for text in ["3/4", "-5", "0", "-7/3"]:
             assert format_rat(rat(text)) == text
@@ -305,3 +311,26 @@ def test_from_sparse_coerces_and_checks():
         RationalMatrix.from_sparse(1, 2, [{2: 1}])
     with pytest.raises(ShapeError):
         RationalMatrix.from_sparse(2, 2, [{0: 1}])
+
+
+def test_nonzero_walks_rows_in_order_and_columns_sorted():
+    a = M([[1, 1], [0, 0]])
+    b = M([[0, 0, 1], [1, 0, 0]])
+    product = a @ b  # row 0 accumulates column 2 before column 0
+    difference = M([[0, 0, 1]]) - M([[1, 0, 0]])  # column 2 kept, column 0 appended
+    assert list(product._data[0]) == [2, 0] and list(difference._data[0]) == [2, 0]
+    assert list(product.nonzero()) == [(0, 0, 1), (0, 2, 1)]
+    assert list(difference.nonzero()) == [(0, 0, -1), (0, 2, 1)]
+    assert list(RationalMatrix.zeros(2, 3).nonzero()) == []
+
+
+@given(grids(max_side=6))
+@settings(max_examples=100, deadline=None)
+def test_nonzero_matches_dense_entries(shape_and_grid):
+    rows, cols, grid = shape_and_grid
+    reverse = RationalMatrix(cols, cols, [int(i + j == cols - 1) for i in range(cols) for j in range(cols)])
+    m = build(rows, cols, grid) @ reverse  # columns reversed, so rows are stored out of order
+    dense = m.to_rows()
+    assert list(m.nonzero()) == [
+        (i, j, x) for i in range(rows) for j, x in enumerate(dense[i]) if x
+    ]

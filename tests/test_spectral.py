@@ -135,6 +135,12 @@ class TestClusters:
             mirrored = cached_low_spectrum(10.0, 9, 3 - k, 6, -1.0)
             assert np.allclose(direct, mirrored, rtol=1e-6, atol=1e-9)
 
+    def test_signed_morse_scale(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            SpectralProblem(10.0, 8, 1, 0.0)
+        with pytest.raises(ValueError, match="built for \\+f"):
+            quasimode(SpectralProblem(20.0, 12, 1, -1.0), "q1", 1)
+
 
 class TestGapGrowth:
     def test_needs_three_values(self):
