@@ -6,12 +6,17 @@ k-form with a (k-1)-form; the deformed differential and its adjoint are
 
     d_C = [[d_t, w], [0, -d_t]],      d_C* = [[d_t*, 0], [L, -d_t*]],
 
-with d_t = d + t df^ and L the pointwise adjoint of the wedge map w.  The
-quadratic form |d_C s|^2 + |d_C* s|^2 is assembled exactly on the real
-trigonometric basis: multiplying by sin(2 pi x) raises the band limit by
-exactly one, so images of band-N forms are computed in band N+1 and inner
-products taken on the orthonormal basis.  The assembled matrix is symmetric
-positive semidefinite by construction.
+with d_t = d + t df^ and L the pointwise adjoint of the wedge map w.  d_C is
+written once, in the block table DIFFERENTIAL: each block is a Kronecker
+product of two 1D operators on the real trigonometric basis, so images of
+band-N forms are computed exactly in band N+1 (multiplying by sin(2 pi x)
+raises the band limit by exactly one) and inner products taken on the
+orthonormal basis.  The table is read twice: the sparse assembly of the
+quadratic form |d_C s|^2 + |d_C* s|^2, symmetric positive semidefinite by
+construction and solved by shift-invert Lanczos on a symmetric-mode SuperLU
+factorization; and a matrix-free apply on the grid of coefficients,
+(A(x)B) vec(U) = vec(A U B'), which rates quasimodes as |d_C v|^2 + |d_C* v|^2
+without assembling the form.
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ import numpy as np
 from .errors import AdequacyError, DegreeError, DegreeMismatchError, SolverError
 
 # scipy.sparse and its ARPACK solver are imported inside the functions that use
-# them, so the exact side, which never builds a form, does not load them (about
-# 3.5 MB of resident memory in an `analyze` process)
+# them, so the exact side and quasimode rating, which never build a form, do
+# not load them (about 3.5 MB of resident memory in an `analyze` process)
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
@@ -36,7 +41,7 @@ ADEQUACY_RATIO = 10.0  # gap must exceed the cluster top by this factor
 # form, so A - SHIFT*I stays positive definite even when the low cluster sits
 # at 1e-10, and the eigenvalues nearest the shift are the lowest ones
 SHIFT = -1e-3
-COMPONENTS = (1, 3, 3, 1)  # coefficient fields per cone degree on T^2
+COMPONENTS = (1, 3, 3, 1, 0)  # coefficient fields per cone degree on T^2; none in 4
 
 # the four critical points of the cosine Morse function, keyed like torus(1)
 CRITICAL_POINTS = {
@@ -61,6 +66,11 @@ class SpectralProblem:
     morse_scale: float = 1.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.t) and math.isfinite(self.morse_scale)):
+            raise ValueError(
+                f"t and morse_scale must be finite, got t={self.t}, "
+                f"morse_scale={self.morse_scale}"
+            )
         if self.t <= 0:
             raise ValueError(f"t must be positive, got {self.t}")
         if self.cutoff < 2:
@@ -91,102 +101,121 @@ def matrix_size(degree: int, cutoff: int) -> int:
     return COMPONENTS[degree] * basis_size(cutoff) ** 2
 
 
-def _deriv_1d(cutoff: int) -> sp.csr_matrix:
-    import scipy.sparse as sp
-
-    n = basis_size(cutoff)
-    mat = sp.lil_matrix((n, n))
-    for m in range(1, cutoff + 1):
-        mat[2 * m, 2 * m - 1] = -2.0 * math.pi * m  # d/dx cos -> sin
-        mat[2 * m - 1, 2 * m] = 2.0 * math.pi * m  # d/dx sin -> cos
-    return mat.tocsr()
+def _deriv_1d(cutoff: int) -> np.ndarray:
+    """d/dx: band N -> band N+1 (the top band stays empty)."""
+    mat = np.zeros((basis_size(cutoff + 1), basis_size(cutoff)))
+    m = np.arange(1, cutoff + 1)
+    mat[2 * m, 2 * m - 1] = -2.0 * math.pi * m  # d/dx cos -> sin
+    mat[2 * m - 1, 2 * m] = 2.0 * math.pi * m  # d/dx sin -> cos
+    return mat
 
 
-def _sin_mult_1d(cutoff: int) -> sp.csr_matrix:
+def _sin_mult_1d(cutoff: int) -> np.ndarray:
     """Multiplication by sin(2 pi x): band N -> band N+1, exact."""
-    import scipy.sparse as sp
-
-    rows = basis_size(cutoff + 1)
-    cols = basis_size(cutoff)
-    mat = sp.lil_matrix((rows, cols))
+    mat = np.zeros((basis_size(cutoff + 1), basis_size(cutoff)))
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    mat[2, 0] = inv_sqrt2  # sin * 1
-    for m in range(1, cutoff + 1):
-        mat[2 * (m + 1), 2 * m - 1] = 0.5  # sin * cos_m -> sin_{m+1}
-        if m >= 2:
-            mat[2 * (m - 1), 2 * m - 1] = -0.5  # ... -> -sin_{m-1}
-        if m >= 2:
-            mat[2 * (m - 1) - 1, 2 * m] = 0.5  # sin * sin_m -> cos_{m-1}
-        else:
-            mat[0, 2] = inv_sqrt2  # sin * sin_1 -> constant
-        mat[2 * (m + 1) - 1, 2 * m] = -0.5  # ... -> -cos_{m+1}
-    return mat.tocsr()
+    mat[2, 0] = mat[0, 2] = inv_sqrt2  # sin * 1 -> sin_1, sin * sin_1 -> constant
+    m = np.arange(1, cutoff + 1)
+    mat[2 * (m + 1), 2 * m - 1] = 0.5  # sin * cos_m -> sin_{m+1}
+    mat[2 * (m + 1) - 1, 2 * m] = -0.5  # sin * sin_m -> -cos_{m+1}
+    m = np.arange(2, cutoff + 1)
+    mat[2 * (m - 1), 2 * m - 1] = -0.5  # sin * cos_m -> -sin_{m-1}
+    mat[2 * (m - 1) - 1, 2 * m] = 0.5  # sin * sin_m -> cos_{m-1}
+    return mat
 
 
-def _embed_1d(cutoff: int, target: int) -> sp.csr_matrix:
-    import scipy.sparse as sp
+# d_C out of each cone degree as blocks (output component, input component,
+# sign, factor).  Component layout per degree: 0 -> [u]; 1 -> [P, Q, u];
+# 2 -> [R, S, T]; 3 -> [V], where eta_1 = P dx + Q dy, eta_2 = R dx^dy,
+# xi_1 = S dx + T dy, xi_2 = V dx^dy and u is a theta-coefficient function.
+# A factor names a Kronecker product of 1D operators acting on the (x, y)
+# coefficient grid: "x" = G(x)E and "y" = E(x)G are the two parts of
+# d_t = d + t df^ (G = d/dx + t a pi sin(2 pi x), E the band embedding), and
+# "w" = E(x)E is the wedge with omega.
+DIFFERENTIAL = (
+    # d_C u = (d_t u, 0)
+    ((0, 0, 1, "x"), (1, 0, 1, "y")),
+    # d_C (eta_1, xi_0) = (d_t eta_1 + w xi_0, -d_t xi_0)
+    ((0, 0, -1, "y"), (0, 1, 1, "x"), (0, 2, 1, "w"), (1, 2, -1, "x"), (2, 2, -1, "y")),
+    # d_C (eta_2, xi_1) = (w ^ xi_1 = 0 in Omega^3, -d_t xi_1)
+    ((0, 1, 1, "y"), (0, 2, -1, "x")),
+    (),
+)
 
-    return sp.eye(basis_size(target), basis_size(cutoff), format="csr")
 
-
-def _grad_ops(cutoff: int, deform: float) -> tuple:
-    """Components of d_t on functions, band N -> band N+1.
+def _differential(degree: int, cutoff: int, deform: float) -> tuple:
+    """d_C out of `degree`, band N -> band N+1: (blocks, 1D factor pairs, output components).
 
     deform is the full multiplier t * a * pi on the sine factors of df.
     """
+    if degree not in (0, 1, 2, 3):
+        raise DegreeError(f"cone degree must be 0..3, got {degree}")
+    grad = _deriv_1d(cutoff) + deform * _sin_mult_1d(cutoff)
+    embed = np.eye(basis_size(cutoff + 1), basis_size(cutoff))
+    pairs = {"x": (grad, embed), "y": (embed, grad), "w": (embed, embed)}
+    return DIFFERENTIAL[degree], pairs, COMPONENTS[degree + 1]
+
+
+def _adjoint(degree: int, cutoff: int, deform: float) -> tuple:
+    """d_C* out of `degree` > 0, band N -> band N+1, in the form of `_differential`.
+
+    The transpose of d_C one degree lower and one band higher, applied to the
+    form embedded in band N+2: the transposed table, each 1D factor restricted
+    to its band-N rows and transposed.
+    """
+    blocks, pairs, _ = _differential(degree - 1, cutoff + 1, deform)
+    size = basis_size(cutoff)
+    return (
+        tuple((inp, out, sign, kind) for out, inp, sign, kind in blocks),
+        {kind: (a[:size].T, b[:size].T) for kind, (a, b) in pairs.items()},
+        COMPONENTS[degree - 1],
+    )
+
+
+def _operators(prob: SpectralProblem) -> list:
+    """The maps whose squared norms add up to the form: d_C, and d_C* above degree 0."""
+    deform = prob.t * prob.morse_scale * math.pi
+    ops = [_differential(prob.degree, prob.cutoff, deform)]
+    if prob.degree > 0:
+        ops.append(_adjoint(prob.degree, prob.cutoff, deform))
+    return ops
+
+
+def _kron_matrix(blocks, pairs, out_components: int, in_components: int) -> sp.csr_matrix:
+    """Sparse matrix of a block operator: each block is sign * kron of its 1D factors."""
     import scipy.sparse as sp
 
-    d1 = _deriv_1d(cutoff)
-    s1 = _sin_mult_1d(cutoff)
-    e1 = _embed_1d(cutoff, cutoff + 1)
-    gx = sp.kron(e1 @ d1, e1, format="csr") + deform * sp.kron(s1, e1, format="csr")
-    gy = sp.kron(e1, e1 @ d1, format="csr") + deform * sp.kron(e1, s1, format="csr")
-    return gx, gy
+    rows_1d, cols_1d = pairs["w"][0].shape
+    height, width = rows_1d**2, cols_1d**2
+    # seeded with empty arrays, so an empty table (out of degree 3) gives a 0-row matrix
+    rows, cols, data = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
+    for out, inp, sign, kind in blocks:
+        a, b = pairs[kind]
+        block = sp.kron(sign * a, b, format="coo")
+        rows.append(block.row + out * height)
+        cols.append(block.col + inp * width)
+        data.append(block.data)
+    shape = (out_components * height, in_components * width)
+    entries = (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols)))
+    return sp.csr_matrix(entries, shape=shape)
 
 
-def _embed_2d(cutoff: int, target: int) -> sp.csr_matrix:
-    import scipy.sparse as sp
+def _apply(blocks, pairs, out_components: int, grids: np.ndarray) -> np.ndarray:
+    """A block operator on a stack of coefficient grids, (A(x)B) vec(U) = vec(A U B').
 
-    e1 = _embed_1d(cutoff, target)
-    return sp.kron(e1, e1, format="csr")
+    Matrix-free and numpy only: nothing is assembled and scipy is not loaded.
+    """
+    size = pairs["w"][0].shape[0]
+    out = np.zeros((out_components, size, size))
+    for o, i, sign, kind in blocks:
+        a, b = pairs[kind]
+        out[o] += sign * (a @ grids[i] @ b.T)
+    return out
 
 
 def cone_differential_matrix(degree: int, cutoff: int, deform: float) -> sp.csr_matrix:
-    """Matrix of d_C from cone degree `degree` in band N to degree+1 in band N+1.
-
-    Component layout per degree: 0 -> [u]; 1 -> [P, Q, u]; 2 -> [R, S, T];
-    3 -> [V], where eta_1 = P dx + Q dy, eta_2 = R dx^dy, xi_1 = S dx + T dy,
-    xi_2 = V dx^dy and u is a theta-coefficient function.
-    """
-    import scipy.sparse as sp
-
-    n0 = basis_size(cutoff) ** 2
-    n1 = basis_size(cutoff + 1) ** 2
-    gx, gy = _grad_ops(cutoff, deform)
-    zero = sp.csr_matrix((n1, n0))
-    ee = _embed_2d(cutoff, cutoff + 1)
-    if degree == 0:
-        # d_C u = (d_t u, 0)
-        return sp.vstack([gx, gy, zero], format="csr")
-    if degree == 1:
-        # d_C (eta_1, xi_0) = (d_t eta_1 + w xi_0, -d_t xi_0)
-        row_r = sp.hstack([-gy, gx, ee], format="csr")
-        row_s = sp.hstack([zero, zero, -gx], format="csr")
-        row_t = sp.hstack([zero, zero, -gy], format="csr")
-        return sp.vstack([row_r, row_s, row_t], format="csr")
-    if degree == 2:
-        # d_C (eta_2, xi_1) = (w ^ xi_1 = 0 in Omega^3, -d_t xi_1)
-        return sp.hstack([zero, gy, -gx], format="csr")
-    if degree == 3:
-        return sp.csr_matrix((0, n0))
-    raise DegreeError(f"cone degree must be 0..3, got {degree}")
-
-
-def _component_embed(degree: int, cutoff: int, target: int) -> sp.csr_matrix:
-    import scipy.sparse as sp
-
-    blocks = [_embed_2d(cutoff, target)] * COMPONENTS[degree]
-    return sp.block_diag(blocks, format="csr")
+    """Matrix of d_C from cone degree `degree` in band N to degree+1 in band N+1."""
+    return _kron_matrix(*_differential(degree, cutoff, deform), COMPONENTS[degree])
 
 
 def assemble_quadratic_form(prob: SpectralProblem) -> sp.csr_matrix:
@@ -194,31 +223,32 @@ def assemble_quadratic_form(prob: SpectralProblem) -> sp.csr_matrix:
 
     Like an ndarray, the CSR result reports its storage in ``nbytes``.
 
-    The up matrix maps band N to band N+1 exactly; the down (adjoint) matrix
-    is read off as a transpose of the up matrix one degree lower, one band
-    higher, restricted to band-N columns -- so the result is exactly A = Bu'Bu
-    + Bd'Bd, symmetric and positive semidefinite.
+    Both d_C and d_C* map band N to band N+1 exactly, so the result is
+    exactly A = Bu'Bu + Bd'Bd, symmetric and positive semidefinite.
     """
-    deform = prob.t * prob.morse_scale * math.pi
-    k, n = prob.degree, prob.cutoff
-    up = cone_differential_matrix(k, n, deform)
-    form = up.T @ up
-    if k > 0:
-        lower = cone_differential_matrix(k - 1, n + 1, deform)
-        down = lower.T @ _component_embed(k, n, n + 2)
-        form = form + down.T @ down
-    form = form.tocsr()
+    up, *down = [_kron_matrix(*op, COMPONENTS[prob.degree]) for op in _operators(prob)]
+    form = sum((mat.T @ mat for mat in down), up.T @ up).tocsr()
     form.nbytes = form.data.nbytes + form.indices.nbytes + form.indptr.nbytes
     return form
+
+
+def _form_value(prob: SpectralProblem, vec: np.ndarray) -> float:
+    """v.(A v) as |d_C v|^2 + |d_C* v|^2, from the 1D factors without assembling A."""
+    size = basis_size(prob.cutoff)
+    grids = vec.reshape(-1, size, size)
+    return float(sum(np.sum(_apply(*op, grids) ** 2) for op in _operators(prob)))
 
 
 def low_spectrum(prob: SpectralProblem, count: int) -> np.ndarray:
     """The smallest `count` eigenvalues of the assembled form, ascending.
 
     Shift-invert Lanczos (ARPACK) around SHIFT; a dense solve only when
-    `count` leaves ARPACK no room (count >= size - 1).
+    `count` leaves ARPACK no room (count >= size - 1).  A - SHIFT*I is
+    positive definite, so SuperLU factors it once in symmetric mode: a
+    symmetric ordering and diagonal pivots, no row interchanges.
     """
-    from scipy.sparse.linalg import ArpackError, eigsh
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
     form = assemble_quadratic_form(prob)
     size = form.shape[0]
@@ -230,9 +260,22 @@ def low_spectrum(prob: SpectralProblem, count: int) -> np.ndarray:
     # every call, so repeated solves would differ in the last digits; a
     # constant vector would miss whole symmetry sectors (the sine modes)
     start = np.random.default_rng(0).standard_normal(size)
+    factor = splu(
+        (form - SHIFT * sp.identity(size, format="csr")).tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    shifted_inverse = LinearOperator((size, size), matvec=factor.solve, dtype=form.dtype)
     try:
         vals = eigsh(
-            form, k=count, sigma=SHIFT, which="LM", v0=start, return_eigenvectors=False
+            form,
+            k=count,
+            sigma=SHIFT,
+            which="LM",
+            v0=start,
+            OPinv=shifted_inverse,
+            return_eigenvectors=False,
         )
     except ArpackError as exc:
         raise SolverError(f"eigensolver failed: {exc}") from exc
@@ -278,6 +321,8 @@ def spectral_report(
 
 
 def suggested_cutoff(t: float) -> int:
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     return math.ceil(2.0 * math.sqrt(t)) + 6
 
 
@@ -412,7 +457,8 @@ def quasimode(prob: SpectralProblem, point: str, kind: int) -> QuasimodeResult:
     Gaussian form itself.  The local fields solve the quadratic-model harmonic
     equations exactly; a smooth bump of radius 1/4 keeps neighboring supports
     disjoint.  The mode is expanded on a 4N x 4N grid by the trapezoidal rule,
-    normalized, and rated against the assembled form.
+    normalized, and rated as |d_C v|^2 + |d_C* v|^2 from the 1D factors of
+    d_C, without assembling the form (numpy only; scipy is not loaded).
     """
     if point not in CRITICAL_POINTS:
         raise KeyError(f"unknown critical point {point!r}; choose from {sorted(CRITICAL_POINTS)}")
@@ -471,9 +517,7 @@ def quasimode(prob: SpectralProblem, point: str, kind: int) -> QuasimodeResult:
     if norm == 0:
         raise SolverError("quasimode projected to zero")
     vec = vec / norm
-    form = assemble_quadratic_form(prob)
-    rayleigh = float(vec @ (form @ vec))
-    return QuasimodeResult(point, kind, prob.degree, vec, rayleigh)
+    return QuasimodeResult(point, kind, prob.degree, vec, _form_value(prob, vec))
 
 
 def eigenvalues_to_csv(reports: Sequence[SpectralReport]) -> str:

@@ -234,6 +234,22 @@ class TestSpectralCommand:
         code, _, err = run(capsys, *args, "--morse-scale", "0")
         assert code == EXIT_USAGE and "nonzero" in err
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--t", "nan", "--cutoff", "6"],
+            ["--t", "inf", "--cutoff", "6"],
+            ["--t", "2", "--cutoff", "6", "--morse-scale", "nan"],
+            ["--t", "inf"],
+        ],
+        ids=["t-nan", "t-inf", "morse-scale-nan", "t-inf-suggested-cutoff"],
+    )
+    def test_non_finite_parameters_rejected(self, capsys, extra):
+        code, out, err = run(capsys, "spectral", *extra, "--degrees", "0")
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and "finite" in err
+        assert out == ""
+
     def test_inadequate_resolution_exits_four(self, capsys):
         code, _, err = run(capsys, "spectral", "--t", "80", "--cutoff", "6", "--degrees", "0")
         assert code == EXIT_ADEQUACY

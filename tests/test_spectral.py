@@ -1,11 +1,22 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import conemorse
 from conemorse.errors import AdequacyError, DegreeError, DegreeMismatchError
 from conemorse.spectral import (
+    COMPONENTS,
     SpectralProblem,
+    _adjoint,
+    _apply,
+    _differential,
+    _form_value,
     assemble_quadratic_form,
     basis_size,
     cluster_counts,
@@ -100,6 +111,98 @@ class TestAssembly:
             SpectralProblem(5, 1, 0)
         with pytest.raises(DegreeError):
             SpectralProblem(5, 8, 5)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                SpectralProblem(bad, 8, 0)
+            with pytest.raises(ValueError, match="finite"):
+                SpectralProblem(5, 8, 0, bad)
+        with pytest.raises(ValueError, match="finite"):
+            suggested_cutoff(math.inf)
+
+
+# the eight quasimodes by the cone degree they live at: (point, kind)
+QUASIMODES = {
+    0: [("q0", 1)],
+    1: [("q0", 2), ("q1", 1), ("q2", 1)],
+    2: [("q1", 2), ("q2", 2), ("q12", 1)],
+    3: [("q12", 2)],
+}
+
+
+class TestSharedTable:
+    """d_C is one block table, read by the sparse assembly and the matrix-free apply."""
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_matrix_free_form_equals_assembled(self, degree):
+        rng = np.random.default_rng(degree)
+        for t, n in ((2.0, 4), (10.0, 10), (20.0, 14)):
+            prob = SpectralProblem(t, n, degree)
+            form = assemble_quadratic_form(prob)
+            for _ in range(3):
+                vec = rng.standard_normal(matrix_size(degree, n))
+                vec /= np.linalg.norm(vec)
+                assembled = vec @ (form @ vec)
+                assert abs(_form_value(prob, vec) - assembled) <= 1e-12 * assembled
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_apply_matches_matrix_columns(self, degree):
+        n, deform = 5, 3.7 * math.pi
+        size, big = basis_size(n), basis_size(n + 2)
+        up = cone_differential_matrix(degree, n, deform)
+        # the adjoint built without the transposed table: the transpose of d_C
+        # one degree lower and one band higher, on forms padded to band N+2
+        lower = cone_differential_matrix(degree - 1, n + 1, deform) if degree else None
+        for j in (0, 7, matrix_size(degree, n) // 2, matrix_size(degree, n) - 1):
+            unit = np.zeros(matrix_size(degree, n))
+            unit[j] = 1.0
+            grids = unit.reshape(-1, size, size)
+            applied = _apply(*_differential(degree, n, deform), grids).reshape(-1)
+            assert np.array_equal(applied, up[:, [j]].toarray().ravel())
+            if lower is not None:
+                padded = np.zeros((COMPONENTS[degree], big, big))
+                padded[:, :size, :size] = grids
+                expected = lower.T @ padded.reshape(-1)
+                applied = _apply(*_adjoint(degree, n, deform), grids).reshape(-1)
+                assert np.array_equal(applied, expected)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_quasimode_rayleigh_equals_assembled(self, degree):
+        prob = SpectralProblem(20.0, 14, degree)
+        form = assemble_quadratic_form(prob)
+        for point, kind in QUASIMODES[degree]:
+            mode = quasimode(prob, point, kind)
+            vec = mode.coefficients
+            assert abs(mode.rayleigh - vec @ (form @ vec)) <= 1e-12
+
+
+LOADS_SCIPY_SPARSE = """
+import json, os, sys
+from conemorse import cli, families, spectral
+
+path = os.path.join(sys.argv[1], "t4.json")
+with open(path, "w") as fh:
+    fh.write(cli.emit_datum(families.torus(2)))
+code = cli.main(["analyze", path, "--format", "json"])
+after_analyze = "scipy.sparse" in sys.modules
+spectral.quasimode(spectral.SpectralProblem(20.0, 12, 1), "q1", 1)
+print(json.dumps([code, after_analyze, "scipy.sparse" in sys.modules]))
+"""
+
+
+def test_exact_side_and_quasimodes_leave_scipy_sparse_unloaded(tmp_path):
+    # scipy.sparse costs about 3.5 MB of resident memory; only the eigensolve
+    # and the assembled form need it
+    src = str(Path(conemorse.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADS_SCIPY_SPARSE, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    code, after_analyze, after_quasimode = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    assert not after_analyze
+    assert not after_quasimode
 
 
 class TestClusters:
@@ -173,6 +276,10 @@ class TestQuasimodes:
             quasimode(SpectralProblem(10, 8, 1), "q0", 1)
         with pytest.raises(DegreeMismatchError):
             quasimode(SpectralProblem(10, 8, 3), "q12", 1)
+
+    def test_non_finite_deformation_never_rated(self):
+        with pytest.raises(ValueError, match="finite"):
+            quasimode(SpectralProblem(math.nan, 12, 1), "q1", 1)
 
     def test_unknown_point(self):
         with pytest.raises(KeyError):
