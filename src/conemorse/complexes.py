@@ -15,7 +15,6 @@ from .errors import ChainMapError, ShapeError
 from .ratlinalg import (
     RationalMatrix,
     block,
-    column_space_basis,
     hstack,
     nullspace_basis,
     quotient_map,
@@ -196,35 +195,26 @@ def _require_chain_map(phi: DegreeChainMap) -> None:
 
 
 class CohomologyData:
-    """Per-degree Betti numbers with explicit cocycle/coboundary/representative bases."""
+    """One cocycle basis Z_k = ker d_k per degree; ranks and Betti numbers follow.
+
+    rank d_k = dim_k - cols Z_k and b_k = cols Z_k - rank d_{k-1}.  Class
+    representatives are built only where an induced map needs them
+    (induced_cohomology_maps).
+    """
 
     def __init__(self, complex_: CochainComplex) -> None:
-        self.min_degree = complex_.min_degree
-        self.max_degree = complex_.max_degree
-        self._cocycles = {}
-        self._coboundaries = {}
-        self._representatives = {}
-        for k in complex_.degrees():
-            cocycles = nullspace_basis(complex_.d(k))
-            coboundaries = column_space_basis(complex_.d(k - 1))
-            self._cocycles[k] = cocycles
-            self._coboundaries[k] = coboundaries
-            self._representatives[k] = _extend_to_basis(coboundaries, cocycles)
+        self._cocycles = {k: nullspace_basis(complex_.d(k)) for k in complex_.degrees()}
+        self._ranks = {k: complex_.dim(k) - z.cols for k, z in self._cocycles.items()}
         self.dims = tuple(self.b(k) for k in complex_.degrees())
 
     def b(self, k: int) -> int:
-        return self.representatives(k).cols
+        return self.cocycles(k).cols - self.rank_d(k - 1)
+
+    def rank_d(self, k: int) -> int:
+        return self._ranks.get(k, 0)
 
     def cocycles(self, k: int) -> RationalMatrix:
         return self._cocycles.get(k, RationalMatrix.zeros(0, 0))
-
-    def coboundaries(self, k: int) -> RationalMatrix:
-        return self._coboundaries.get(k, RationalMatrix.zeros(0, 0))
-
-    def representatives(self, k: int) -> RationalMatrix:
-        if k in self._representatives:
-            return self._representatives[k]
-        return RationalMatrix.zeros(0, 0)
 
 
 def _extend_to_basis(inner: RationalMatrix, spanning: RationalMatrix) -> RationalMatrix:
@@ -238,7 +228,7 @@ def _extend_to_basis(inner: RationalMatrix, spanning: RationalMatrix) -> Rationa
 
 
 def cohomology(c: CochainComplex) -> CohomologyData:
-    """Exact cohomology dimensions and bases of a validated complex."""
+    """Exact cohomology dimensions and cocycle bases of a validated complex."""
     _require_complex(c)
     return CohomologyData(c)
 
@@ -250,6 +240,20 @@ def cohomology_dims(c: CochainComplex) -> list:
     return [c.dim(k) - ranks[k] - ranks.get(k - 1, 0) for k in c.degrees()]
 
 
+def _cohomologies(
+    phi: DegreeChainMap,
+    hs: Optional[CohomologyData] = None,
+    ht: Optional[CohomologyData] = None,
+) -> tuple:
+    """Check phi and return (hs, ht), computing those not given; a self map's once."""
+    _require_chain_map(phi)
+    if hs is None:
+        hs = cohomology(phi.source)
+    if ht is None:
+        ht = hs if phi.target is phi.source else cohomology(phi.target)
+    return hs, ht
+
+
 def induced_cohomology_maps(
     phi: DegreeChainMap,
     hs: Optional[CohomologyData] = None,
@@ -258,20 +262,18 @@ def induced_cohomology_maps(
     """Matrices of [phi] : H^k(source) -> H^{k+shift}(target), keyed by source degree.
 
     ``hs`` and ``ht``, when given, are cohomology(phi.source) and
-    cohomology(phi.target), already computed by the caller.
+    cohomology(phi.target), already computed by the caller.  Classes are
+    represented by the cocycles that extend the coboundaries to a basis of Z_k.
     """
-    _require_chain_map(phi)
-    if hs is None:
-        hs = cohomology(phi.source)
-    if ht is None:
-        ht = hs if phi.target is phi.source else cohomology(phi.target)
+    hs, ht = _cohomologies(phi, hs, ht)
     out = {}
     for k in phi.source.degrees():
-        reps = hs.representatives(k)
-        target_reps = ht.representatives(k + phi.shift)
-        target_cob = ht.coboundaries(k + phi.shift)
-        basis = hstack(target_reps, target_cob)
-        out[k] = quotient_map(phi.matrix(k), reps, basis, target_reps.cols)
+        j = k + phi.shift
+        reps = _extend_to_basis(phi.source.d(k - 1), hs.cocycles(k))
+        coboundary = phi.target.d(j - 1)
+        target_reps = _extend_to_basis(coboundary, ht.cocycles(j))
+        spanning = hstack(target_reps, coboundary)
+        out[k] = quotient_map(phi.matrix(k), reps, spanning, target_reps.cols)
     return out
 
 
@@ -282,10 +284,17 @@ def induced_map_ranks(
 ) -> list:
     """r_k = rank of the induced map on cohomology, listed over source degrees.
 
+    The image of H^k is (phi_k Z_k + B)/B, and the columns of d_{k+shift-1}
+    span B, so r_k = rank [phi_k Z_k | d_{k+shift-1}] - rank d_{k+shift-1}.
     ``hs`` and ``ht`` are as for induced_cohomology_maps.
     """
-    maps = induced_cohomology_maps(phi, hs, ht)
-    return [rank(maps[k]) for k in phi.source.degrees()]
+    hs, ht = _cohomologies(phi, hs, ht)
+    out = []
+    for k in phi.source.degrees():
+        j = k + phi.shift - 1
+        images = phi.matrix(k) @ hs.cocycles(k)
+        out.append(rank(hstack(images, phi.target.d(j))) - ht.rank_d(j))
+    return out
 
 
 def chain_ranks(phi: DegreeChainMap) -> list:
@@ -332,8 +341,7 @@ def cone_cohomology_by_decomposition(phi: DegreeChainMap) -> list:
     Listed over the same degree range as mapping_cone(phi); see
     decomposition_dims for the formula.
     """
-    hs = cohomology(phi.source)
-    ht = hs if phi.target is phi.source else cohomology(phi.target)
+    hs, ht = _cohomologies(phi)
     return decomposition_dims(phi, hs, ht, induced_map_ranks(phi, hs, ht))
 
 

@@ -229,22 +229,18 @@ def format_polynomial(coeffs) -> str:
     return " + ".join(terms)
 
 
+def _table_rows(rep: InequalityReport) -> list:
+    """Per cone degree: k, m_k, b_k, v_k, r_k, b^w_k and the weak and strong slacks."""
+    return [
+        [k, _at(rep.m, k), _at(rep.b, k), _at(rep.v, k), _at(rep.r, k), rep.b_omega[k],
+         rep.weak_slack[k], rep.strong_slack[k]]
+        for k in rep.cone_degrees
+    ]
+
+
 def report_to_text(rep: InequalityReport) -> str:
     header = ["k", "m_k", "b_k", "v_k", "r_k", "b^w_k", "weak", "strong"]
-    rows = []
-    for k in rep.cone_degrees:
-        rows.append(
-            [
-                str(k),
-                str(_at(rep.m, k)),
-                str(_at(rep.b, k)),
-                str(_at(rep.v, k)),
-                str(_at(rep.r, k)),
-                str(rep.b_omega[k]),
-                str(rep.weak_slack[k]),
-                str(rep.strong_slack[k]),
-            ]
-        )
+    rows = [[str(x) for x in row] for row in _table_rows(rep)]
     widths = [max(len(header[j]), *(len(r[j]) for r in rows)) for j in range(len(header))]
     lines = [
         f"datum: {rep.name or '<unnamed>'}   (2n = {rep.manifold_dim}, p = {rep.p})",
@@ -308,17 +304,5 @@ def report_to_csv(rep: InequalityReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["k", "m", "b", "v", "r", "b_omega", "weak_slack", "strong_slack"])
-    for k in rep.cone_degrees:
-        writer.writerow(
-            [
-                k,
-                _at(rep.m, k),
-                _at(rep.b, k),
-                _at(rep.v, k),
-                _at(rep.r, k),
-                rep.b_omega[k],
-                rep.weak_slack[k],
-                rep.strong_slack[k],
-            ]
-        )
+    writer.writerows(_table_rows(rep))
     return buf.getvalue()

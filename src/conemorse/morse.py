@@ -26,6 +26,10 @@ class CriticalPoint:
 
 Coefficient = tuple  # (from_id, to_id, Fraction)
 
+# largest accepted manifold_dim: generator lists and matrices are sized by it,
+# index by index, so it bounds the memory and time a datum file can ask for
+MAX_MANIFOLD_DIM = 10_000
+
 
 def _canon_coeffs(entries) -> tuple:
     merged = {}
@@ -107,6 +111,8 @@ def _check_structure(d: MorseDatum) -> dict:
     """Ids resolve, indices in range, coefficient degree jumps correct."""
     if d.manifold_dim < 0 or d.manifold_dim % 2 != 0:
         raise DegreeError(f"manifold_dim must be a nonnegative even integer, got {d.manifold_dim}")
+    if d.manifold_dim > MAX_MANIFOLD_DIM:
+        raise DegreeError(f"manifold_dim must be at most {MAX_MANIFOLD_DIM}, got {d.manifold_dim}")
     if d.p < 0:
         raise DegreeError(f"p must be nonnegative, got {d.p}")
     index = {}

@@ -386,11 +386,11 @@ def quotient_map(
     """Matrix of the map induced by f on a quotient.
 
     ``sub_source`` holds class representatives of the source quotient, one per
-    column.  ``sub_target`` is the concatenation (representatives | quotiented
-    subspace basis); ``split`` marks where the representatives end.  Each image
-    f @ v is expressed in ``sub_target``'s columns and the first ``split``
-    coordinates are kept.  Raises MembershipError when an image is not in the
-    stated span (the usual symptom of feeding in a non-chain-map).
+    column.  ``sub_target`` is the concatenation (representatives | columns
+    spanning the quotiented subspace); ``split`` marks where the representatives
+    end.  Each image f @ v is expressed in ``sub_target``'s columns and the
+    first ``split`` coordinates are kept.  Raises MembershipError when an image
+    is not in the stated span (the usual symptom of feeding in a non-chain-map).
     """
     if not 0 <= split <= sub_target.cols:
         raise ShapeError("split out of range")

@@ -42,6 +42,10 @@ ADEQUACY_RATIO = 10.0  # gap must exceed the cluster top by this factor
 # at 1e-10, and the eigenvalues nearest the shift are the lowest ones
 SHIFT = -1e-3
 COMPONENTS = (1, 3, 3, 1, 0)  # coefficient fields per cone degree on T^2; none in 4
+# largest accepted |t * a| * pi, the multiplier of the sine factors of df: the
+# form's entries grow like its square, about 1e304 here, and floats overflow
+# at 1.8e308 (where SuperLU then finds the factor exactly singular)
+MAX_DEFORMATION = 1e152
 
 # the four critical points of the cosine Morse function, keyed like torus(1)
 CRITICAL_POINTS = {
@@ -73,6 +77,11 @@ class SpectralProblem:
             )
         if self.t <= 0:
             raise ValueError(f"t must be positive, got {self.t}")
+        if abs(self.t * self.morse_scale) * math.pi > MAX_DEFORMATION:
+            raise ValueError(
+                f"t * |morse_scale| * pi must be at most {MAX_DEFORMATION:g}, got "
+                f"t={self.t}, morse_scale={self.morse_scale}: the form would overflow"
+            )
         if self.cutoff < 2:
             raise ValueError(f"cutoff must be >= 2, got {self.cutoff}")
         if self.degree not in (0, 1, 2, 3):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conemorse import morse
 from conemorse.cli import (
     EXIT_ADEQUACY,
     EXIT_OK,
@@ -164,6 +165,19 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", str(path))
         assert code == EXIT_VALIDATION
 
+    def test_oversized_manifold_dim_exits_one(self, tmp_path, capsys, monkeypatch):
+        def reached(d):
+            raise AssertionError("generator lists sized by manifold_dim were built")
+
+        monkeypatch.setattr(morse, "_ordered_generators", reached)
+        doc = datum_to_dict(torus(1))
+        doc["manifold_dim"] = 10**12
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == EXIT_VALIDATION and out == ""
+        assert err.startswith("validation failed: manifold_dim must be at most 10000")
+
     def test_broken_identity_exits_one(self, tmp_path, capsys):
         doc = datum_to_dict(stabilize(torus(2), 2, "s"))
         doc["cone_map"].append({"from": "q0", "to": "s_a", "coeff": "1"})
@@ -254,6 +268,27 @@ class TestSpectralCommand:
         code, _, err = run(capsys, "spectral", "--t", "80", "--cutoff", "6", "--degrees", "0")
         assert code == EXIT_ADEQUACY
         assert "cutoff >= 24" in err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--t", "1e308"],
+            ["--t", "2", "--morse-scale", "1e308"],
+            ["--t", "1e160"],
+        ],
+        ids=["t-1e308", "morse-scale-1e308", "t-1e160"],
+    )
+    def test_overflowing_deformation_rejected(self, capsys, extra):
+        # these overflowed the form, and SuperLU found it exactly singular
+        code, out, err = run(capsys, "spectral", *extra, "--cutoff", "6", "--degrees", "0")
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and "overflow" in err
+        assert out == ""
+
+    def test_largest_deformations_still_solved(self, capsys):
+        code, _, err = run(capsys, "spectral", "--t", "1e150", "--cutoff", "6", "--degrees", "0")
+        assert code == EXIT_ADEQUACY
+        assert err.startswith("inadequate resolution: ")
 
     def test_gap_growth_output(self, capsys):
         code, out, _ = run(

@@ -12,6 +12,7 @@ from conemorse.complexes import (
     chain_ranks,
     cohomology,
     cone_cohomology_by_decomposition,
+    induced_cohomology_maps,
     induced_map_ranks,
     mapping_cone,
     validate_chain_map,
@@ -21,7 +22,7 @@ from conemorse.errors import ChainMapError, ShapeError
 from conemorse.families import projective_space, torus
 from conemorse.fuzz import random_complex_with_chain_map
 from conemorse.morse import morse_complex
-from conemorse.ratlinalg import RationalMatrix
+from conemorse.ratlinalg import RationalMatrix, rank
 
 
 def M(rows):
@@ -191,3 +192,17 @@ def test_chain_rank_dominates_induced_rank(seed):
     _, phi = random_complex_with_chain_map(rng, max_degrees=5, max_dim=6)
     for r, v in zip(induced_map_ranks(phi), chain_ranks(phi)):
         assert r <= v
+
+
+@given(st.integers(min_value=0, max_value=10**9), st.sampled_from([2, 4]), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_rank_formula_matches_the_induced_maps(seed, shift, twin_target):
+    # r_k = rank [phi_k Z_k | d] - rank d against the rank of the matrix of [phi_k]
+    rng = random.Random(seed)
+    source, phi = random_complex_with_chain_map(rng, max_degrees=6, max_dim=8, shift=shift)
+    if twin_target:
+        twin = CochainComplex(source.dims, source.differentials, source.min_degree)
+        phi = DegreeChainMap(source, twin, shift, phi.matrices)
+        assert phi.target is not phi.source
+    maps = induced_cohomology_maps(phi)
+    assert induced_map_ranks(phi) == [rank(m) for m in maps.values()]

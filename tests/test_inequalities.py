@@ -1,10 +1,13 @@
 import random
+import sys
+from fractions import Fraction
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conemorse import complexes, ratlinalg
 from conemorse.errors import RemainderError
 from conemorse.families import projective_space, s2_bundle_over_k3, torus
 from conemorse.fuzz import random_complex_with_chain_map
@@ -19,7 +22,7 @@ from conemorse.inequalities import (
     report_to_dict,
     report_to_text,
 )
-from conemorse.morse import datum_from_chain_map, product, stabilize
+from conemorse.morse import CriticalPoint, MorseDatum, datum_from_chain_map, product, stabilize
 
 
 class TestConeReport:
@@ -84,6 +87,42 @@ class TestConeReport:
             # s = -1: both sides vanish identically
             alt = sum((-1) ** k * x for k, x in enumerate(rep.b_omega))
             assert alt == sum((-1) ** k * x for k, x in enumerate(rep.m)) * 0 + alt
+
+
+def forbid(monkeypatch, original):
+    """Make every loaded conemorse reference to `original` fail when called."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{original.__name__} was called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "conemorse":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, forbidden)
+
+
+@pytest.mark.parametrize("n, eliminations", [(2, 21), (4, 37)])
+def test_cone_report_takes_ranks_not_class_bases(monkeypatch, n, eliminations):
+    # per degree: one cocycle basis, v_k, r_k, and the cone's ranks one degree more
+    expected = cone_report(torus(n))
+    for original in (
+        ratlinalg.solve,
+        ratlinalg.quotient_map,
+        ratlinalg.column_space_basis,
+        complexes._extend_to_basis,
+    ):
+        forbid(monkeypatch, original)
+    calls = []
+    real = ratlinalg._eliminate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ratlinalg, "_eliminate", counted)
+    assert cone_report(torus(n)) == expected
+    assert len(calls) == eliminations
 
 
 class TestQPolynomial:
@@ -203,6 +242,27 @@ def test_render_formats_are_deterministic():
     assert len(csv_text.splitlines()) == 7
     doc = report_to_dict(rep)
     assert doc["perfect"] is True and doc["anomalous"] is False
+
+
+def test_text_and_csv_tables_list_the_report_columns():
+    # dy = z and x -> 3/2 z: the map has rank 1 on cochains but 0 on
+    # cohomology, so a v/r mix-up in either table shows
+    points = (CriticalPoint("x", 0), CriticalPoint("y", 1), CriticalPoint("z", 2))
+    datum = MorseDatum(2, points, (("y", "z", 1),), (("x", "z", Fraction(3, 2)),))
+    rep = cone_report(datum)
+    doc = report_to_dict(rep)
+    assert doc["v"][0] == 1 and doc["r"][0] == 0
+
+    def at(key, k):
+        return doc[key][k] if k < len(doc[key]) else 0
+
+    columns = ("m", "b", "v", "r", "b_omega", "weak_slack", "strong_slack")
+    expected = [[str(k)] + [str(at(key, k)) for key in columns] for k in doc["degrees"]]
+    rows = report_to_csv(rep).splitlines()[1:]
+    assert [row.split(",") for row in rows] == expected
+    lines = report_to_text(rep).splitlines()
+    assert lines[1].split() == ["k", "m_k", "b_k", "v_k", "r_k", "b^w_k", "weak", "strong"]
+    assert [line.split() for line in lines[2 : 2 + len(expected)]] == expected
 
 
 def test_p_positive_report_has_slacks_but_no_certificate():

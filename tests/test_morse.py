@@ -87,6 +87,34 @@ class TestValidate:
             )
 
 
+class Reached(Exception):
+    pass
+
+
+def forbid_generator_lists(monkeypatch):
+    """Make building the per-index generator lists, sized by manifold_dim, raise Reached."""
+
+    def reached(d):
+        raise Reached(d.manifold_dim)
+
+    monkeypatch.setattr(morse, "_ordered_generators", reached)
+
+
+class TestManifoldDimCap:
+    def test_oversized_manifold_dim_rejected_before_allocating(self, monkeypatch):
+        forbid_generator_lists(monkeypatch)
+        huge = MorseDatum(manifold_dim=10**12, points=(CriticalPoint("a", 0),))
+        for check in (validate_datum, cone_report):
+            with pytest.raises(DegreeError, match="manifold_dim must be at most 10000"):
+                check(huge)
+
+    def test_cap_itself_is_accepted(self, monkeypatch):
+        forbid_generator_lists(monkeypatch)
+        at_cap = MorseDatum(manifold_dim=morse.MAX_MANIFOLD_DIM, points=(CriticalPoint("a", 0),))
+        with pytest.raises(Reached):
+            validate_datum(at_cap)
+
+
 def count_calls(monkeypatch, name):
     calls = []
     real = getattr(morse, name)

@@ -118,6 +118,11 @@ class TestAssembly:
                 SpectralProblem(5, 8, 0, bad)
         with pytest.raises(ValueError, match="finite"):
             suggested_cutoff(math.inf)
+        # the form's entries grow like (t * a * pi)^2
+        for t, a in ((1e160, 1.0), (2.0, 1e308), (1e76, -1e77)):
+            with pytest.raises(ValueError, match="overflow"):
+                SpectralProblem(t, 8, 0, a)
+        SpectralProblem(1e150, 8, 0, -1.0)
 
 
 # the eight quasimodes by the cone degree they live at: (point, kind)
