@@ -2,7 +2,8 @@
 
 Commands: example, validate, analyze, cone, spectral.  Exit codes are part of
 the contract: 0 ok, 1 datum validation failure, 2 usage/parse error, 3
-negative-slack anomaly in a report, 4 inadequate spectral resolution.
+negative-slack anomaly in a report, 4 the spectral computation could not be
+resolved (inadequate resolution, or a failed factorization or eigensolve).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .errors import (
     InvalidDatumError,
     NotPerfectError,
     ShapeError,
+    SolverError,
     UnknownIdError,
 )
 from .families import (
@@ -32,6 +34,7 @@ from .inequalities import cone_report, report_to_csv, report_to_json, report_to_
 from .morse import CriticalPoint, MorseDatum, morse_complex, product, stabilize, validate_datum
 from .ratlinalg import format_rat, rat
 from .spectral import (
+    MAX_CUTOFF,
     cluster_counts,
     eigenvalues_to_csv,
     gap_growth,
@@ -208,6 +211,14 @@ def _cmd_cone(args) -> int:
     return EXIT_OK
 
 
+def _default_cutoff(t: float) -> int:
+    """suggested_cutoff(t), refused without printing it when it exceeds the cap."""
+    cutoff = suggested_cutoff(t)
+    if cutoff > MAX_CUTOFF:
+        raise DatumParseError(f"t = {t:g} needs a cutoff above the cap {MAX_CUTOFF}")
+    return cutoff
+
+
 def _cmd_spectral(args) -> int:
     t_values = args.t
     if not t_values:
@@ -225,7 +236,7 @@ def _cmd_spectral(args) -> int:
         if args.gap_growth:
             if args.emit and len(degrees) > 1:
                 raise DatumParseError("--emit with --gap-growth takes a single cone degree")
-            rule = (lambda t: args.cutoff) if args.cutoff else suggested_cutoff
+            rule = (lambda t: args.cutoff) if args.cutoff else _default_cutoff
             for k in degrees:
                 result = gap_growth(
                     t_values, cutoff_rule=rule, degree=k, morse_scale=args.morse_scale
@@ -240,7 +251,7 @@ def _cmd_spectral(args) -> int:
         if len(t_values) != 1:
             raise DatumParseError("multiple --t values require --gap-growth")
         t = t_values[0]
-        cutoff = args.cutoff if args.cutoff else suggested_cutoff(t)
+        cutoff = args.cutoff if args.cutoff else _default_cutoff(t)
         reports = {}
         counts = cluster_counts(
             t, cutoff, degrees=degrees, morse_scale=args.morse_scale, reports=reports
@@ -345,6 +356,9 @@ def main(argv=None) -> int:
     except (DatumParseError, NotPerfectError, ShapeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SolverError as exc:
+        print(f"spectral solve failed: {exc}", file=sys.stderr)
+        return EXIT_ADEQUACY
 
 
 def entry() -> None:  # console-script hook

@@ -42,7 +42,7 @@ class NotPerfectError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """The symmetric eigensolver failed to converge."""
+    """The sparse factorization or the symmetric eigensolver failed."""
 
 
 class AdequacyError(RuntimeError):

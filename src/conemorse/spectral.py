@@ -13,10 +13,14 @@ band-N forms are computed exactly in band N+1 (multiplying by sin(2 pi x)
 raises the band limit by exactly one) and inner products taken on the
 orthonormal basis.  The table is read twice: the sparse assembly of the
 quadratic form |d_C s|^2 + |d_C* s|^2, symmetric positive semidefinite by
-construction and solved by shift-invert Lanczos on a symmetric-mode SuperLU
-factorization; and a matrix-free apply on the grid of coefficients,
+construction; and a matrix-free apply on the grid of coefficients,
 (A(x)B) vec(U) = vec(A U B'), which rates quasimodes as |d_C v|^2 + |d_C* v|^2
 without assembling the form.
+
+The reflections x -> -x and y -> -y fix all four critical points, so the form
+splits exactly into four parity sectors, and the mirror (x, y) -> (y, x) maps
+sector (1, 0) onto (0, 1).  The low spectrum is solved on three sectors, each
+by shift-invert Lanczos on a symmetric-mode SuperLU factorization, and merged.
 """
 
 from __future__ import annotations
@@ -46,6 +50,9 @@ COMPONENTS = (1, 3, 3, 1, 0)  # coefficient fields per cone degree on T^2; none 
 # form's entries grow like its square, about 1e304 here, and floats overflow
 # at 1.8e308 (where SuperLU then finds the factor exactly singular)
 MAX_DEFORMATION = 1e152
+# largest accepted band limit N: a cone degree 1 or 2 form has 3 (2N+1)^2
+# unknowns, 198,147 at the cap
+MAX_CUTOFF = 128
 
 # the four critical points of the cosine Morse function, keyed like torus(1)
 CRITICAL_POINTS = {
@@ -84,6 +91,8 @@ class SpectralProblem:
             )
         if self.cutoff < 2:
             raise ValueError(f"cutoff must be >= 2, got {self.cutoff}")
+        if self.cutoff > MAX_CUTOFF:
+            raise ValueError(f"cutoff must be at most {MAX_CUTOFF}, got {self.cutoff}")
         if self.degree not in (0, 1, 2, 3):
             raise DegreeError(f"cone degree must be 0..3, got {self.degree}")
         if self.morse_scale == 0:
@@ -150,6 +159,33 @@ DIFFERENTIAL = (
     ((0, 1, 1, "y"), (0, 2, -1, "x")),
     (),
 )
+
+# (x, y) parity of each component's coefficients within a parity sector, per
+# cone degree in the component order above: a sector (a, b) holds the grid
+# entries of component c whose parity is (a, b) shifted by PARITY_OFFSETS[k][c].
+# A block of kind "x" flips the x parity, "y" the y parity, "w" keeps both.
+PARITY_OFFSETS = (
+    ((0, 0),),
+    ((1, 0), (0, 1), (1, 1)),
+    ((1, 1), (0, 1), (1, 0)),
+    ((0, 0),),
+)
+# the sectors solved, with how many sectors each stands for: the isometry
+# (eta, xi) -> (s* eta, -s* xi) of the swap s(x, y) = (y, x) commutes with d_C
+# (f o s = f, s* omega = -omega) and maps sector (1, 0) onto (0, 1)
+SECTORS = (((0, 0), 1), ((1, 1), 1), ((0, 1), 2))
+
+
+def _sector_indices(degree: int, cutoff: int, sector: tuple) -> np.ndarray:
+    """Indices, in grid order, of the unknowns of one parity sector (a, b)."""
+    parity = np.zeros(basis_size(cutoff), dtype=int)  # under x -> -x: 1 and cos even
+    parity[2::2] = 1  # sin odd
+    cells = basis_size(cutoff) ** 2
+    a, b = sector
+    return np.concatenate([
+        c * cells + np.flatnonzero((parity[:, None] == a ^ ox) & (parity[None, :] == b ^ oy))
+        for c, (ox, oy) in enumerate(PARITY_OFFSETS[degree])
+    ])
 
 
 def _differential(degree: int, cutoff: int, deform: float) -> tuple:
@@ -248,47 +284,82 @@ def _form_value(prob: SpectralProblem, vec: np.ndarray) -> float:
     return float(sum(np.sum(_apply(*op, grids) ** 2) for op in _operators(prob)))
 
 
-def low_spectrum(prob: SpectralProblem, count: int) -> np.ndarray:
-    """The smallest `count` eigenvalues of the assembled form, ascending.
+def _sector_solver(block: sp.csr_matrix):
+    """The lowest k eigenvalues of one sector block, ascending, as a function of k.
 
-    Shift-invert Lanczos (ARPACK) around SHIFT; a dense solve only when
-    `count` leaves ARPACK no room (count >= size - 1).  A - SHIFT*I is
-    positive definite, so SuperLU factors it once in symmetric mode: a
-    symmetric ordering and diagonal pivots, no row interchanges.
+    Shift-invert Lanczos (ARPACK) around SHIFT; a dense solve, of all the
+    eigenvalues, when k leaves ARPACK no room (k >= size - 1).  A - SHIFT*I is
+    positive definite, so SuperLU factors it in symmetric mode (a symmetric
+    ordering and diagonal pivots, no row interchanges), once for every k.
     """
     import scipy.sparse as sp
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
-    form = assemble_quadratic_form(prob)
-    size = form.shape[0]
-    if count > size:
-        raise ValueError(f"requested {count} eigenvalues of a {size}-dim form")
-    if count >= size - 1:
-        return np.linalg.eigvalsh(form.toarray())[:count]
+    size = block.shape[0]
     # a fixed random start vector: ARPACK's default one is drawn afresh on
-    # every call, so repeated solves would differ in the last digits; a
-    # constant vector would miss whole symmetry sectors (the sine modes)
+    # every call, so repeated solves would differ in the last digits
     start = np.random.default_rng(0).standard_normal(size)
-    factor = splu(
-        (form - SHIFT * sp.identity(size, format="csr")).tocsc(),
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
-    shifted_inverse = LinearOperator((size, size), matvec=factor.solve, dtype=form.dtype)
-    try:
-        vals = eigsh(
-            form,
-            k=count,
-            sigma=SHIFT,
-            which="LM",
-            v0=start,
-            OPinv=shifted_inverse,
-            return_eigenvectors=False,
-        )
-    except ArpackError as exc:
-        raise SolverError(f"eigensolver failed: {exc}") from exc
-    return np.sort(vals)
+    factor = None
+
+    def solve(k: int) -> np.ndarray:
+        nonlocal factor
+        if k >= size - 1:
+            return np.linalg.eigvalsh(block.toarray())
+        if factor is None:
+            try:
+                factor = splu(
+                    (block - SHIFT * sp.identity(size, format="csr")).tocsc(),
+                    permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True},
+                )
+            except RuntimeError as exc:
+                raise SolverError(f"factorization failed: {exc}") from exc
+        shifted_inverse = LinearOperator((size, size), matvec=factor.solve, dtype=block.dtype)
+        try:
+            vals = eigsh(
+                block,
+                k=k,
+                sigma=SHIFT,
+                which="LM",
+                v0=start,
+                OPinv=shifted_inverse,
+                return_eigenvectors=False,
+            )
+        except ArpackError as exc:
+            raise SolverError(f"eigensolver failed: {exc}") from exc
+        return np.sort(vals)
+
+    return solve
+
+
+def low_spectrum(prob: SpectralProblem, count: int) -> np.ndarray:
+    """The smallest `count` eigenvalues of the assembled form, ascending.
+
+    The form is sliced into the sectors of SECTORS, each asked for
+    count // 4 + 2 eigenvalues; those of sector (0, 1) count twice.  Let mu be
+    the count-th smallest merged value (inf if there are fewer): a sector that
+    is not exhausted and whose highest value lies below mu may hide one of the
+    lowest `count`, so it is solved again for twice as many until none does.
+    """
+    form = assemble_quadratic_form(prob)
+    if count > form.shape[0]:
+        raise ValueError(f"requested {count} eigenvalues of a {form.shape[0]}-dim form")
+    solvers, weights, sizes, found = [], [], [], []
+    for sector, weight in SECTORS:
+        idx = _sector_indices(prob.degree, prob.cutoff, sector)
+        solvers.append(_sector_solver(form[idx][:, idx]))
+        weights.append(weight)
+        sizes.append(len(idx))
+        found.append(solvers[-1](count // 4 + 2))
+    while True:
+        merged = np.sort(np.concatenate([np.repeat(v, w) for v, w in zip(found, weights)]))
+        mu = merged[count - 1] if len(merged) >= count else math.inf
+        stale = [i for i, v in enumerate(found) if len(v) < sizes[i] and v[-1] < mu]
+        if not stale:
+            return merged[:count]
+        for i in stale:
+            found[i] = solvers[i](2 * len(found[i]))
 
 
 def spectral_report(
@@ -338,10 +409,14 @@ def suggested_cutoff(t: float) -> int:
 def _require_adequate(report: SpectralReport) -> None:
     if report.cluster_ratio < ADEQUACY_RATIO:
         hint = max(suggested_cutoff(report.t), report.cutoff + 2)
+        if hint > MAX_CUTOFF:
+            hint = None
+            advice = f"no cutoff up to the cap {MAX_CUTOFF} resolves the cluster"
+        else:
+            advice = f"try cutoff >= {hint}"
         raise AdequacyError(
             f"cluster ratio {report.cluster_ratio:.3g} < {ADEQUACY_RATIO} at degree "
-            f"{report.degree} (t={report.t}, cutoff={report.cutoff}); "
-            f"try cutoff >= {hint}",
+            f"{report.degree} (t={report.t}, cutoff={report.cutoff}); {advice}",
             suggested_cutoff=hint,
         )
 

@@ -1,8 +1,9 @@
 import json
+import re
 
 import pytest
 
-from conemorse import morse
+from conemorse import morse, spectral
 from conemorse.cli import (
     EXIT_ADEQUACY,
     EXIT_OK,
@@ -289,6 +290,47 @@ class TestSpectralCommand:
         code, _, err = run(capsys, "spectral", "--t", "1e150", "--cutoff", "6", "--degrees", "0")
         assert code == EXIT_ADEQUACY
         assert err.startswith("inadequate resolution: ")
+
+    def test_unusable_cutoff_never_suggested(self, capsys):
+        # the suggested cutoff at t = 1e150 has 76 digits; the hint stays within the cap
+        code, out, err = run(capsys, "spectral", "--t", "1e150", "--cutoff", "6", "--degrees", "0")
+        assert code == EXIT_ADEQUACY and out == ""
+        assert f"no cutoff up to the cap {spectral.MAX_CUTOFF} resolves the cluster" in err
+        assert "try cutoff" not in err
+        assert max(map(len, re.findall(r"\d+", err))) <= len(str(spectral.MAX_CUTOFF))
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--t", "1e6"],
+            ["--t", "1e150"],
+            ["--t", "5", "--cutoff", "129"],
+            ["--t", "1e6", "--t", "2e6", "--t", "3e6", "--gap-growth"],
+        ],
+        ids=["suggested", "suggested-76-digits", "given", "gap-growth"],
+    )
+    def test_cutoff_above_cap_rejected_before_sizing(self, capsys, monkeypatch, extra):
+        def fail(cutoff):
+            raise AssertionError(f"a band-{cutoff} operator was built")
+
+        monkeypatch.setattr(spectral, "_deriv_1d", fail)
+        code, out, err = run(capsys, "spectral", *extra, "--degrees", "1")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and f"{spectral.MAX_CUTOFF}" in err
+        assert max(map(len, re.findall(r"\d+", err))) <= len(str(spectral.MAX_CUTOFF))
+
+    def test_solver_failure_exits_four(self, capsys, monkeypatch):
+        import scipy.sparse.linalg
+
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+        code, out, err = run(capsys, "spectral", "--t", "10", "--cutoff", "10", "--degrees", "1")
+        assert code == EXIT_ADEQUACY and out == ""
+        assert err.splitlines() == [
+            "spectral solve failed: factorization failed: Factor is exactly singular"
+        ]
 
     def test_gap_growth_output(self, capsys):
         code, out, _ = run(

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -9,14 +10,20 @@ import numpy as np
 import pytest
 
 import conemorse
-from conemorse.errors import AdequacyError, DegreeError, DegreeMismatchError
+from conemorse.errors import AdequacyError, DegreeError, DegreeMismatchError, SolverError
 from conemorse.spectral import (
     COMPONENTS,
+    DIFFERENTIAL,
+    MAX_CUTOFF,
+    PARITY_OFFSETS,
+    SECTORS,
+    SHIFT,
     SpectralProblem,
     _adjoint,
     _apply,
     _differential,
     _form_value,
+    _sector_indices,
     assemble_quadratic_form,
     basis_size,
     cluster_counts,
@@ -123,6 +130,14 @@ class TestAssembly:
             with pytest.raises(ValueError, match="overflow"):
                 SpectralProblem(t, 8, 0, a)
         SpectralProblem(1e150, 8, 0, -1.0)
+
+    def test_cutoff_cap(self):
+        # a degree-1 form has 3 (2N+1)^2 unknowns; nothing above the cap is sized
+        with pytest.raises(ValueError, match=f"at most {MAX_CUTOFF}"):
+            SpectralProblem(5, MAX_CUTOFF + 1, 1)
+        with pytest.raises(ValueError, match=f"at most {MAX_CUTOFF}"):
+            SpectralProblem(1e6, suggested_cutoff(1e6), 0)
+        assert SpectralProblem(5, MAX_CUTOFF, 1).cutoff == MAX_CUTOFF
 
 
 # the eight quasimodes by the cone degree they live at: (point, kind)
@@ -324,3 +339,133 @@ class TestSolver:
         first = low_spectrum(prob, 6)
         for _ in range(3):
             assert np.array_equal(low_spectrum(prob, 6), first)
+
+
+def whole_form_spectrum(prob, count):
+    """Oracle: shift-invert Lanczos on the whole assembled form, no sectors.
+
+    Lanczos from one start vector may return a multiple eigenvalue too few
+    times; with these factorization options it does not on the tested forms.
+    """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import LinearOperator, eigsh, splu
+
+    form = assemble_quadratic_form(prob)
+    size = form.shape[0]
+    factor = splu(
+        (form - SHIFT * sp.identity(size, format="csr")).tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    vals = eigsh(
+        form,
+        k=count,
+        sigma=SHIFT,
+        v0=np.random.default_rng(0).standard_normal(size),
+        OPinv=LinearOperator((size, size), matvec=factor.solve, dtype=form.dtype),
+        return_eigenvectors=False,
+    )
+    return np.sort(vals)
+
+
+# the swap s(x, y) = (y, x) as (eta, xi) -> (s* eta, -s* xi) on each cone
+# degree's components: (source component, sign) per target component.  On
+# coefficient grids s* transposes; it swaps dx and dy and negates dx^dy.
+MIRROR = (
+    ((0, 1),),
+    ((1, 1), (0, 1), (2, -1)),
+    ((0, -1), (2, -1), (1, -1)),
+    ((0, 1),),
+)
+
+
+def mirror_map(degree, cutoff):
+    """The mirror as a signed permutation: it sends unit vector j to sign[j] * e_dest[j]."""
+    size = basis_size(cutoff)
+    cells = size * size
+    grid = np.arange(cells).reshape(size, size)
+    dest = np.empty(matrix_size(degree, cutoff), dtype=int)
+    sign = np.empty(matrix_size(degree, cutoff))
+    for target, (source, factor) in enumerate(MIRROR[degree]):
+        dest[source * cells + grid.T.ravel()] = target * cells + grid.ravel()
+        sign[source * cells + grid.T.ravel()] = factor
+    return dest, sign
+
+
+class TestSectors:
+    """The form splits into four parity sectors; the mirror pairs (1, 0) with (0, 1)."""
+
+    def test_offsets_follow_the_table(self):
+        flips = {"x": (1, 0), "y": (0, 1), "w": (0, 0)}
+        for degree, blocks in enumerate(DIFFERENTIAL):
+            assert len(PARITY_OFFSETS[degree]) == COMPONENTS[degree]
+            for out, inp, _, kind in blocks:
+                ox, oy = PARITY_OFFSETS[degree][inp]
+                fx, fy = flips[kind]
+                assert PARITY_OFFSETS[degree + 1][out] == (ox ^ fx, oy ^ fy)
+
+    @pytest.mark.parametrize("cutoff", [2, 3, 7])
+    def test_sectors_partition_the_unknowns(self, cutoff):
+        for degree in range(4):
+            parts = [_sector_indices(degree, cutoff, (a, b)) for a in (0, 1) for b in (0, 1)]
+            joined = np.sort(np.concatenate(parts))
+            assert np.array_equal(joined, np.arange(matrix_size(degree, cutoff)))
+            assert len(parts[1]) == len(parts[2])  # (0, 1) and its mirror (1, 0)
+            solved = [w * len(_sector_indices(degree, cutoff, s)) for s, w in SECTORS]
+            assert sum(solved) == len(joined)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_no_entries_between_sectors(self, degree):
+        for t, n, a in ((7.3, 5, 1.0), (2.0, 6, -0.3)):
+            form = assemble_quadratic_form(SpectralProblem(t, n, degree, a)).tocoo()
+            label = np.empty(form.shape[0], dtype=int)
+            for number, (x, y) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+                label[_sector_indices(degree, n, (x, y))] = number
+            assert form.nnz > 0
+            assert np.array_equal(label[form.row], label[form.col])
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_mirror_maps_sector_10_onto_01(self, degree):
+        for t, n, a in ((7.3, 5, 1.0), (3.0, 4, -0.3)):
+            form = assemble_quadratic_form(SpectralProblem(t, n, degree, a)).toarray()
+            dest, sign = mirror_map(degree, n)
+            source = _sector_indices(degree, n, (1, 0))
+            target = dest[source]
+            assert np.array_equal(np.sort(target), _sector_indices(degree, n, (0, 1)))
+            image = sign[source, None] * form[np.ix_(target, target)] * sign[None, source]
+            scale = np.abs(form).max()
+            assert np.abs(image - form[np.ix_(source, source)]).max() <= 1e-12 * scale
+            # the whole form commutes with the mirror, not just this block
+            whole = sign[:, None] * form[np.ix_(dest, dest)] * sign[None, :]
+            assert np.abs(whole - form).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_matches_dense_oracle_on_small_forms(self, n):
+        for t, a, degree in itertools.product((0.5, 2.0, 10.0), (1.0, -1.0, 0.3), range(4)):
+            prob = SpectralProblem(t, n, degree, a)
+            dense = np.linalg.eigvalsh(assemble_quadratic_form(prob).toarray())
+            size = len(dense)
+            for count in (1, 2, 12, size - 1, size):
+                vals = low_spectrum(prob, count)
+                assert len(vals) == count
+                err = np.abs(vals - dense[:count]).max()
+                assert err <= 1e-9 * max(1.0, dense[count - 1]), (t, a, degree, count)
+
+    @pytest.mark.parametrize("t", [2.0, 10.0, 20.0, 40.0, 80.0])
+    def test_matches_whole_form_solve(self, t):
+        for degree in range(4):
+            prob = SpectralProblem(t, suggested_cutoff(t), degree)
+            vals = low_spectrum(prob, 12)
+            oracle = whole_form_spectrum(prob, 12)
+            assert np.all(np.abs(vals - oracle) <= 1e-10 * np.maximum(1.0, np.abs(oracle)))
+
+    def test_factorization_failure_is_a_solver_error(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+        with pytest.raises(SolverError, match="exactly singular"):
+            low_spectrum(SpectralProblem(10.0, 10, 1), 12)
