@@ -34,6 +34,7 @@ from .inequalities import cone_report, report_to_csv, report_to_json, report_to_
 from .morse import CriticalPoint, MorseDatum, morse_complex, product, stabilize, validate_datum
 from .ratlinalg import format_rat, rat
 from .spectral import (
+    DUAL_PAIR,
     MAX_CUTOFF,
     cluster_counts,
     eigenvalues_to_csv,
@@ -237,10 +238,13 @@ def _cmd_spectral(args) -> int:
             if args.emit and len(degrees) > 1:
                 raise DatumParseError("--emit with --gap-growth takes a single cone degree")
             rule = (lambda t: args.cutoff) if args.cutoff else _default_cutoff
+            fits = {}  # one fit per dual pair, at its first requested degree
             for k in degrees:
-                result = gap_growth(
-                    t_values, cutoff_rule=rule, degree=k, morse_scale=args.morse_scale
-                )
+                if DUAL_PAIR[k] not in fits:
+                    fits[DUAL_PAIR[k]] = gap_growth(
+                        t_values, cutoff_rule=rule, degree=k, morse_scale=args.morse_scale
+                    )
+                result = fits[DUAL_PAIR[k]]
                 for t, n, g in zip(result.t_values, result.cutoffs, result.gaps):
                     print(f"degree {k}: t = {t:g}  cutoff = {n}  gap = {g:.9e}")
                 flag = "  (degenerate fit: no spread in t)" if result.degenerate else ""

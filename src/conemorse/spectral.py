@@ -21,12 +21,15 @@ The reflections x -> -x and y -> -y fix all four critical points, so the form
 splits exactly into four parity sectors, and the mirror (x, y) -> (y, x) maps
 sector (1, 0) onto (0, 1).  The low spectrum is solved on three sectors, each
 by shift-invert Lanczos on a symmetric-mode SuperLU factorization, and merged.
+Translation by (1/2, 1/2) and the cone Hodge star map the form of degree
+3 - k onto that of degree k, so cluster counts and gap fits solve each dual
+pair of degrees once and report the partner from the same solve.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -67,8 +70,9 @@ CRITICAL_POINTS = {
 class SpectralProblem:
     """Configuration of one deformed-cone eigenvalue computation.
 
-    ``morse_scale`` is the amplitude a of f; a negative value deforms by -f
-    (degree k at -a mirrors degree 3 - k at a).
+    ``morse_scale`` is the amplitude a of f; a negative value deforms by -f.
+    -a gives the spectrum of a at every degree (translation by (1/2, 1/2)),
+    and degree 3 - k gives the spectrum of degree k (see DUAL_PAIR).
     """
 
     t: float
@@ -174,6 +178,12 @@ PARITY_OFFSETS = (
 # (eta, xi) -> (s* eta, -s* xi) of the swap s(x, y) = (y, x) commutes with d_C
 # (f o s = f, s* omega = -omega) and maps sector (1, 0) onto (0, 1)
 SECTORS = (((0, 0), 1), ((1, 1), 1), ((0, 1), 2))
+# the dual pair each cone degree belongs to: degree 3 - k has the form of
+# degree k up to a signed permutation, so one solve serves both.  Translation
+# by (1/2, 1/2) sends f to 4a - f and multiplies the grid entry of frequency
+# (m_x, m_y) by (-1)^(m_x + m_y); with the cone Hodge star, which swaps eta and
+# xi, it sends [u] to [V] and [P, Q, u] to [R, S, T] = [-u, -Q, P]
+DUAL_PAIR = (0, 1, 1, 0)
 
 
 def _sector_indices(degree: int, cutoff: int, sector: tuple) -> np.ndarray:
@@ -431,10 +441,14 @@ def cluster_counts(
     """Per-degree counts of eigenvalues <= 1, gated on cluster_ratio >= 10.
 
     Pass a dict as `reports` to receive the per-degree SpectralReport objects.
+    Each dual pair of DUAL_PAIR is solved once, at its first requested degree.
     """
-    counts = []
+    counts, solved = [], {}
     for k in degrees:
-        rep = spectral_report(SpectralProblem(t, cutoff, k, morse_scale))
+        prob = SpectralProblem(t, cutoff, k, morse_scale)
+        if DUAL_PAIR[k] not in solved:
+            solved[DUAL_PAIR[k]] = spectral_report(prob)
+        rep = replace(solved[DUAL_PAIR[k]], degree=k)
         _require_adequate(rep)
         if reports is not None:
             reports[k] = rep

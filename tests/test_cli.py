@@ -353,6 +353,41 @@ class TestSpectralCommand:
             slopes = [line for line in out.splitlines() if line.startswith(f"degree {k}: gap slope = ")]
             assert len(slopes) == 1 and float(slopes[0].split("= ")[1]) > 0
 
+    def test_gap_growth_fits_each_dual_pair_once(self, capsys, monkeypatch):
+        solves = []
+        solve = spectral.low_spectrum
+        monkeypatch.setattr(
+            spectral, "low_spectrum", lambda prob, count: solves.append(prob) or solve(prob, count)
+        )
+        args = ["spectral", "--t", "2", "--t", "3", "--t", "4", "--cutoff", "6", "--gap-growth"]
+        code, pair, _ = run(capsys, *args, "--degrees", "0,1")
+        assert code == EXIT_OK
+        fitted = len(solves)
+        code, out, _ = run(capsys, *args)
+        assert code == EXIT_OK
+        assert len(solves) == 2 * fitted  # 2 fits' worth, not 4
+        # degree 3 - k prints the fit of degree k under its own label
+        lines = out.splitlines()
+        for k in (0, 1):
+            mine = [line.split(": ", 1)[1] for line in lines if line.startswith(f"degree {k}: ")]
+            dual = [line.split(": ", 1)[1] for line in lines if line.startswith(f"degree {3 - k}: ")]
+            assert mine == dual and len(mine) == 4
+        assert pair.splitlines() == [
+            line for line in lines if line.startswith(("degree 0: ", "degree 1: "))
+        ]
+
+    def test_lone_dual_degree(self, capsys):
+        code, out, _ = run(capsys, "spectral", "--t", "10", "--cutoff", "10", "--degrees", "3")
+        assert code == EXIT_OK
+        assert out.startswith("degree 3: 1 low eigenvalue(s), gap = ")
+        for extra in ([], ["--t", "90", "--t", "100", "--gap-growth"]):
+            code, out, err = run(
+                capsys, "spectral", "--t", "80", *extra, "--cutoff", "6", "--degrees", "3"
+            )
+            assert code == EXIT_ADEQUACY and out == ""
+            assert err.startswith("inadequate resolution: cluster ratio ")
+            assert "at degree 3 (t=80.0, cutoff=6); try cutoff >= 24" in err
+
     def test_gap_growth_emit_needs_one_degree(self, tmp_path, capsys):
         code, out, err = run(
             capsys,

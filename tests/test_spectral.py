@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 import conemorse
+from conemorse import spectral
 from conemorse.errors import AdequacyError, DegreeError, DegreeMismatchError, SolverError
 from conemorse.spectral import (
     COMPONENTS,
     DIFFERENTIAL,
+    DUAL_PAIR,
     MAX_CUTOFF,
     PARITY_OFFSETS,
     SECTORS,
@@ -256,7 +258,27 @@ class TestClusters:
         for k in range(4):
             direct = cached_low_spectrum(10.0, 9, k, 6)
             mirrored = cached_low_spectrum(10.0, 9, 3 - k, 6, -1.0)
-            assert np.allclose(direct, mirrored, rtol=1e-6, atol=1e-9)
+            assert np.all(np.abs(direct - mirrored) <= 1e-10 * np.maximum(1.0, np.abs(mirrored)))
+
+    def test_one_solve_per_dual_pair(self, monkeypatch):
+        solved = []
+        monkeypatch.setattr(
+            spectral, "low_spectrum",
+            lambda prob, count: solved.append(prob.degree) or low_spectrum(prob, count),
+        )
+        reports = {}
+        assert cluster_counts(10, 10, degrees=(0, 1, 2, 3), reports=reports) == [1, 3, 3, 1]
+        assert solved == [0, 1]
+        assert [reports[k].degree for k in range(4)] == [0, 1, 2, 3]
+        assert np.array_equal(reports[3].eigenvalues, reports[0].eigenvalues)
+        # a lone degree is solved as itself
+        solved.clear()
+        assert cluster_counts(10, 10, degrees=(3,)) == [1]
+        assert solved == [3]
+
+    def test_inadequate_lone_partner_is_named(self):
+        with pytest.raises(AdequacyError, match="at degree 3 "):
+            cluster_counts(80, 6, degrees=(3,))
 
     def test_signed_morse_scale(self):
         with pytest.raises(ValueError, match="nonzero"):
@@ -393,6 +415,66 @@ def mirror_map(degree, cutoff):
     return dest, sign
 
 
+def translation_signs(degree, cutoff):
+    """Translation by (1/2, 1/2) on the unknowns: (-1)^(m_x + m_y) at frequency (m_x, m_y)."""
+    freq = (np.arange(basis_size(cutoff)) + 1) // 2  # 1, cos_m, sin_m -> 0, m, m
+    grid = (-1.0) ** (freq[:, None] + freq[None, :])
+    return np.tile(grid.ravel(), COMPONENTS[degree])
+
+
+# the duality from cone degree 3 - k onto degree k, translation composed with
+# the cone Hodge star: (component of degree 3 - k, sign) per component of
+# degree k.  [u] <-> [V]; (P, Q, u) <-> (T, -S, -R).
+DUAL = (
+    ((0, 1),),
+    ((2, 1), (1, -1), (0, -1)),
+    ((2, -1), (1, -1), (0, 1)),
+    ((0, 1),),
+)
+
+
+def dual_map(degree, cutoff):
+    """Unit vector j of degree k goes to sign[j] * e_dest[j] of degree 3 - k."""
+    cells = basis_size(cutoff) ** 2
+    dest = np.concatenate([source * cells + np.arange(cells) for source, _ in DUAL[degree]])
+    factors = np.repeat([factor for _, factor in DUAL[degree]], cells)
+    return dest, factors * translation_signs(degree, cutoff)
+
+
+def signed_image(form, dest, sign):
+    """sign * form[dest, dest] * sign, kept sparse."""
+    import scipy.sparse as sp
+
+    scale = sp.diags(sign)
+    return (scale @ form[dest][:, dest] @ scale).tocsr()
+
+
+SYMMETRY_CASES = ((7.3, 5, 1.0), (3.0, 4, -0.3), (40.0, 10, 1.0))
+
+
+class TestDualPairs:
+    """Translation by (1/2, 1/2) negates a; with the cone Hodge star it maps degree 3 - k onto k."""
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_translation_negates_morse_scale_exactly(self, degree):
+        for t, n, a in SYMMETRY_CASES:
+            form = assemble_quadratic_form(SpectralProblem(t, n, degree, a))
+            negated = assemble_quadratic_form(SpectralProblem(t, n, degree, -a))
+            image = signed_image(form, np.arange(form.shape[0]), translation_signs(degree, n))
+            assert (image != negated).nnz == 0
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_dual_degree_has_the_same_form(self, degree):
+        assert DUAL_PAIR[degree] == DUAL_PAIR[3 - degree]
+        for t, n, a in SYMMETRY_CASES:
+            form = assemble_quadratic_form(SpectralProblem(t, n, degree, a))
+            dual = assemble_quadratic_form(SpectralProblem(t, n, 3 - degree, a))
+            dest, sign = dual_map(degree, n)
+            assert np.array_equal(np.sort(dest), np.arange(dual.shape[0]))
+            scale = abs(form).max()
+            assert abs(signed_image(dual, dest, sign) - form).max() <= 1e-12 * scale
+
+
 class TestSectors:
     """The form splits into four parity sectors; the mirror pairs (1, 0) with (0, 1)."""
 
@@ -439,6 +521,17 @@ class TestSectors:
             # the whole form commutes with the mirror, not just this block
             whole = sign[:, None] * form[np.ix_(dest, dest)] * sign[None, :]
             assert np.abs(whole - form).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_every_multiple_eigenvalue_found(self, degree):
+        # a single-start Lanczos solve of the whole form returned 65.035... three
+        # times at degree 1 where the form holds it four times
+        prob = SpectralProblem(2.0, 9, degree)
+        vals = low_spectrum(prob, 12)
+        dense = np.linalg.eigvalsh(assemble_quadratic_form(prob).toarray())[:12]
+        assert np.all(np.abs(vals - dense) <= 1e-9 * np.maximum(1.0, dense))
+        if degree == 1:
+            assert np.sum(np.abs(vals - 65.035379) < 1e-5) == 4
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_matches_dense_oracle_on_small_forms(self, n):
