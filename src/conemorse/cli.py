@@ -3,7 +3,9 @@
 Commands: example, validate, analyze, cone, spectral.  Exit codes are part of
 the contract: 0 ok, 1 datum validation failure, 2 usage/parse error, 3
 negative-slack anomaly in a report, 4 the spectral computation could not be
-resolved (inadequate resolution, or a failed factorization or eigensolve).
+resolved (inadequate resolution, or a failed factorization or eigensolve), 5
+internal error (two computations of the same quantity disagree).  `spectral
+--emit` writes the lowest 4 eigenvalues per cone degree.
 """
 
 from __future__ import annotations
@@ -16,9 +18,11 @@ import sys
 from .complexes import cohomology_dims, cone_cohomology_by_decomposition, mapping_cone
 from .errors import (
     AdequacyError,
+    ConsistencyError,
     DegreeError,
     InvalidDatumError,
     NotPerfectError,
+    RemainderError,
     ShapeError,
     SolverError,
     UnknownIdError,
@@ -50,6 +54,7 @@ EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_ANOMALY = 3
 EXIT_ADEQUACY = 4
+EXIT_INTERNAL = 5
 
 
 class DatumParseError(ValueError):
@@ -205,8 +210,7 @@ def _cmd_cone(args) -> int:
     print(f"cone cohomology (direct):        {direct}")
     print(f"cone cohomology (decomposition): {split}")
     if direct != split:
-        print("MISMATCH: the decomposition disagrees with the cone", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ConsistencyError("the decomposition disagrees with the direct cone")
     if not args.quiet:
         print("decomposition agrees with the direct cone computation")
     return EXIT_OK
@@ -354,6 +358,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (ConsistencyError, RemainderError) as exc:  # before ValueError, which RemainderError is
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (UnknownIdError, DegreeError, InvalidDatumError) as exc:
         print(f"validation failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

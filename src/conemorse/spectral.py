@@ -19,8 +19,9 @@ without assembling the form.
 
 The reflections x -> -x and y -> -y fix all four critical points, so the form
 splits exactly into four parity sectors, and the mirror (x, y) -> (y, x) maps
-sector (1, 0) onto (0, 1).  The low spectrum is solved on three sectors, each
-by shift-invert Lanczos on a symmetric-mode SuperLU factorization, and merged.
+sector (1, 0) onto (0, 1).  Each of three sectors is factored once at the
+cluster threshold; the factor's inertia counts the sector's low cluster, and
+shift-invert Lanczos on the same factor must find as many.
 Translation by (1/2, 1/2) and the cone Hodge star map the form of degree
 3 - k onto that of degree k, so cluster counts and gap fits solve each dual
 pair of degrees once and report the partner from the same solve.
@@ -44,10 +45,7 @@ if TYPE_CHECKING:
 
 LOW_THRESHOLD = 1.0  # eigenvalues in [0, 1] count as the low cluster
 ADEQUACY_RATIO = 10.0  # gap must exceed the cluster top by this factor
-# shift-invert target: strictly below the spectrum of the positive semidefinite
-# form, so A - SHIFT*I stays positive definite even when the low cluster sits
-# at 1e-10, and the eigenvalues nearest the shift are the lowest ones
-SHIFT = -1e-3
+REPORT_COUNT = 4  # eigenvalues per report: the largest T^2 cluster (3) and the gap
 COMPONENTS = (1, 3, 3, 1, 0)  # coefficient fields per cone degree on T^2; none in 4
 # largest accepted |t * a| * pi, the multiplier of the sine factors of df: the
 # form's entries grow like its square, about 1e304 here, and floats overflow
@@ -108,7 +106,7 @@ class SpectralReport:
     degree: int
     t: float
     cutoff: int
-    eigenvalues: np.ndarray  # ascending; enough to see past the low cluster
+    eigenvalues: np.ndarray  # the lowest REPORT_COUNT, ascending
     low_count: int
     gap: float
     cluster_ratio: float
@@ -294,108 +292,99 @@ def _form_value(prob: SpectralProblem, vec: np.ndarray) -> float:
     return float(sum(np.sum(_apply(*op, grids) ** 2) for op in _operators(prob)))
 
 
-def _sector_solver(block: sp.csr_matrix):
-    """The lowest k eigenvalues of one sector block, ascending, as a function of k.
+def _factor(block: sp.csr_matrix, shift: float):
+    """SuperLU factor of block - shift*I and the number of eigenvalues below shift.
 
-    Shift-invert Lanczos (ARPACK) around SHIFT; a dense solve, of all the
-    eigenvalues, when k leaves ARPACK no room (k >= size - 1).  A - SHIFT*I is
-    positive definite, so SuperLU factors it in symmetric mode (a symmetric
-    ordering and diagonal pivots, no row interchanges), once for every k.
+    In symmetric mode with equal row and column permutations P, P (A - shift*I)
+    P' = L D L' with D = diag(U); by Sylvester's law of inertia A has as many
+    eigenvalues below the shift as D has negative entries.
     """
     import scipy.sparse as sp
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
+    from scipy.sparse.linalg import splu
+
+    try:
+        factor = splu(
+            (block - shift * sp.identity(block.shape[0], format="csr")).tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:
+        raise SolverError(f"factorization failed: {exc}") from exc
+    if not np.array_equal(factor.perm_r, factor.perm_c):
+        raise SolverError("factorization pivoted off the diagonal: no inertia to read")
+    return factor, int(np.count_nonzero(factor.U.diagonal() < 0))
+
+
+def _sector_spectrum(block: sp.csr_matrix, count: int) -> np.ndarray:
+    """At least the lowest max(count, n + 1) eigenvalues of one sector block, ascending.
+
+    n, the number of eigenvalues <= LOW_THRESHOLD, is the inertia of the
+    factor there; the values come from shift-invert Lanczos on that factor, or
+    a dense solve of all when k >= size - 1 leaves ARPACK no room.  Lanczos
+    finds the values nearest the shift, the lowest ones iff all n are among
+    them; a SolverError says they are not.
+    """
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     size = block.shape[0]
-    # a fixed random start vector: ARPACK's default one is drawn afresh on
-    # every call, so repeated solves would differ in the last digits
-    start = np.random.default_rng(0).standard_normal(size)
-    factor = None
-
-    def solve(k: int) -> np.ndarray:
-        nonlocal factor
-        if k >= size - 1:
-            return np.linalg.eigvalsh(block.toarray())
-        if factor is None:
-            try:
-                factor = splu(
-                    (block - SHIFT * sp.identity(size, format="csr")).tocsc(),
-                    permc_spec="MMD_AT_PLUS_A",
-                    diag_pivot_thresh=0.0,
-                    options={"SymmetricMode": True},
-                )
-            except RuntimeError as exc:
-                raise SolverError(f"factorization failed: {exc}") from exc
-        shifted_inverse = LinearOperator((size, size), matvec=factor.solve, dtype=block.dtype)
+    factor, below = _factor(block, LOW_THRESHOLD)
+    k = max(count, below + 1)
+    if k >= size - 1:
+        vals = np.linalg.eigvalsh(block.toarray())
+    else:
         try:
             vals = eigsh(
                 block,
                 k=k,
-                sigma=SHIFT,
-                which="LM",
-                v0=start,
-                OPinv=shifted_inverse,
+                sigma=LOW_THRESHOLD,
+                # a fixed start vector: ARPACK draws its default afresh on
+                # every call, so repeated solves would differ in the last digits
+                v0=np.random.default_rng(0).standard_normal(size),
+                OPinv=LinearOperator((size, size), matvec=factor.solve, dtype=block.dtype),
                 return_eigenvectors=False,
             )
         except ArpackError as exc:
             raise SolverError(f"eigensolver failed: {exc}") from exc
-        return np.sort(vals)
-
-    return solve
+    found = int(np.count_nonzero(vals <= LOW_THRESHOLD))
+    if found != below:
+        raise SolverError(
+            f"eigensolver found {found} eigenvalue(s) <= {LOW_THRESHOLD:g}, inertia counts {below}"
+        )
+    return np.sort(vals)
 
 
 def low_spectrum(prob: SpectralProblem, count: int) -> np.ndarray:
     """The smallest `count` eigenvalues of the assembled form, ascending.
 
-    The form is sliced into the sectors of SECTORS, each asked for
-    count // 4 + 2 eigenvalues; those of sector (0, 1) count twice.  Let mu be
-    the count-th smallest merged value (inf if there are fewer): a sector that
-    is not exhausted and whose highest value lies below mu may hide one of the
-    lowest `count`, so it is solved again for twice as many until none does.
+    The form is sliced into the sectors of SECTORS, each solved once for at
+    least its ceil(count / weight) lowest eigenvalues, where weight is how many
+    sectors it stands for; every eigenvalue among the form's lowest `count`
+    is among those of its sector, so the merge holds them all.
     """
     form = assemble_quadratic_form(prob)
     if count > form.shape[0]:
         raise ValueError(f"requested {count} eigenvalues of a {form.shape[0]}-dim form")
-    solvers, weights, sizes, found = [], [], [], []
+    merged = []
     for sector, weight in SECTORS:
         idx = _sector_indices(prob.degree, prob.cutoff, sector)
-        solvers.append(_sector_solver(form[idx][:, idx]))
-        weights.append(weight)
-        sizes.append(len(idx))
-        found.append(solvers[-1](count // 4 + 2))
-    while True:
-        merged = np.sort(np.concatenate([np.repeat(v, w) for v, w in zip(found, weights)]))
-        mu = merged[count - 1] if len(merged) >= count else math.inf
-        stale = [i for i, v in enumerate(found) if len(v) < sizes[i] and v[-1] < mu]
-        if not stale:
-            return merged[:count]
-        for i in stale:
-            found[i] = solvers[i](2 * len(found[i]))
+        merged.append(np.repeat(_sector_spectrum(form[idx][:, idx], -(-count // weight)), weight))
+    return np.sort(np.concatenate(merged))[:count]
 
 
-def spectral_report(
-    prob: SpectralProblem,
-    count: int = 12,
-    threshold: float = LOW_THRESHOLD,
-) -> SpectralReport:
-    """Eigenvalues, low-cluster count, gap and cluster ratio at one degree.
+def spectral_report(prob: SpectralProblem) -> SpectralReport:
+    """The lowest REPORT_COUNT eigenvalues, low-cluster count, gap and cluster ratio at one degree.
 
-    The gap is the first eigenvalue above the cluster; if all computed
-    eigenvalues fall below the threshold the batch is enlarged until the gap
-    is visible.  cluster_ratio is gap / max(cluster top, floor), or 0 when no
-    eigenvalue lies under the threshold at all (no resolved cluster).
+    The gap is the first eigenvalue above LOW_THRESHOLD, or inf when the
+    cluster fills all REPORT_COUNT values.  cluster_ratio is gap / max(cluster
+    top, floor), or 0 when there is no gap or no eigenvalue under the
+    threshold at all (no resolved cluster).
     """
-    size = matrix_size(prob.degree, prob.cutoff)
-    count = min(max(count, 2), size)
-    while True:
-        vals = low_spectrum(prob, count)
-        low = vals[vals <= threshold]
-        if len(low) < len(vals) or count == size:
-            break
-        count = min(2 * count, size)
+    vals = low_spectrum(prob, REPORT_COUNT)
+    low = vals[vals <= LOW_THRESHOLD]
     low_count = int(len(low))
     if low_count == len(vals):
-        gap = float("inf")
-        ratio = 0.0
+        gap, ratio = math.inf, 0.0
     else:
         gap = float(vals[low_count])
         ratio = gap / max(float(low[-1]), 1e-12) if low_count else 0.0

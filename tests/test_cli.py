@@ -3,9 +3,10 @@ import re
 
 import pytest
 
-from conemorse import morse, spectral
+from conemorse import complexes, inequalities, morse, spectral
 from conemorse.cli import (
     EXIT_ADEQUACY,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VALIDATION,
@@ -222,6 +223,43 @@ class TestValidateAndCone:
         assert "agrees" in out
 
 
+class TestInternalErrors:
+    """Two computations of one quantity that disagree are a bug: exit 5, not 1 or 2."""
+
+    @pytest.fixture()
+    def t4(self, tmp_path):
+        path = tmp_path / "t4.json"
+        path.write_text(emit_datum(torus(2)))
+        return str(path)
+
+    def test_rank_formula_against_cone(self, t4, capsys, monkeypatch):
+        monkeypatch.setattr(inequalities, "decomposition_dims", lambda *args: [0])
+        code, out, err = run(capsys, "analyze", t4)
+        assert code == EXIT_INTERNAL and out == ""
+        assert err.startswith("internal error: rank formula gives [0] but the cone complex gives ")
+
+    def test_certificate_remainder(self, t4, capsys, monkeypatch):
+        exact = inequalities.q_polynomial
+        monkeypatch.setattr(
+            inequalities, "q_polynomial", lambda m, v, b, p=0: exact(m, v, [b[0] + 1, *b[1:]], p)
+        )
+        code, out, err = run(capsys, "analyze", t4)
+        assert code == EXIT_INTERNAL and out == ""
+        assert err.startswith("internal error: defect polynomial is not divisible by (1+s)")
+
+    def test_cone_mismatch(self, t4, capsys, monkeypatch):
+        monkeypatch.setattr(complexes, "decomposition_dims", lambda *args: [0])
+        code, out, err = run(capsys, "cone", t4)
+        assert code == EXIT_INTERNAL
+        assert "cone cohomology (decomposition): [0]" in out
+        assert err == "internal error: the decomposition disagrees with the direct cone\n"
+
+    def test_bad_betti_stays_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "example", "synthetic", "--betti", "1,0,1", "--ranks", "5")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: rank 5 impossible for a 1x1 matrix\n"
+
+
 class TestSpectralCommand:
     def test_counts_and_csv(self, tmp_path, capsys):
         csv_path = tmp_path / "eig.csv"
@@ -233,7 +271,9 @@ class TestSpectralCommand:
         assert code == EXIT_OK
         assert "degree 0: 1 low eigenvalue(s)" in out
         assert "degree 1: 3 low eigenvalue(s)" in out
-        assert csv_path.read_text().splitlines()[0] == "degree,index,eigenvalue"
+        rows = csv_path.read_text().splitlines()
+        assert rows[0] == "degree,index,eigenvalue"
+        assert [row.split(",")[0] for row in rows[1:]] == [str(k) for k in range(4) for _ in range(4)]
 
     def test_negative_morse_scale_deforms_by_minus_f(self, capsys):
         args = ["spectral", "--t", "8", "--cutoff", "8", "--degrees", "0,3"]

@@ -10,20 +10,22 @@ import numpy as np
 import pytest
 
 import conemorse
-from conemorse import spectral
+from conemorse import cli, spectral
 from conemorse.errors import AdequacyError, DegreeError, DegreeMismatchError, SolverError
 from conemorse.spectral import (
     COMPONENTS,
     DIFFERENTIAL,
     DUAL_PAIR,
+    LOW_THRESHOLD,
     MAX_CUTOFF,
     PARITY_OFFSETS,
+    REPORT_COUNT,
     SECTORS,
-    SHIFT,
     SpectralProblem,
     _adjoint,
     _apply,
     _differential,
+    _factor,
     _form_value,
     _sector_indices,
     assemble_quadratic_form,
@@ -346,21 +348,35 @@ class TestSolver:
         dense = np.linalg.eigvalsh(assemble_quadratic_form(prob).toarray())[:8]
         assert np.abs(vals - dense).max() <= 1e-9 * max(1.0, dense[-1])
 
-    def test_count_near_size_uses_dense_branch(self):
-        # a threshold above the whole spectrum makes the report double its
-        # batch until it asks for size - 1 and then all 25 eigenvalues
+    def test_count_near_size_uses_dense_branch(self, monkeypatch):
+        # a threshold above the whole spectrum puts every eigenvalue of every
+        # sector below it, which leaves ARPACK no room: each sector is solved
+        # densely, and the cluster fills the report
+        import scipy.sparse.linalg
+
+        def unused(*args, **kwargs):
+            raise AssertionError("ARPACK was called")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", unused)
+        monkeypatch.setattr(spectral, "LOW_THRESHOLD", 1e9)
         prob = SpectralProblem(1.0, 2, 0)
-        rep = spectral_report(prob, threshold=1e9)
+        rep = spectral_report(prob)
         dense = np.linalg.eigvalsh(assemble_quadratic_form(prob).toarray())
-        assert len(rep.eigenvalues) == matrix_size(0, 2) == 25
-        assert np.abs(rep.eigenvalues - dense).max() <= 1e-9 * max(1.0, dense[-1])
-        assert rep.low_count == 25 and rep.gap == math.inf
+        assert len(rep.eigenvalues) == REPORT_COUNT
+        assert np.abs(rep.eigenvalues - dense[:REPORT_COUNT]).max() <= 1e-9 * max(1.0, dense[-1])
+        assert rep.low_count == REPORT_COUNT
+        assert rep.gap == math.inf and rep.cluster_ratio == 0.0
 
     def test_repeated_solves_are_bitwise_identical(self):
         prob = SpectralProblem(20.0, 10, 1)
         first = low_spectrum(prob, 6)
         for _ in range(3):
             assert np.array_equal(low_spectrum(prob, 6), first)
+
+
+# the whole-form oracle's shift-invert target: strictly below the spectrum of
+# the positive semidefinite form, so the eigenvalues nearest it are the lowest
+SHIFT = -1e-3
 
 
 def whole_form_spectrum(prob, count):
@@ -562,3 +578,99 @@ class TestSectors:
         monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
         with pytest.raises(SolverError, match="exactly singular"):
             low_spectrum(SpectralProblem(10.0, 10, 1), 12)
+
+
+def sector_blocks(prob):
+    """(block, weight) of each solved parity sector of the assembled form."""
+    form = assemble_quadratic_form(prob)
+    for sector, weight in SECTORS:
+        idx = _sector_indices(prob.degree, prob.cutoff, sector)
+        yield form[idx][:, idx], weight
+
+
+def patched_eigsh(monkeypatch, edit):
+    """Route ARPACK's eigenvalues through edit(ascending values) before the program sees them."""
+    import scipy.sparse.linalg
+
+    eigsh = scipy.sparse.linalg.eigsh
+    monkeypatch.setattr(
+        scipy.sparse.linalg, "eigsh", lambda *args, **kwargs: edit(np.sort(eigsh(*args, **kwargs)))
+    )
+
+
+class TestInertia:
+    """Each sector's cluster count is the inertia of its one factorization, and Lanczos must agree."""
+
+    # (t, N, a): the fourfold 65.035 at degree 1, and t * a = 0.003 and 0.15,
+    # where a tunnelling value sits at 0.99999 and 0.977, just under the threshold
+    @pytest.mark.parametrize("t, cutoff, a", [(2.0, 9, 1.0), (1.0, 7, 0.003), (1.0, 7, 0.15)])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_counts_equal_dense_counts(self, t, cutoff, a, degree):
+        for block, _ in sector_blocks(SpectralProblem(t, cutoff, degree, a)):
+            dense = np.linalg.eigvalsh(block.toarray())
+            low = dense[:16]
+            # shifts between well-separated eigenvalues, and the threshold itself
+            split = np.flatnonzero(np.diff(low) > 1e-6 * np.maximum(1.0, low[1:]))
+            for shift in (LOW_THRESHOLD, *((low[split] + low[split + 1]) / 2)):
+                assert _factor(block, shift)[1] == np.count_nonzero(dense < shift), shift
+
+    def test_fourfold_eigenvalue_counted_four_times(self):
+        blocks = sector_blocks(SpectralProblem(2.0, 9, 1))
+        assert sum(w * (_factor(b, 65.04)[1] - _factor(b, 65.03)[1]) for b, w in blocks) == 4
+
+    def test_lanczos_missing_a_low_value_is_a_solver_error(self, monkeypatch, capsys):
+        def drop_one_low(vals):
+            low = np.flatnonzero(vals <= LOW_THRESHOLD)
+            return np.delete(vals, low[:1])
+
+        patched_eigsh(monkeypatch, drop_one_low)
+        with pytest.raises(SolverError, match="inertia counts"):
+            low_spectrum(SpectralProblem(10.0, 10, 1), 4)
+        assert cli.main(["spectral", "--t", "10", "--cutoff", "10", "--degrees", "1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("spectral solve failed: eigensolver found ")
+
+    def test_value_at_the_threshold_is_low(self, monkeypatch):
+        def top_low_to_threshold(vals):
+            low = np.flatnonzero(vals <= LOW_THRESHOLD)
+            vals[low[-1:]] = LOW_THRESHOLD
+            return vals
+
+        patched_eigsh(monkeypatch, top_low_to_threshold)
+        rep = spectral_report(SpectralProblem(10.0, 10, 1))
+        assert rep.low_count == 3 and rep.eigenvalues[2] == LOW_THRESHOLD
+        assert rep.cluster_ratio == rep.gap > 100
+
+    def test_off_diagonal_pivots_are_a_solver_error(self, monkeypatch):
+        import types
+
+        import scipy.sparse.linalg
+
+        splu = scipy.sparse.linalg.splu
+
+        def pivoted(*args, **kwargs):
+            factor = splu(*args, **kwargs)
+            return types.SimpleNamespace(perm_r=np.roll(factor.perm_r, 1), perm_c=factor.perm_c)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", pivoted)
+        with pytest.raises(SolverError, match="pivoted off the diagonal"):
+            low_spectrum(SpectralProblem(10.0, 10, 1), 4)
+
+    def test_one_factorization_and_one_lanczos_solve_per_sector(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        calls = []
+        for name in ("splu", "eigsh"):
+            solve = getattr(scipy.sparse.linalg, name)
+            monkeypatch.setattr(
+                scipy.sparse.linalg, name,
+                lambda *args, _solve=solve, _name=name, **kwargs: (
+                    calls.append((_name, kwargs.get("k"))) or _solve(*args, **kwargs)
+                ),
+            )
+        assert cluster_counts(10, 10) == [1, 3, 3, 1]
+        # two dual pairs of three sectors each; a sector asks for
+        # ceil(REPORT_COUNT / weight) values, one more than its cluster at least
+        assert [name for name, _ in calls].count("splu") == 6
+        assert [k for name, k in calls if name == "eigsh"] == [4, 4, 2] * 2
