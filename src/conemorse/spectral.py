@@ -17,14 +17,22 @@ construction; and a matrix-free apply on the grid of coefficients,
 (A(x)B) vec(U) = vec(A U B'), which rates quasimodes as |d_C v|^2 + |d_C* v|^2
 without assembling the form.
 
-The reflections x -> -x and y -> -y fix all four critical points, so the form
-splits exactly into four parity sectors, and the mirror (x, y) -> (y, x) maps
-sector (1, 0) onto (0, 1).  Each of three sectors is factored once at the
-cluster threshold; the factor's inertia counts the sector's low cluster, and
-shift-invert Lanczos on the same factor must find as many.
+The degree-0 form is the Kronecker sum H(x)I + I(x)H of the 1D operator
+H = G'G, G = d/dx + t a pi sin(2 pi x) (its two blocks write different
+components and E'E = I), so its eigenvalues are the pairwise sums of the
+squared singular values s^2 of G: numpy only, and s^2 errs by about
+eps |G| s where an eigenvalue of the form errs by eps |G|^2, so the tiny
+cluster keeps its digits.  Degrees 1 and 2 are solved sparse.  The
+reflections x -> -x and y -> -y fix all four critical points, so the form
+splits exactly into four parity sectors, and the mirror (x, y) -> (y, x)
+maps sector (1, 0) onto (0, 1).  Each of three sectors is factored once at
+the cluster threshold; the factor's inertia counts the sector's low cluster,
+and shift-invert Lanczos on the same factor must find as many, plus only as
+many values above it as can still reach the requested count.
 Translation by (1/2, 1/2) and the cone Hodge star map the form of degree
-3 - k onto that of degree k, so cluster counts and gap fits solve each dual
-pair of degrees once and report the partner from the same solve.
+3 - k onto that of degree k, so degree 3 has the spectrum of degree 0, and
+cluster counts and gap fits solve each dual pair of degrees once and report
+the partner from the same solve.
 """
 
 from __future__ import annotations
@@ -38,8 +46,9 @@ import numpy as np
 from .errors import AdequacyError, DegreeError, DegreeMismatchError, SolverError
 
 # scipy.sparse and its ARPACK solver are imported inside the functions that use
-# them, so the exact side and quasimode rating, which never build a form, do
-# not load them (about 3.5 MB of resident memory in an `analyze` process)
+# them, so the exact side, quasimode rating and cone degrees 0 and 3, which
+# never build a form, do not load them (about 3.5 MB of resident memory in an
+# `analyze` process)
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
@@ -174,8 +183,11 @@ PARITY_OFFSETS = (
 )
 # the sectors solved, with how many sectors each stands for: the isometry
 # (eta, xi) -> (s* eta, -s* xi) of the swap s(x, y) = (y, x) commutes with d_C
-# (f o s = f, s* omega = -omega) and maps sector (1, 0) onto (0, 1)
-SECTORS = (((0, 0), 1), ((1, 1), 1), ((0, 1), 2))
+# (f o s = f, s* omega = -omega) and maps sector (1, 0) onto (0, 1).  Each
+# sector's Lanczos solve asks for fewer values the more cluster values the
+# sectors before it hold (see _sector_spectrum), so the clusterless (0, 0) of
+# degrees 1 and 2 comes last
+SECTORS = (((0, 1), 2), ((1, 1), 1), ((0, 0), 1))
 # the dual pair each cone degree belongs to: degree 3 - k has the form of
 # degree k up to a signed permutation, so one solve serves both.  Translation
 # by (1/2, 1/2) sends f to 4a - f and multiplies the grid entry of frequency
@@ -316,20 +328,24 @@ def _factor(block: sp.csr_matrix, shift: float):
     return factor, int(np.count_nonzero(factor.U.diagonal() < 0))
 
 
-def _sector_spectrum(block: sp.csr_matrix, count: int) -> np.ndarray:
-    """At least the lowest max(count, n + 1) eigenvalues of one sector block, ascending.
+def _sector_spectrum(block: sp.csr_matrix, weight: int, wanted: int) -> tuple:
+    """The lowest eigenvalues of one sector block, ascending, and its cluster count n.
 
     n, the number of eigenvalues <= LOW_THRESHOLD, is the inertia of the
-    factor there; the values come from shift-invert Lanczos on that factor, or
-    a dense solve of all when k >= size - 1 leaves ARPACK no room.  Lanczos
-    finds the values nearest the shift, the lowest ones iff all n are among
-    them; a SolverError says they are not.
+    factor there.  Of the `wanted` lowest eigenvalues the form still lacks,
+    all but n would lie above the threshold, and a sector standing for
+    `weight` sectors supplies at most ceil((wanted - weight * n) / weight) of
+    those; so n plus that many, and one at least, are asked for.  The values
+    come from shift-invert Lanczos on the factor, or a dense solve of all
+    when k >= size - 1 leaves ARPACK no room.  Lanczos finds the values
+    nearest the shift, the lowest ones iff all n are among them; a
+    SolverError says they are not.
     """
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     size = block.shape[0]
     factor, below = _factor(block, LOW_THRESHOLD)
-    k = max(count, below + 1)
+    k = below + max(1, -(-(wanted - weight * below) // weight))
     if k >= size - 1:
         vals = np.linalg.eigvalsh(block.toarray())
     else:
@@ -351,24 +367,36 @@ def _sector_spectrum(block: sp.csr_matrix, count: int) -> np.ndarray:
         raise SolverError(
             f"eigensolver found {found} eigenvalue(s) <= {LOW_THRESHOLD:g}, inertia counts {below}"
         )
-    return np.sort(vals)
+    return np.sort(vals), below
 
 
 def low_spectrum(prob: SpectralProblem, count: int) -> np.ndarray:
     """The smallest `count` eigenvalues of the assembled form, ascending.
 
-    The form is sliced into the sectors of SECTORS, each solved once for at
-    least its ceil(count / weight) lowest eigenvalues, where weight is how many
-    sectors it stands for; every eigenvalue among the form's lowest `count`
-    is among those of its sector, so the merge holds them all.
+    Degrees 0 and 3 take the `count` smallest pairwise sums of the squared
+    singular values of the 1D factor G, without assembling the form or
+    loading scipy.  Degrees 1 and 2 slice the assembled form into the sectors
+    of SECTORS, each solved once (see _sector_spectrum) with the cluster
+    counts of the sectors solved before it known: the form's lowest `count`
+    values are its whole cluster and the lowest ones above the threshold, so
+    each is among those of its sector, and the merge holds them all.
     """
+    size = matrix_size(prob.degree, prob.cutoff)
+    if count > size:
+        raise ValueError(f"requested {count} eigenvalues of a {size}-dim form")
+    if prob.degree in (0, 3):
+        _, pairs, _ = _differential(0, prob.cutoff, prob.t * prob.morse_scale * math.pi)
+        grad = pairs["x"][0]
+        # the count smallest sums use only the count smallest 1D values
+        vals = np.sort(np.linalg.svd(grad, compute_uv=False) ** 2)[:count]
+        return np.sort((vals[:, None] + vals[None, :]).ravel())[:count]
     form = assemble_quadratic_form(prob)
-    if count > form.shape[0]:
-        raise ValueError(f"requested {count} eigenvalues of a {form.shape[0]}-dim form")
-    merged = []
+    merged, known = [], 0
     for sector, weight in SECTORS:
         idx = _sector_indices(prob.degree, prob.cutoff, sector)
-        merged.append(np.repeat(_sector_spectrum(form[idx][:, idx], -(-count // weight)), weight))
+        vals, below = _sector_spectrum(form[idx][:, idx], weight, count - known)
+        known += weight * below
+        merged.append(np.repeat(vals, weight))
     return np.sort(np.concatenate(merged))[:count]
 
 

@@ -28,6 +28,7 @@ from conemorse.spectral import (
     _factor,
     _form_value,
     _sector_indices,
+    _sector_spectrum,
     assemble_quadratic_form,
     basis_size,
     cluster_counts,
@@ -213,20 +214,40 @@ print(json.dumps([code, after_analyze, "scipy.sparse" in sys.modules]))
 """
 
 
-def test_exact_side_and_quasimodes_leave_scipy_sparse_unloaded(tmp_path):
-    # scipy.sparse costs about 3.5 MB of resident memory; only the eigensolve
-    # and the assembled form need it
+def fresh_process(script, *argv):
+    """Run `script` in a new interpreter on this source tree; its last stdout line, as JSON."""
     src = str(Path(conemorse.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
-        [sys.executable, "-c", LOADS_SCIPY_SPARSE, str(tmp_path)],
+        [sys.executable, "-c", script, *argv],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    code, after_analyze, after_quasimode = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_exact_side_and_quasimodes_leave_scipy_sparse_unloaded(tmp_path):
+    # scipy.sparse costs about 3.5 MB of resident memory; only the eigensolve
+    # and the assembled form need it
+    code, after_analyze, after_quasimode = fresh_process(LOADS_SCIPY_SPARSE, str(tmp_path))
     assert code == 0
     assert not after_analyze
     assert not after_quasimode
+
+
+DEGREES_0_3 = """
+import json, sys
+from conemorse import cli
+
+code = cli.main(["spectral", "--t", "10", "--cutoff", "10", "--degrees", "0,3"])
+print(json.dumps([code, "scipy.sparse" in sys.modules]))
+"""
+
+
+def test_degrees_0_and_3_leave_scipy_sparse_unloaded():
+    code, loaded = fresh_process(DEGREES_0_3)
+    assert code == 0
+    assert not loaded
 
 
 class TestClusters:
@@ -359,13 +380,20 @@ class TestSolver:
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", unused)
         monkeypatch.setattr(spectral, "LOW_THRESHOLD", 1e9)
-        prob = SpectralProblem(1.0, 2, 0)
+        prob = SpectralProblem(1.0, 2, 1)
         rep = spectral_report(prob)
         dense = np.linalg.eigvalsh(assemble_quadratic_form(prob).toarray())
         assert len(rep.eigenvalues) == REPORT_COUNT
         assert np.abs(rep.eigenvalues - dense[:REPORT_COUNT]).max() <= 1e-9 * max(1.0, dense[-1])
         assert rep.low_count == REPORT_COUNT
         assert rep.gap == math.inf and rep.cluster_ratio == 0.0
+
+    @pytest.mark.parametrize("degree, size", [(1, 75), (3, 25)])
+    def test_more_values_than_unknowns_rejected(self, degree, size):
+        prob = SpectralProblem(2.0, 2, degree)
+        assert len(low_spectrum(prob, size)) == size
+        with pytest.raises(ValueError, match=f"{size + 1} eigenvalues of a {size}-dim form"):
+            low_spectrum(prob, size + 1)
 
     def test_repeated_solves_are_bitwise_identical(self):
         prob = SpectralProblem(20.0, 10, 1)
@@ -670,7 +698,99 @@ class TestInertia:
                 ),
             )
         assert cluster_counts(10, 10) == [1, 3, 3, 1]
-        # two dual pairs of three sectors each; a sector asks for
-        # ceil(REPORT_COUNT / weight) values, one more than its cluster at least
-        assert [name for name, _ in calls].count("splu") == 6
-        assert [k for name, k in calls if name == "eigsh"] == [4, 4, 2] * 2
+        # only the pair (1, 2) is solved sparse, one sector at a time: (0, 1)
+        # (weight 2) and (1, 1) hold one cluster value each, so (0, 0) is left
+        # REPORT_COUNT - 3 = 1 value to supply
+        assert [name for name, _ in calls].count("splu") == 3
+        assert [k for name, k in calls if name == "eigsh"] == [2, 2, 1]
+        # degrees 0 and 3 come from the 1D factor: no form, factor or Lanczos
+        calls.clear()
+        monkeypatch.setattr(
+            spectral, "assemble_quadratic_form",
+            lambda prob: calls.append(("assemble", None)) or assemble_quadratic_form(prob),
+        )
+        assert cluster_counts(10, 10, degrees=(0, 3)) == [1, 1]
+        assert calls == []
+
+
+# (t, a): a strong and a negative deformation; t = 10, a = 0.3, where sector
+# (0, 0), which holds no cluster value, alone holds the tenth value at N = 4;
+# and t * a = 0.003, where a tunnelling value sits at 0.99999, just under the
+# threshold
+BUDGET_CASES = ((0.5, 1.0), (2.0, -1.0), (10.0, 0.3), (1.0, 0.003))
+
+
+class TestSectorBudget:
+    """Each sector asks Lanczos for its cluster and only the values above it that can reach the count."""
+
+    @pytest.mark.parametrize("t, a", BUDGET_CASES)
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_every_count_matches_dense(self, t, a, degree):
+        for cutoff in (3, 4, 6):
+            prob = SpectralProblem(t, cutoff, degree, a)
+            dense = np.linalg.eigvalsh(assemble_quadratic_form(prob).toarray())[:12]
+            for count in range(1, 13):
+                vals = low_spectrum(prob, count)
+                err = np.abs(vals - dense[:count])
+                assert np.all(err <= 1e-9 * np.maximum(1.0, dense[:count])), (cutoff, count)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_clusterless_sector_supplies_a_value(self, degree):
+        prob = SpectralProblem(10.0, 4, degree, 0.3)
+        dense = np.linalg.eigvalsh(assemble_quadratic_form(prob).toarray())
+        *_, (last, _) = sector_blocks(prob)
+        own = np.linalg.eigvalsh(last.toarray())
+        assert SECTORS[-1] == ((0, 0), 1) and own[0] > LOW_THRESHOLD
+        # every copy of the form's tenth value lies in (0, 0)
+        near = 1e-6 * own[0]
+        assert dense[8] < own[0] - near and abs(dense[9] - own[0]) < near
+        assert np.sum(np.abs(dense - own[0]) < near) == np.sum(np.abs(own - own[0]) < near)
+        for count in (10, 11, 12):
+            vals = low_spectrum(prob, count)
+            assert np.all(np.abs(vals - dense[:count]) <= 1e-9 * np.maximum(1.0, dense[:count]))
+
+    # k per sector at t = 10, N = 10, degree 1: (0, 1) of weight 2 and (1, 1)
+    # hold one cluster value each, (0, 0) none; each asks for its cluster plus
+    # ceil((count - known - weight * n) / weight) values, one at least
+    @pytest.mark.parametrize(
+        "count, ks", [(1, [2, 2, 1]), (5, [3, 3, 2]), (12, [6, 10, 9])]
+    )
+    def test_lanczos_asks_only_for_reachable_values(self, monkeypatch, count, ks):
+        import scipy.sparse.linalg
+
+        asked = []
+        eigsh = scipy.sparse.linalg.eigsh
+        monkeypatch.setattr(
+            scipy.sparse.linalg, "eigsh",
+            lambda *args, **kwargs: asked.append(kwargs["k"]) or eigsh(*args, **kwargs),
+        )
+        low_spectrum(SpectralProblem(10.0, 10, 1), count)
+        assert asked == ks
+
+
+class TestKroneckerSum:
+    """Degrees 0 and 3: sums of two squared singular values of the 1D factor G."""
+
+    @pytest.mark.parametrize("t", [2.0, 10.0, 40.0, 80.0])
+    def test_equals_sector_and_whole_form_solves(self, t):
+        for a, degree in itertools.product((1.0, -1.0, 0.3), (0, 3)):
+            prob = SpectralProblem(t, suggested_cutoff(t), degree, a)
+            vals = low_spectrum(prob, 12)
+            sectors = np.sort(np.concatenate([
+                np.repeat(_sector_spectrum(block, weight, 12)[0], weight)
+                for block, weight in sector_blocks(prob)
+            ]))[:12]
+            for oracle in (sectors, whole_form_spectrum(prob, 12)):
+                err = np.abs(vals - oracle)
+                assert np.all(err <= 1e-10 * np.maximum(1.0, np.abs(oracle))), (a, degree)
+
+    def test_cluster_top_matches_30_digit_value(self):
+        # shift-invert Lanczos on the form gets this 5e-10 value to about 1e-5
+        mpmath = pytest.importorskip("mpmath")
+        rep = spectral_report(SpectralProblem(10.0, 13, 0))
+        assert rep.low_count == 1
+        _, pairs, _ = _differential(0, 13, 10.0 * math.pi)
+        with mpmath.workdps(30):
+            grad = mpmath.matrix(pairs["x"][0].tolist())
+            exact = float(2 * min(mpmath.eigsy(grad.T * grad, eigvals_only=True)))
+        assert abs(rep.eigenvalues[0] - exact) <= 1e-8 * exact
