@@ -4,7 +4,8 @@ Commands: example, validate, analyze, cone, spectral.  Exit codes are part of
 the contract: 0 ok, 1 datum validation failure, 2 usage/parse error, 3
 negative-slack anomaly in a report, 4 the spectral computation could not be
 resolved (inadequate resolution, or a failed factorization or eigensolve), 5
-internal error (two computations of the same quantity disagree).  `spectral
+internal error (two computations of the same quantity disagree, or matrix
+shapes disagree inside the exact algebra).  `spectral
 --emit` writes the lowest 4 eigenvalues per cone degree.
 """
 
@@ -26,6 +27,7 @@ from .errors import (
     ShapeError,
     SolverError,
     UnknownIdError,
+    UsageError,
 )
 from .families import (
     TorusConvention,
@@ -358,13 +360,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConsistencyError, RemainderError) as exc:  # before ValueError, which RemainderError is
+    # before ValueError, which RemainderError and ShapeError are.  A ShapeError
+    # comes from the exact linear algebra, whose matrices are built from a
+    # validated datum or a checked Betti profile, so it is a bug
+    except (ConsistencyError, RemainderError, ShapeError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (UnknownIdError, DegreeError, InvalidDatumError) as exc:
         print(f"validation failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (DatumParseError, NotPerfectError, ShapeError, ValueError) as exc:
+    except (DatumParseError, NotPerfectError, UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SolverError as exc:

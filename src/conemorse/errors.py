@@ -2,7 +2,15 @@
 
 
 class ShapeError(ValueError):
-    """Matrix or dimension bookkeeping disagrees with the declared shapes."""
+    """Matrix or dimension bookkeeping disagrees with the declared shapes.
+
+    Raised inside the exact linear algebra; once a datum has validated, one is
+    an internal bug.
+    """
+
+
+class UsageError(ValueError):
+    """A requested parameter cannot be realized (Betti vector, rank, power of omega)."""
 
 
 class MembershipError(ValueError):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import DegreeError, NotPerfectError, ShapeError
+from .errors import DegreeError, NotPerfectError, ShapeError, UsageError
 from .morse import CriticalPoint, MorseDatum, morse_complex
 from .ratlinalg import RationalMatrix
 
@@ -139,6 +139,18 @@ def minimal_model(d: MorseDatum) -> tuple:
     return morse_complex(d)
 
 
+def _betti_profile(betti, p: int) -> list:
+    """The Betti vector as ints, once it and p are checked to describe a datum."""
+    betti = [int(b) for b in betti]
+    if not betti or any(b < 0 for b in betti):
+        raise UsageError("betti must be a nonempty list of nonnegative integers")
+    if (len(betti) - 1) % 2 != 0:
+        raise UsageError("betti must cover degrees 0..2n")
+    if p < 0:
+        raise UsageError(f"p must be nonnegative, got {p}")
+    return betti
+
+
 def synthetic_from_ranks(betti, omega_maps, p: int = 0, name: str = "synthetic") -> MorseDatum:
     """Perfect datum with m_k = betti[k], zero boundary, prescribed cone maps.
 
@@ -147,12 +159,8 @@ def synthetic_from_ranks(betti, omega_maps, p: int = 0, name: str = "synthetic")
     Zero boundary makes the commuting identity automatic, so any ranks can be
     realized.
     """
-    betti = [int(b) for b in betti]
-    if not betti or any(b < 0 for b in betti):
-        raise ShapeError("betti must be a nonempty list of nonnegative integers")
+    betti = _betti_profile(betti, p)
     manifold_dim = len(betti) - 1
-    if manifold_dim % 2 != 0:
-        raise ShapeError("betti must cover degrees 0..2n")
     shift = 2 * p + 2
     points = tuple(
         CriticalPoint(f"e{k}_{i}", k) for k in range(len(betti)) for i in range(betti[k])
@@ -185,7 +193,7 @@ def synthetic_from_ranks(betti, omega_maps, p: int = 0, name: str = "synthetic")
 def canonical_rank_matrix(rows: int, cols: int, r: int) -> RationalMatrix:
     """The rank-r matrix with an identity block in the top-left corner."""
     if r > min(rows, cols) or r < 0:
-        raise ShapeError(f"rank {r} impossible for a {rows}x{cols} matrix")
+        raise UsageError(f"rank {r} impossible for a {rows}x{cols} matrix")
     return RationalMatrix(
         rows, cols, [1 if i == j and i < r else 0 for i in range(rows) for j in range(cols)]
     )
@@ -193,6 +201,7 @@ def canonical_rank_matrix(rows: int, cols: int, r: int) -> RationalMatrix:
 
 def synthetic_from_rank_profile(betti, ranks, p: int = 0, name: str = "synthetic") -> MorseDatum:
     """Synthetic datum whose k-th wedge map is the canonical rank-ranks[k] block."""
+    betti = _betti_profile(betti, p)
     shift = 2 * p + 2
     maps = []
     for k in range(len(betti)):
@@ -204,6 +213,7 @@ def synthetic_from_rank_profile(betti, ranks, p: int = 0, name: str = "synthetic
 
 def hard_lefschetz_ranks(betti, p: int = 0) -> list:
     """The full-rank profile min(b_k, b_{k+2p+2}) in every degree."""
+    betti = _betti_profile(betti, p)
     shift = 2 * p + 2
     return [
         min(b, betti[k + shift]) if k + shift < len(betti) else 0
@@ -219,7 +229,7 @@ def s2_bundle_over_k3(omega_rank: int = 22, b2: int = 23) -> MorseDatum:
     rank 1 as forced on a closed symplectic 6-manifold.
     """
     if not 0 <= omega_rank <= b2:
-        raise ShapeError(f"omega_rank must lie in 0..{b2}")
+        raise UsageError(f"omega_rank must lie in 0..{b2}")
     betti = [1, 0, b2, 0, b2, 0, 1]
     ranks = [1, 0, omega_rank, 0, 1]
     return synthetic_from_rank_profile(

@@ -15,7 +15,7 @@ orthonormal basis.  The table is read twice: the sparse assembly of the
 quadratic form |d_C s|^2 + |d_C* s|^2, symmetric positive semidefinite by
 construction; and a matrix-free apply on the grid of coefficients,
 (A(x)B) vec(U) = vec(A U B'), which rates quasimodes as |d_C v|^2 + |d_C* v|^2
-without assembling the form.
+without assembling the form, and reads cluster values off Ritz vectors.
 
 The degree-0 form is the Kronecker sum H(x)I + I(x)H of the 1D operator
 H = G'G, G = d/dx + t a pi sin(2 pi x) (its two blocks write different
@@ -28,7 +28,9 @@ splits exactly into four parity sectors, and the mirror (x, y) -> (y, x)
 maps sector (1, 0) onto (0, 1).  Each of three sectors is factored once at
 the cluster threshold; the factor's inertia counts the sector's low cluster,
 and shift-invert Lanczos on the same factor must find as many, plus only as
-many values above it as can still reach the requested count.
+many values above it as can still reach the requested count.  The cluster
+values are then the squared singular values of [d_C; d_C*] on their Lanczos
+vectors, never negative.
 Translation by (1/2, 1/2) and the cone Hodge star map the form of degree
 3 - k onto that of degree k, so degree 3 has the spectrum of degree 0, and
 cluster counts and gap fits solve each dual pair of degrees once and report
@@ -208,27 +210,36 @@ def _sector_indices(degree: int, cutoff: int, sector: tuple) -> np.ndarray:
     ])
 
 
-def _differential(degree: int, cutoff: int, deform: float) -> tuple:
+def _grad_1d(cutoff: int, deform: float) -> np.ndarray:
+    """G = d/dx + deform * sin(2 pi x), band N -> band N+1: the 1D factor of d_t."""
+    return _deriv_1d(cutoff) + deform * _sin_mult_1d(cutoff)
+
+
+def _differential(degree: int, cutoff: int, deform: float, grad=None) -> tuple:
     """d_C out of `degree`, band N -> band N+1: (blocks, 1D factor pairs, output components).
 
-    deform is the full multiplier t * a * pi on the sine factors of df.
+    deform is the full multiplier t * a * pi on the sine factors of df.  A
+    `grad` built by _grad_1d at a band above N is used through its top-left
+    block, which equals G at band N bitwise: a band adds rows and columns
+    only past the old ones.
     """
     if degree not in (0, 1, 2, 3):
         raise DegreeError(f"cone degree must be 0..3, got {degree}")
-    grad = _deriv_1d(cutoff) + deform * _sin_mult_1d(cutoff)
-    embed = np.eye(basis_size(cutoff + 1), basis_size(cutoff))
+    rows, cols = basis_size(cutoff + 1), basis_size(cutoff)
+    grad = _grad_1d(cutoff, deform) if grad is None else grad[:rows, :cols]
+    embed = np.eye(rows, cols)
     pairs = {"x": (grad, embed), "y": (embed, grad), "w": (embed, embed)}
     return DIFFERENTIAL[degree], pairs, COMPONENTS[degree + 1]
 
 
-def _adjoint(degree: int, cutoff: int, deform: float) -> tuple:
+def _adjoint(degree: int, cutoff: int, deform: float, grad=None) -> tuple:
     """d_C* out of `degree` > 0, band N -> band N+1, in the form of `_differential`.
 
     The transpose of d_C one degree lower and one band higher, applied to the
     form embedded in band N+2: the transposed table, each 1D factor restricted
     to its band-N rows and transposed.
     """
-    blocks, pairs, _ = _differential(degree - 1, cutoff + 1, deform)
+    blocks, pairs, _ = _differential(degree - 1, cutoff + 1, deform, grad)
     size = basis_size(cutoff)
     return (
         tuple((inp, out, sign, kind) for out, inp, sign, kind in blocks),
@@ -238,11 +249,15 @@ def _adjoint(degree: int, cutoff: int, deform: float) -> tuple:
 
 
 def _operators(prob: SpectralProblem) -> list:
-    """The maps whose squared norms add up to the form: d_C, and d_C* above degree 0."""
+    """The maps whose squared norms add up to the form: d_C, and d_C* above degree 0.
+
+    Both read one G, built once at band N+1 (see _differential).
+    """
     deform = prob.t * prob.morse_scale * math.pi
-    ops = [_differential(prob.degree, prob.cutoff, deform)]
+    grad = _grad_1d(prob.cutoff + 1, deform)
+    ops = [_differential(prob.degree, prob.cutoff, deform, grad)]
     if prob.degree > 0:
-        ops.append(_adjoint(prob.degree, prob.cutoff, deform))
+        ops.append(_adjoint(prob.degree, prob.cutoff, deform, grad))
     return ops
 
 
@@ -329,7 +344,7 @@ def _factor(block: sp.csr_matrix, shift: float):
 
 
 def _sector_spectrum(block: sp.csr_matrix, weight: int, wanted: int) -> tuple:
-    """The lowest eigenvalues of one sector block, ascending, and its cluster count n.
+    """The lowest eigenvalues of one sector block, ascending, their vectors, and its cluster count n.
 
     n, the number of eigenvalues <= LOW_THRESHOLD, is the inertia of the
     factor there.  Of the `wanted` lowest eigenvalues the form still lacks,
@@ -347,10 +362,10 @@ def _sector_spectrum(block: sp.csr_matrix, weight: int, wanted: int) -> tuple:
     factor, below = _factor(block, LOW_THRESHOLD)
     k = below + max(1, -(-(wanted - weight * below) // weight))
     if k >= size - 1:
-        vals = np.linalg.eigvalsh(block.toarray())
+        vals, vecs = np.linalg.eigh(block.toarray())
     else:
         try:
-            vals = eigsh(
+            vals, vecs = eigsh(
                 block,
                 k=k,
                 sigma=LOW_THRESHOLD,
@@ -358,7 +373,6 @@ def _sector_spectrum(block: sp.csr_matrix, weight: int, wanted: int) -> tuple:
                 # every call, so repeated solves would differ in the last digits
                 v0=np.random.default_rng(0).standard_normal(size),
                 OPinv=LinearOperator((size, size), matvec=factor.solve, dtype=block.dtype),
-                return_eigenvectors=False,
             )
         except ArpackError as exc:
             raise SolverError(f"eigensolver failed: {exc}") from exc
@@ -367,7 +381,29 @@ def _sector_spectrum(block: sp.csr_matrix, weight: int, wanted: int) -> tuple:
         raise SolverError(
             f"eigensolver found {found} eigenvalue(s) <= {LOW_THRESHOLD:g}, inertia counts {below}"
         )
-    return np.sort(vals), below
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order], below
+
+
+def _cluster_values(prob: SpectralProblem, ops: list, idx: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Squared singular values of [d_C; d_C*] on a sector's cluster vectors, ascending.
+
+    These are the Rayleigh-Ritz values of the form on the vectors' span,
+    which lambda = sigma + 1/mu from shift-invert Lanczos gets only to about
+    eps |A|, and can print negative, when lambda is near 0.  Each column of
+    `vecs` is scattered from the sector indices `idx` into the grid and
+    mapped matrix-free.  The values stay <= LOW_THRESHOLD: the inertia
+    counted them there.
+    """
+    size = basis_size(prob.cutoff)
+    grids = np.zeros((vecs.shape[1], matrix_size(prob.degree, prob.cutoff)))
+    grids[:, idx] = vecs.T
+    images = np.array([
+        np.concatenate([_apply(*op, g.reshape(-1, size, size)).ravel() for op in ops])
+        for g in grids
+    ])
+    sq = np.sort(np.linalg.svd(images, compute_uv=False) ** 2)
+    return np.minimum(sq, LOW_THRESHOLD)
 
 
 def low_spectrum(prob: SpectralProblem, count: int) -> np.ndarray:
@@ -379,7 +415,8 @@ def low_spectrum(prob: SpectralProblem, count: int) -> np.ndarray:
     of SECTORS, each solved once (see _sector_spectrum) with the cluster
     counts of the sectors solved before it known: the form's lowest `count`
     values are its whole cluster and the lowest ones above the threshold, so
-    each is among those of its sector, and the merge holds them all.
+    each is among those of its sector, and the merge holds them all.  The
+    cluster values are then taken from the Ritz vectors (see _cluster_values).
     """
     size = matrix_size(prob.degree, prob.cutoff)
     if count > size:
@@ -391,10 +428,13 @@ def low_spectrum(prob: SpectralProblem, count: int) -> np.ndarray:
         vals = np.sort(np.linalg.svd(grad, compute_uv=False) ** 2)[:count]
         return np.sort((vals[:, None] + vals[None, :]).ravel())[:count]
     form = assemble_quadratic_form(prob)
+    ops = _operators(prob)
     merged, known = [], 0
     for sector, weight in SECTORS:
         idx = _sector_indices(prob.degree, prob.cutoff, sector)
-        vals, below = _sector_spectrum(form[idx][:, idx], weight, count - known)
+        vals, vecs, below = _sector_spectrum(form[idx][:, idx], weight, count - known)
+        if below:
+            vals[:below] = _cluster_values(prob, ops, idx, vecs[:, :below])
         known += weight * below
         merged.append(np.repeat(vals, weight))
     return np.sort(np.concatenate(merged))[:count]
@@ -528,29 +568,26 @@ def _bump(rho: np.ndarray, inner: float = 0.2, outer: float = 0.25) -> np.ndarra
     Supports of radius 1/4 around neighboring critical points (spacing 1/2)
     stay disjoint; the plateau sits at 0.2 so the transition annulus only sees
     the far Gaussian tail and contributes negligibly to the Rayleigh quotient.
+    On the annulus the value is r(u) / (r(u) + r(1 - u)) with r(u) = exp(-1/u)
+    and u = (outer - rho) / (outer - inner) in (0, 1].
     """
-
-    def ramp(u):
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            raw = np.where(u > 0, np.exp(-1.0 / np.maximum(u, 1e-300)), 0.0)
-        return raw
-
-    u = (outer - rho) / (outer - inner)
-    num = ramp(u)
-    return num / (num + ramp(1.0 - u))
+    out = (rho <= inner).astype(float)
+    ring = (rho > inner) & (rho < outer)
+    u = (outer - rho[ring]) / (outer - inner)
+    near = np.exp(-1.0 / u)
+    # 1 - u may round to 0 next to the plateau, where the value is 1
+    out[ring] = near / (near + np.exp(-1.0 / np.maximum(1.0 - u, 1e-300)))
+    return out
 
 
 def _basis_values_1d(cutoff: int, grid: np.ndarray) -> np.ndarray:
-    rows = [np.ones_like(grid)]
-    for m in range(1, cutoff + 1):
-        rows.append(math.sqrt(2.0) * np.cos(2.0 * math.pi * m * grid))
-        rows.append(math.sqrt(2.0) * np.sin(2.0 * math.pi * m * grid))
-    return np.stack(rows)
-
-
-def _project_component(values: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    npts = values.shape[0]
-    return (basis @ values @ basis.T / npts**2).reshape(-1)
+    """The basis 1, sqrt2 cos(2 pi m x), sqrt2 sin(2 pi m x) (m <= N) on `grid`, one row each."""
+    phase = (2.0 * math.pi * np.arange(1, cutoff + 1))[:, None] * grid
+    rows = np.empty((basis_size(cutoff), grid.size))
+    rows[0] = 1.0
+    rows[1::2] = math.sqrt(2.0) * np.cos(phase)
+    rows[2::2] = math.sqrt(2.0) * np.sin(phase)
+    return rows
 
 
 @dataclass
@@ -597,18 +634,16 @@ def quasimode(prob: SpectralProblem, point: str, kind: int) -> QuasimodeResult:
     grid = np.arange(npts) / npts
     xs = ((grid - px + 0.5) % 1.0) - 0.5
     ys = ((grid - py + 0.5) % 1.0) - 0.5
-    x1 = xs[:, None] * np.ones_like(ys)[None, :]
-    x2 = np.ones_like(xs)[:, None] * ys[None, :]
-    rho = np.sqrt(x1**2 + x2**2)
+    x1, x2 = xs[:, None], ys[None, :]  # broadcast over the grid
     # product profile exp(-t a sum_i (1 - cos(2 pi X_i))/2) in the wrapped
     # displacement X: the chart Gaussian expressed in torus coordinates (f is
     # exactly quadratic in the chart), identical for ascending and descending
     # directions and exactly deformed-harmonic on the whole torus, so only the
     # cutoff and the cubic remainder of the partner fields contribute to the
-    # Rayleigh quotient
+    # Rayleigh quotient.  It is the outer product of its two 1D factors
     ta = prob.t * prob.morse_scale
-    climb = 1.0 - 0.5 * np.cos(2.0 * math.pi * x1) - 0.5 * np.cos(2.0 * math.pi * x2)
-    gauss = _bump(rho) * np.exp(-ta * climb)
+    gx, gy = (np.exp(-ta * (0.5 - 0.5 * np.cos(2.0 * math.pi * d))) for d in (xs, ys))
+    gauss = _bump(np.sqrt(x1**2 + x2**2)) * np.outer(gx, gy)
     zero = np.zeros_like(gauss)
 
     if kind == 1 and index == 0:
@@ -626,8 +661,9 @@ def quasimode(prob: SpectralProblem, point: str, kind: int) -> QuasimodeResult:
     else:  # kind == 2 and index == 2
         components = [gauss]
 
+    # trapezoidal projection of every component onto the product basis at once
     basis = _basis_values_1d(prob.cutoff, grid)
-    vec = np.concatenate([_project_component(c, basis) for c in components])
+    vec = (basis @ np.array(components) @ basis.T / npts**2).reshape(-1)
     norm = np.linalg.norm(vec)
     if norm == 0:
         raise SolverError("quasimode projected to zero")

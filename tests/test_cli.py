@@ -254,10 +254,34 @@ class TestInternalErrors:
         assert "cone cohomology (decomposition): [0]" in out
         assert err == "internal error: the decomposition disagrees with the direct cone\n"
 
+    def test_shape_error_after_validation_is_internal(self, t4, capsys, monkeypatch):
+        from conemorse import cli
+        from conemorse.errors import ShapeError
+
+        def mismatch(datum):
+            raise ShapeError("cannot multiply (2, 3) by (2, 3)")
+
+        monkeypatch.setattr(cli, "cone_report", mismatch)
+        code, out, err = run(capsys, "analyze", t4)
+        assert code == EXIT_INTERNAL and out == ""
+        assert err == "internal error: cannot multiply (2, 3) by (2, 3)\n"
+
     def test_bad_betti_stays_a_usage_error(self, capsys):
         code, out, err = run(capsys, "example", "synthetic", "--betti", "1,0,1", "--ranks", "5")
         assert code == EXIT_USAGE and out == ""
         assert err == "error: rank 5 impossible for a 1x1 matrix\n"
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--betti", "1,0", "--ranks", "1"], "betti must cover degrees 0..2n"),
+            (["--betti", "1,0,1", "--p", "-5", "--hard-lefschetz"], "p must be nonnegative, got -5"),
+        ],
+    )
+    def test_bad_profile_is_a_usage_error(self, capsys, extra, message):
+        code, out, err = run(capsys, "example", "synthetic", *extra)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestSpectralCommand:

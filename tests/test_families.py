@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conemorse.complexes import chain_ranks, cohomology
-from conemorse.errors import DegreeError, NotPerfectError, ShapeError
+from conemorse.errors import DegreeError, NotPerfectError, ShapeError, UsageError
 from conemorse.families import (
     TorusConvention,
     canonical_rank_matrix,
@@ -186,6 +186,31 @@ class TestSynthetic:
             synthetic_from_ranks([1, 0, 1], [RationalMatrix.zeros(2, 2)])
 
     def test_rank_matrix_guard(self):
-        with pytest.raises(ShapeError):
+        # a requested rank is input, not shape bookkeeping: a usage error
+        with pytest.raises(UsageError):
             canonical_rank_matrix(2, 2, 3)
+
+    @pytest.mark.parametrize(
+        "betti, p, message",
+        [
+            ([], 0, "nonempty"),
+            ([1, -1, 1], 0, "nonnegative"),
+            ([1, 0], 0, "0..2n"),
+            ([1, 0, 1], -5, "p must be nonnegative"),
+        ],
+    )
+    def test_profile_checks_are_usage_errors(self, betti, p, message):
+        # checked before any index is formed from them: p = -5 once indexed
+        # the Betti list out of range in hard_lefschetz_ranks
+        for build in (
+            lambda: hard_lefschetz_ranks(betti, p=p),
+            lambda: synthetic_from_rank_profile(betti, [0] * len(betti), p=p),
+            lambda: synthetic_from_ranks(betti, [], p=p),
+        ):
+            with pytest.raises(UsageError, match=message):
+                build()
+
+    def test_omega_rank_guard(self):
+        with pytest.raises(UsageError, match="omega_rank"):
+            s2_bundle_over_k3(omega_rank=24)
 

@@ -361,6 +361,91 @@ class TestQuasimodes:
         assert qm.rayleigh < 0.1
 
 
+def reference_quasimode(prob, point, kind):
+    """Oracle: a quasimode built on 2D fields, its coefficients and assembled Rayleigh quotient.
+
+    The 2D cos and exp profile, the bump's two ramps over the whole grid, a
+    basis built row by row and one projection per component; the quotient is
+    |d_C v|^2 + |d_C* v|^2 with each map building its own 1D factor.
+    """
+
+    def ramp(u):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return np.where(u > 0, np.exp(-1.0 / np.maximum(u, 1e-300)), 0.0)
+
+    def basis_values(cutoff, grid):
+        rows = [np.ones_like(grid)]
+        for m in range(1, cutoff + 1):
+            rows.append(math.sqrt(2.0) * np.cos(2.0 * math.pi * m * grid))
+            rows.append(math.sqrt(2.0) * np.sin(2.0 * math.pi * m * grid))
+        return np.stack(rows)
+
+    px, py = spectral.CRITICAL_POINTS[point]
+    descending = (px == 0.5, py == 0.5)
+    index = sum(descending)
+    npts = 4 * prob.cutoff
+    grid = np.arange(npts) / npts
+    xs = ((grid - px + 0.5) % 1.0) - 0.5
+    ys = ((grid - py + 0.5) % 1.0) - 0.5
+    x1 = xs[:, None] * np.ones_like(ys)[None, :]
+    x2 = np.ones_like(xs)[:, None] * ys[None, :]
+    u = (0.25 - np.sqrt(x1**2 + x2**2)) / 0.05
+    bump = ramp(u) / (ramp(u) + ramp(1.0 - u))
+    climb = 1.0 - 0.5 * np.cos(2.0 * math.pi * x1) - 0.5 * np.cos(2.0 * math.pi * x2)
+    gauss = bump * np.exp(-prob.t * prob.morse_scale * climb)
+    zero = np.zeros_like(gauss)
+    components = {
+        (1, 0): [gauss],
+        (2, 0): [0.5 * x2 * gauss, -0.5 * x1 * gauss, gauss],
+        (1, 1): [gauss, zero, zero] if descending[0] else [zero, gauss, zero],
+        (2, 1): [zero, gauss, zero] if descending[0] else [zero, zero, gauss],
+        (1, 2): [gauss, -0.5 * x1 * gauss, -0.5 * x2 * gauss],
+        (2, 2): [gauss],
+    }[kind, index]
+    basis = basis_values(prob.cutoff, grid)
+    vec = np.concatenate([(basis @ c @ basis.T / npts**2).reshape(-1) for c in components])
+    vec /= np.linalg.norm(vec)
+    deform = prob.t * prob.morse_scale * math.pi
+    maps = [_differential(prob.degree, prob.cutoff, deform)]
+    if prob.degree:
+        maps.append(_adjoint(prob.degree, prob.cutoff, deform))
+    grids = vec.reshape(-1, basis_size(prob.cutoff), basis_size(prob.cutoff))
+    return vec, sum(np.sum(_apply(*op, grids) ** 2) for op in maps)
+
+
+class TestQuasimodeConstruction:
+    """Per-axis tables build the same quasimodes as 2D fields, from one 1D factor build."""
+
+    @pytest.mark.parametrize("t, cutoff", [(20.0, 14), (10.0, 8), (40.0, 19)])
+    def test_matches_2d_reference(self, t, cutoff):
+        for degree, modes in QUASIMODES.items():
+            prob = SpectralProblem(t, cutoff, degree)
+            for point, kind in modes:
+                mode = quasimode(prob, point, kind)
+                coeffs, rayleigh = reference_quasimode(prob, point, kind)
+                err = np.abs(mode.coefficients - coeffs).max()
+                assert err <= 1e-10 * np.abs(coeffs).max(), (point, kind)
+                assert abs(mode.rayleigh - rayleigh) <= 1e-10 * rayleigh, (point, kind)
+
+    @pytest.mark.parametrize("cutoff", [2, 14, 127])
+    def test_band_n_factors_are_blocks_of_band_n_plus_1(self, cutoff):
+        rows, cols = basis_size(cutoff + 1), basis_size(cutoff)
+        for factor in (spectral._deriv_1d, spectral._sin_mult_1d):
+            assert np.array_equal(factor(cutoff + 1)[:rows, :cols], factor(cutoff))
+
+    def test_one_factor_build_per_quasimode(self, monkeypatch):
+        built = []
+        deriv = spectral._deriv_1d
+        monkeypatch.setattr(
+            spectral, "_deriv_1d", lambda cutoff: built.append(cutoff) or deriv(cutoff)
+        )
+        for degree, modes in QUASIMODES.items():
+            for point, kind in modes:
+                built.clear()
+                quasimode(SpectralProblem(20.0, 14, degree), point, kind)
+                assert built == [15], (point, kind)
+
+
 class TestSolver:
     @pytest.mark.parametrize("degree", [0, 1, 2, 3])
     def test_matches_dense_oracle(self, degree):
@@ -617,13 +702,17 @@ def sector_blocks(prob):
 
 
 def patched_eigsh(monkeypatch, edit):
-    """Route ARPACK's eigenvalues through edit(ascending values) before the program sees them."""
+    """Route ARPACK's pairs through edit(ascending values, their vectors) before the program sees them."""
     import scipy.sparse.linalg
 
     eigsh = scipy.sparse.linalg.eigsh
-    monkeypatch.setattr(
-        scipy.sparse.linalg, "eigsh", lambda *args, **kwargs: edit(np.sort(eigsh(*args, **kwargs)))
-    )
+
+    def patched(*args, **kwargs):
+        vals, vecs = eigsh(*args, **kwargs)
+        order = np.argsort(vals)
+        return edit(vals[order], vecs[:, order])
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", patched)
 
 
 class TestInertia:
@@ -647,9 +736,9 @@ class TestInertia:
         assert sum(w * (_factor(b, 65.04)[1] - _factor(b, 65.03)[1]) for b, w in blocks) == 4
 
     def test_lanczos_missing_a_low_value_is_a_solver_error(self, monkeypatch, capsys):
-        def drop_one_low(vals):
+        def drop_one_low(vals, vecs):
             low = np.flatnonzero(vals <= LOW_THRESHOLD)
-            return np.delete(vals, low[:1])
+            return np.delete(vals, low[:1]), np.delete(vecs, low[:1], axis=1)
 
         patched_eigsh(monkeypatch, drop_one_low)
         with pytest.raises(SolverError, match="inertia counts"):
@@ -660,15 +749,30 @@ class TestInertia:
         assert captured.err.startswith("spectral solve failed: eigensolver found ")
 
     def test_value_at_the_threshold_is_low(self, monkeypatch):
-        def top_low_to_threshold(vals):
+        def top_low_to_threshold(vals, vecs):
             low = np.flatnonzero(vals <= LOW_THRESHOLD)
             vals[low[-1:]] = LOW_THRESHOLD
-            return vals
+            # a vector whose Rayleigh quotient is far above the threshold: the
+            # value taken from it stays at the threshold the inertia allows
+            rng = np.random.default_rng(1)
+            vecs[:, low[-1:]] = rng.standard_normal((vecs.shape[0], 1)) / math.sqrt(vecs.shape[0])
+            return vals, vecs
 
         patched_eigsh(monkeypatch, top_low_to_threshold)
         rep = spectral_report(SpectralProblem(10.0, 10, 1))
         assert rep.low_count == 3 and rep.eigenvalues[2] == LOW_THRESHOLD
         assert rep.cluster_ratio == rep.gap > 100
+
+    @pytest.mark.parametrize("t", [2, 10, 40])
+    def test_no_emitted_value_is_negative(self, capsys, t):
+        # cluster values of degrees 1 and 2 are squared singular values of
+        # [d_C; d_C*] on their Ritz vectors: at t = 2 shift-invert Lanczos
+        # alone gave -5.3e-15 for a value near 5.3e-16
+        assert cli.main(["spectral", "--t", str(t), "--emit", "-"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        table = rows[rows.index("degree,index,eigenvalue") + 1 :]
+        values = [float(row.split(",")[2]) for row in table]
+        assert len(values) == 4 * REPORT_COUNT and min(values) >= 0.0
 
     def test_off_diagonal_pivots_are_a_solver_error(self, monkeypatch):
         import types
