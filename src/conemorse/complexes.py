@@ -8,11 +8,11 @@ friends) total.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import ChainMapError, ShapeError
 from .ratlinalg import (
+    Rational,
     RationalMatrix,
     block,
     hstack,
@@ -94,7 +94,7 @@ class ComplexViolation:
     degree: int
     row: int
     col: int
-    value: Fraction
+    value: Rational
 
     def __str__(self) -> str:
         return (
@@ -110,6 +110,8 @@ def validate_complex(c: CochainComplex) -> Optional[ComplexViolation]:
     reports the first failing degree with a nonzero entry witness.
     """
     for k in c.degrees():
+        if not c.dim(k):  # an empty degree composes to an empty matrix
+            continue
         comp = c.d(k + 1) @ c.d(k)
         if not comp.is_zero():
             return ComplexViolation(k, *next(comp.nonzero()))
@@ -194,6 +196,9 @@ def _require_chain_map(phi: DegreeChainMap) -> None:
         phi.checked = True
 
 
+_EMPTY = RationalMatrix.zeros(0, 0)  # the cocycles of an empty degree
+
+
 class CohomologyData:
     """One cocycle basis Z_k = ker d_k per degree; ranks and Betti numbers follow.
 
@@ -203,7 +208,9 @@ class CohomologyData:
     """
 
     def __init__(self, complex_: CochainComplex) -> None:
-        self._cocycles = {k: nullspace_basis(complex_.d(k)) for k in complex_.degrees()}
+        self._cocycles = {
+            k: nullspace_basis(complex_.d(k)) for k in complex_.degrees() if complex_.dim(k)
+        }
         self._ranks = {k: complex_.dim(k) - z.cols for k, z in self._cocycles.items()}
         self.dims = tuple(self.b(k) for k in complex_.degrees())
 
@@ -214,7 +221,7 @@ class CohomologyData:
         return self._ranks.get(k, 0)
 
     def cocycles(self, k: int) -> RationalMatrix:
-        return self._cocycles.get(k, RationalMatrix.zeros(0, 0))
+        return self._cocycles.get(k, _EMPTY)
 
 
 def _extend_to_basis(inner: RationalMatrix, spanning: RationalMatrix) -> RationalMatrix:
@@ -236,8 +243,8 @@ def cohomology(c: CochainComplex) -> CohomologyData:
 def cohomology_dims(c: CochainComplex) -> list:
     """Cohomology dimensions from ranks alone: dim_k - rank d_k - rank d_{k-1}."""
     _require_complex(c)
-    ranks = {k: rank(c.d(k)) for k in c.degrees()}
-    return [c.dim(k) - ranks[k] - ranks.get(k - 1, 0) for k in c.degrees()]
+    ranks = {k: rank(c.d(k)) for k in c.degrees() if c.dim(k)}
+    return [c.dim(k) - ranks.get(k, 0) - ranks.get(k - 1, 0) for k in c.degrees()]
 
 
 def _cohomologies(
@@ -291,6 +298,9 @@ def induced_map_ranks(
     hs, ht = _cohomologies(phi, hs, ht)
     out = []
     for k in phi.source.degrees():
+        if not phi.source.dim(k):  # an empty degree has no classes to map
+            out.append(0)
+            continue
         j = k + phi.shift - 1
         images = phi.matrix(k) @ hs.cocycles(k)
         out.append(rank(hstack(images, phi.target.d(j))) - ht.rank_d(j))
@@ -299,7 +309,7 @@ def induced_map_ranks(
 
 def chain_ranks(phi: DegreeChainMap) -> list:
     """v_k = rank of phi_k on cochains, listed over source degrees."""
-    return [rank(phi.matrix(k)) for k in phi.source.degrees()]
+    return [rank(phi.matrix(k)) if phi.source.dim(k) else 0 for k in phi.source.degrees()]
 
 
 def cone_degree_range(phi: DegreeChainMap) -> range:
@@ -321,7 +331,10 @@ def mapping_cone(phi: DegreeChainMap) -> CochainComplex:
     theta = phi.shift - 1
     dims = [phi.target.dim(k) + phi.source.dim(k - theta) for k in degs]
     diffs = []
-    for k in degs:
+    for k, dim, next_dim in zip(degs, dims, dims[1:] + [0]):
+        if not dim or not next_dim:  # an empty differential: no blocks to place
+            diffs.append(RationalMatrix.zeros(next_dim, dim))
+            continue
         top_left = phi.target.d(k)
         top_right = phi.matrix(k - theta)
         bottom_left = RationalMatrix.zeros(phi.source.dim(k + 1 - theta), phi.target.dim(k))

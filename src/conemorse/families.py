@@ -9,7 +9,6 @@ any Betti vector with prescribed wedge-map matrices as a perfect datum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import DegreeError, NotPerfectError, ShapeError, UsageError
@@ -82,7 +81,7 @@ def torus(conv, pairing: str = "adjacent") -> MorseDatum:
                 sign = sort_sign(list(pair) + list(subset))
                 target = tuple(sorted(subset + pair))
                 cone.append(
-                    (_subset_id(subset, 2 * n), _subset_id(target, 2 * n), Fraction(sign))
+                    (_subset_id(subset, 2 * n), _subset_id(target, 2 * n), sign)
                 )
     return MorseDatum(
         manifold_dim=2 * n,
@@ -110,7 +109,7 @@ def projective_space(n: int, p: int = 0) -> MorseDatum:
     points = tuple(CriticalPoint(f"p{2 * j}", 2 * j) for j in range(n + 1))
     shift = 2 * p + 2
     cone = tuple(
-        (f"p{2 * j}", f"p{2 * j + shift}", Fraction(1))
+        (f"p{2 * j}", f"p{2 * j + shift}", 1)
         for j in range(n + 1)
         if 2 * j + shift <= 2 * n
     )

@@ -9,13 +9,12 @@ and user files supply them explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Optional
 
 from .complexes import CochainComplex, DegreeChainMap, cohomology_dims, mapping_cone
 from .errors import DegreeError, InvalidDatumError, UnknownIdError
-from .ratlinalg import RationalMatrix, rat
+from .ratlinalg import Rational, RationalMatrix, _matrix, rat
 
 
 @dataclass(frozen=True)
@@ -24,7 +23,7 @@ class CriticalPoint:
     index: int
 
 
-Coefficient = tuple  # (from_id, to_id, Fraction)
+Coefficient = tuple  # (from_id, to_id, exact rational)
 
 # largest accepted manifold_dim: generator lists and matrices are sized by it,
 # index by index, so it bounds the memory and time a datum file can ask for
@@ -35,7 +34,10 @@ def _canon_coeffs(entries) -> tuple:
     merged = {}
     for src, dst, value in entries:
         key = (str(src), str(dst))
-        merged[key] = merged.get(key, Fraction(0)) + rat(value)
+        q = rat(value)
+        if key in merged:
+            q = rat(merged[key] + q)  # a sum of Fractions may be integral
+        merged[key] = q
     return tuple(
         (src, dst, value) for (src, dst), value in sorted(merged.items()) if value != 0
     )
@@ -97,7 +99,7 @@ class DatumViolation:
     identity: str  # "d_squared" or "commute"
     degree: int
     witness: str
-    value: Fraction
+    value: Rational
 
     def __str__(self) -> str:
         what = "∂∘∂" if self.identity == "d_squared" else "∂c - c∂"
@@ -160,9 +162,8 @@ def _assemble(coeffs, jump: int, index: dict, pos: dict, by_index: list) -> list
     ]
     for src, dst, value in coeffs:  # one nonzero entry per (src, dst), merged by MorseDatum
         rows[index[src]][pos[dst]][pos[src]] = value
-    return [
-        RationalMatrix.from_sparse(len(r), len(ids), r) for r, ids in zip(rows, by_index)
-    ]
+    # the values were coerced once, by MorseDatum, so the rows go in as they are
+    return [_matrix(len(r), len(ids), tuple(r)) for r, ids in zip(rows, by_index)]
 
 
 def _violation(identity: str, degree: int, m: RationalMatrix, ids: list) -> DatumViolation:
@@ -179,13 +180,15 @@ def validate_datum(d: MorseDatum) -> Optional[DatumViolation]:
     """
     by_index, boundary, cone = d._matrices
     for k in range(d.manifold_dim):
+        if not by_index[k]:  # no generators: nothing to check at this degree
+            continue
         comp = boundary[k + 1] @ boundary[k]
         if not comp.is_zero():
             return _violation("d_squared", k, comp, by_index[k])
     shift = d.cone_shift
     for k in range(d.manifold_dim + 1):
-        if k + shift + 1 > d.manifold_dim:
-            # both sides land above the top index; nothing to check
+        if not by_index[k] or k + shift + 1 > d.manifold_dim:
+            # no generators, or both sides land above the top index; nothing to check
             continue
         diff = boundary[k + shift] @ cone[k] - cone[k + 1] @ boundary[k]
         if not diff.is_zero():
@@ -241,7 +244,7 @@ def stabilize(d: MorseDatum, k: int, label: str) -> MorseDatum:
     if a in ids or b in ids:
         raise UnknownIdError(f"stabilization labels {a!r}/{b!r} collide with existing ids")
     points = d.points + (CriticalPoint(a, k), CriticalPoint(b, k + 1))
-    boundary = d.boundary + ((a, b, Fraction(1)),)
+    boundary = d.boundary + ((a, b, 1),)
     out = MorseDatum(
         manifold_dim=d.manifold_dim,
         points=points,

@@ -3,8 +3,11 @@
 Every cohomology computation in this package reduces to ranks, kernels and
 induced quotient maps of matrices that are mostly zeros (Morse and cone
 differentials are ±1 on a few entries per row).  A matrix stores one dict of
-nonzero entries per row; entries are ``fractions.Fraction`` throughout and
-nothing is ever rounded.
+nonzero entries per row.  An integral entry is a Python ``int`` and any other
+entry a ``fractions.Fraction`` whose denominator is not 1: integer data stays
+in fast int arithmetic, and a Fraction appears only where a division leaves a
+remainder.  ``int == Fraction`` and their hashes agree, so this is a storage
+choice, not a change of value.  Nothing is ever rounded.
 
 Elimination walks the columns in increasing order and, for each, takes as
 pivot the shortest row holding that column that is not a pivot row yet
@@ -15,46 +18,78 @@ is chosen, so results are deterministic.
 
 from __future__ import annotations
 
+import re
 from collections import defaultdict
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import MembershipError, ShapeError
 
-Rational = Fraction
+# an exact rational as stored: an int when integral, else a Fraction
+Rational = Union[int, Fraction]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
+
+# int() alone would also take "1_0", " 2" or other digits, even where Fraction
+# does not, so only this plain form skips the Fraction parser
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
-def rat(value) -> Fraction:
+def _integral(q: Fraction) -> Rational:
+    return q.numerator if q.denominator == 1 else q
+
+
+def rat(value) -> Rational:
     """Coerce an int, Fraction or string like ``"3/4"`` / ``"-2"`` to an exact rational.
 
-    Floats are rejected: inexact input has no place in the exact pipeline.  So
-    are exponent strings: Fraction would expand ``"1e999999999"`` into an
-    integer with a billion digits.
+    Integral values come back as ``int``, others as ``Fraction``.  A string
+    without an exponent is accepted exactly when ``Fraction(str)`` accepts it;
+    a plain ``-?digits`` string skips the Fraction parser.  Floats are
+    rejected: inexact input has no place in the exact pipeline.  So are
+    exponent strings: Fraction would expand ``"1e999999999"`` into an integer
+    with a billion digits.
     """
-    if isinstance(value, Fraction):
+    if type(value) is int:
         return value
-    if isinstance(value, int):
-        return Fraction(value)
+    if isinstance(value, Fraction):
+        return _integral(value)
+    if isinstance(value, int):  # bool and other int subclasses
+        return int(value)
     if isinstance(value, str):
         if "e" in value or "E" in value:
             raise ValueError(f"invalid rational {value!r}: exponents are not accepted")
-        try:
-            return Fraction(value)
+        try:  # int() too may raise: its limit on the number of digits
+            if _INTEGER.fullmatch(value):
+                return int(value)
+            return _integral(Fraction(value))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"invalid rational {value!r}") from exc
     raise TypeError(f"cannot interpret {type(value).__name__} as an exact rational")
 
 
-def format_rat(q: Fraction) -> str:
+def _div(a: Rational, b: Rational) -> Rational:
+    """a / b exactly: an int when the division leaves no remainder."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _integral(a / b)
+
+
+def _normalize(row: dict) -> None:
+    """Store the integral Fractions of a sparse row as ints, in place."""
+    for j, x in row.items():
+        if type(x) is not int and x.denominator == 1:
+            row[j] = x.numerator
+
+
+def format_rat(q: Rational) -> str:
     """Render canonically: ``"a/b"``, or ``"a"`` when the denominator is 1."""
     return str(Fraction(q))
 
 
 def _matrix(rows: int, cols: int, data) -> "RationalMatrix":
-    """A matrix on trusted sparse rows: a tuple of dicts of nonzero Fractions."""
+    """A matrix on trusted sparse rows: a tuple of dicts of nonzero exact rationals."""
     m = object.__new__(RationalMatrix)
     m.rows = rows
     m.cols = cols
@@ -63,10 +98,11 @@ def _matrix(rows: int, cols: int, data) -> "RationalMatrix":
 
 
 class RationalMatrix:
-    """Sparse matrix of Fractions; treat instances as immutable values.
+    """Sparse matrix of exact rationals; treat instances as immutable values.
 
-    ``_data`` holds one dict ``{column: nonzero Fraction}`` per row.  No zero
-    is ever stored, so equal matrices have equal rows and equal hashes.
+    ``_data`` holds one dict ``{column: nonzero value}`` per row, each value an
+    int or a Fraction with denominator other than 1 (see ``rat``).  No zero is
+    ever stored, so equal matrices have equal rows and equal hashes.
     """
 
     __slots__ = ("rows", "cols", "_data")
@@ -124,7 +160,7 @@ class RationalMatrix:
             raise ShapeError(f"negative size {n}")
         return _matrix(n, n, tuple({i: _ONE} for i in range(n)))
 
-    def entry(self, i: int, j: int) -> Fraction:
+    def entry(self, i: int, j: int) -> Rational:
         return self._data[i].get(j, _ZERO)
 
     def nonzero(self):
@@ -154,9 +190,10 @@ class RationalMatrix:
         f = rat(factor)
         if not f:
             return RationalMatrix.zeros(self.rows, self.cols)
-        return _matrix(
-            self.rows, self.cols, tuple({j: f * x for j, x in r.items()} for r in self._data)
-        )
+        data = tuple({j: f * x for j, x in r.items()} for r in self._data)
+        for row in data:
+            _normalize(row)
+        return _matrix(self.rows, self.cols, data)
 
     def submatrix(self, row_slice: slice, col_slice: slice) -> "RationalMatrix":
         rows = range(self.rows)[row_slice]
@@ -187,7 +224,9 @@ class RationalMatrix:
             for k, s in srow.items():
                 for j, o in orows[k].items():
                     acc[j] = acc.get(j, _ZERO) + s * o
-            data.append({j: x for j, x in acc.items() if x})
+            data.append(
+                {j: x if type(x) is int else _integral(x) for j, x in acc.items() if x}
+            )
         return _matrix(self.rows, other.cols, tuple(data))
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
@@ -205,7 +244,7 @@ class RationalMatrix:
             for j, x in b.items():
                 y = row.get(j, _ZERO) + sign * x
                 if y:
-                    row[j] = y
+                    row[j] = y if type(y) is int else _integral(y)
                 else:
                     del row[j]
             data.append(row)
@@ -279,6 +318,8 @@ def _eliminate(rows: list, ncols: int, reduce: bool) -> tuple[list, list]:
     for i, row in enumerate(rows):
         for j in row:
             holders[j].add(i)
+    if not holders:  # the zero matrix, empty ones included
+        return [], []
     free = set(range(len(rows)))  # rows not chosen as pivot yet
     pivot_rows, pivots = [], []
     for c in range(ncols):
@@ -291,20 +332,23 @@ def _eliminate(rows: list, ncols: int, reduce: bool) -> tuple[list, list]:
         p = min(candidates, key=lambda i: (len(rows[i]), i))
         free.discard(p)
         prow = rows[p]
+        pivot = prow[c]
         if reduce:
-            if prow[c] != 1:
-                inv = 1 / prow[c]
-                prow = rows[p] = {j: x * inv for j, x in prow.items()}
+            if pivot != 1:
+                prow = rows[p] = {j: _div(x, pivot) for j, x in prow.items()}
+                pivot = 1
             targets = list(held)
         else:
             targets = list(candidates)
-        pivot = prow[c]
         unit = pivot == 1
+        # int arithmetic is closed: only a Fraction factor or entry can leave an
+        # integral Fraction behind, which _normalize turns back into an int
+        integral = all(type(x) is int for x in prow.values())
         for i in targets:
             if i == p:
                 continue
             row = rows[i]
-            f = row[c] if unit else row[c] / pivot
+            f = row[c] if unit else _div(row[c], pivot)
             for j, x in prow.items():
                 y = row.get(j)
                 if y is None:
@@ -317,6 +361,8 @@ def _eliminate(rows: list, ncols: int, reduce: bool) -> tuple[list, list]:
                     else:
                         del row[j]
                         holders[j].discard(i)
+            if not integral or type(f) is not int:
+                _normalize(row)
         pivot_rows.append(prow)
         pivots.append(c)
     return pivot_rows, pivots

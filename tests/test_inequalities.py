@@ -125,6 +125,31 @@ def test_cone_report_takes_ranks_not_class_bases(monkeypatch, n, eliminations):
     assert len(calls) == eliminations
 
 
+def test_empty_degrees_cost_no_elimination(monkeypatch):
+    # one generator at index 0: every other degree is empty, and adding empty
+    # degrees must add no elimination and at most one matrix each
+    counts = {}
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ratlinalg, name, counted)
+
+    counting("_eliminate", ratlinalg._eliminate)
+    counting("_matrix", ratlinalg._matrix)
+    seen = {}
+    for dim in (4, 400):
+        counts.update(_eliminate=0, _matrix=0)
+        rep = cone_report(MorseDatum(manifold_dim=dim, points=(CriticalPoint("a", 0),)))
+        assert rep.b == rep.m == [1] + [0] * dim
+        assert rep.b_omega == [1, 1] + [0] * dim
+        seen[dim] = dict(counts)
+    assert seen[400]["_eliminate"] == seen[4]["_eliminate"] <= 5
+    assert seen[400]["_matrix"] - seen[4]["_matrix"] <= 400 - 4
+
+
 class TestQPolynomial:
     def test_torus_two_is_zero(self):
         assert q_polynomial([1, 4, 6, 4, 1], [1, 4, 1, 0, 0], [1, 4, 5, 5, 4, 1]) == []

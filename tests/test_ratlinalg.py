@@ -49,6 +49,76 @@ class TestRat:
         for text in ["3/4", "-5", "0", "-7/3"]:
             assert format_rat(rat(text)) == text
 
+    def test_integral_values_are_ints(self):
+        for value, want in [(5, 5), (True, 1), (Fraction(6, 3), 2), ("-6/3", -2), ("12", 12)]:
+            got = rat(value)
+            assert type(got) is int and got == want
+        assert type(rat("3/4")) is Fraction and type(rat(Fraction(1, 2))) is Fraction
+
+
+def fraction_rat(value):
+    """Coercion with every value a Fraction: the reference the int fast path must match."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise ValueError(f"invalid rational {value!r}: exponents are not accepted")
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"invalid rational {value!r}") from exc
+    raise TypeError(f"cannot interpret {type(value).__name__} as an exact rational")
+
+
+# (input, value or exception type); None marks what Fraction's parser decides on
+# the running interpreter: "1_0" needs 3.11 and "3 / 4" 3.12
+PARITY_CASES = [
+    ("1_0", None),
+    (" 2", 2),
+    ("+2", 2),
+    ("\u0663", 3),  # ARABIC-INDIC DIGIT THREE
+    ("1.5", Fraction(3, 2)),
+    ("-6/3", -2),
+    (True, 1),
+    ("-0", 0),
+    ("007", 7),
+    (" 3/4 ", Fraction(3, 4)),
+    ("3 / 4", None),
+    ("1\n", 1),
+    ("7" * 4300, int("7" * 4300)),
+    ("-", ValueError),
+    ("", ValueError),
+    ("--1", ValueError),
+    ("0x10", ValueError),
+    ("1e3", ValueError),
+    ("1/0", ValueError),
+    ("1" * 5000, ValueError),  # int() refuses more than 4300 digits by default
+    ("3/" + "1" * 5000, ValueError),
+    (0.5, TypeError),
+    (2.0, TypeError),
+    (None, TypeError),
+]
+
+
+@pytest.mark.parametrize(
+    "value, want", PARITY_CASES, ids=[repr(v)[:12] for v, _ in PARITY_CASES]
+)
+def test_rat_matches_fraction_parsing(value, want):
+    try:
+        reference = fraction_rat(value)
+    except (TypeError, ValueError) as exc:
+        assert want is None or want is type(exc)
+        with pytest.raises(type(exc)) as raised:
+            rat(value)
+        assert str(raised.value) == str(exc)
+        return
+    assert want is None or (want == reference and not isinstance(want, type))
+    got = rat(value)
+    assert got == reference
+    assert type(got) is (int if reference.denominator == 1 else Fraction)
+
 
 class TestRank:
     def test_proportional_rows(self):
@@ -334,3 +404,49 @@ def test_nonzero_matches_dense_entries(shape_and_grid):
     assert list(m.nonzero()) == [
         (i, j, x) for i in range(rows) for j, x in enumerate(dense[i]) if x
     ]
+
+
+def assert_exact(values):
+    """Every stored value is an int, or a Fraction that is not integral: no float, no Fraction(n, 1)."""
+    for x in values:
+        assert type(x) is int or (type(x) is Fraction and x.denominator != 1), repr(x)
+
+
+def stored(m):
+    return [x for r in m._data for x in r.values()]
+
+
+# integer matrices whose pivots are mostly not units, and mixed rational ones
+integer_entries = st.integers(min_value=-3, max_value=3)
+
+
+@given(st.one_of(grids(entries=integer_entries), grids()), st.data())
+@settings(max_examples=150, deadline=None)
+def test_exact_entries_are_ints_or_proper_fractions(shape_and_grid, data):
+    rows, cols, grid = shape_and_grid
+    m = build(rows, cols, grid)
+    grid = [[Fraction(x) for x in r] for r in grid]  # the dense oracle divides with /
+    assert_exact(stored(m))
+    for reduce in (True, False):
+        assert_exact(x for r in _eliminate([dict(r) for r in m._data], cols, reduce)[0] for x in r.values())
+    rref, pivots = dense_rref(grid)
+    assert rank(m) == len(pivots)
+    basis = nullspace_basis(m)
+    assert_exact(stored(basis))
+    assert basis == build(cols, cols - len(pivots), dense_nullspace(grid, cols))
+    assert_exact(stored(m @ basis) + stored(m.scaled(Fraction(1, 2)) + m))
+    rhs_cols = data.draw(st.integers(min_value=0, max_value=3))
+    rhs = data.draw(
+        st.lists(
+            st.lists(integer_entries, min_size=rhs_cols, max_size=rhs_cols),
+            min_size=rows,
+            max_size=rows,
+        )
+    )
+    want = dense_solve(grid, [[Fraction(x) for x in r] for r in rhs], cols, rhs_cols)
+    got = solve(m, build(rows, rhs_cols, rhs))
+    if want is None:
+        assert got is None
+    else:
+        assert_exact(stored(got))
+        assert got == build(cols, rhs_cols, want)

@@ -872,6 +872,33 @@ class TestSectorBudget:
         assert asked == ks
 
 
+# (t, N, count) -> {sector: the values it holds twice among the lowest count}
+DOUBLE_EIGENVALUES = {
+    (10.0, 10, 20): {(0, 0): [373.129337297]},
+    (40.0, 19, 12): {(1, 1): [1520.023812439], (0, 0): [1559.008380841]},
+}
+
+
+class TestDoubleEigenvalues:
+    """A value a sector holds twice (its x<->y swap splits the pair into its
+    +- halves) must come out of the sector's single-vector Lanczos solve twice."""
+
+    @pytest.mark.parametrize("t, cutoff, count", list(DOUBLE_EIGENVALUES))
+    def test_both_copies_found(self, cached_low_spectrum, t, cutoff, count):
+        prob = SpectralProblem(t, cutoff, 1)
+        merged = []
+        for (sector, weight), (block, _) in zip(SECTORS, sector_blocks(prob)):
+            own = np.linalg.eigvalsh(block.toarray())
+            for value in DOUBLE_EIGENVALUES[t, cutoff, count].get(sector, []):
+                assert np.sum(np.abs(own - value) < 1e-8 * value) == 2, (sector, value)
+            merged.append(np.repeat(own, weight))
+        dense = np.sort(np.concatenate(merged))[:count]
+        for doubles in DOUBLE_EIGENVALUES[t, cutoff, count].values():
+            assert all(value < dense[-1] for value in doubles)  # both copies are wanted
+        vals = cached_low_spectrum(t, cutoff, 1, count)
+        assert np.all(np.abs(vals - dense) <= 1e-10 * np.maximum(1.0, dense))
+
+
 class TestKroneckerSum:
     """Degrees 0 and 3: sums of two squared singular values of the 1D factor G."""
 
