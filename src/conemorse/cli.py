@@ -80,6 +80,13 @@ def datum_to_dict(d: MorseDatum) -> dict:
     }
 
 
+def _integer(value, what: str) -> int:
+    """int(value), refusing the floats and bools that int() would truncate or take."""
+    if isinstance(value, (bool, float)):
+        raise DatumParseError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def datum_from_dict(doc: dict) -> MorseDatum:
     if not isinstance(doc, dict):
         raise DatumParseError("datum document must be a JSON object")
@@ -88,7 +95,8 @@ def datum_from_dict(doc: dict) -> MorseDatum:
         raise DatumParseError(f"unsupported format tag {tag!r}, expected {FORMAT_TAG!r}")
     try:
         points = tuple(
-            CriticalPoint(str(g["id"]), int(g["index"])) for g in doc["generators"]
+            CriticalPoint(str(g["id"]), _integer(g["index"], f"index of {g['id']!r}"))
+            for g in doc["generators"]
         )
 
         def coeffs(key):
@@ -103,11 +111,11 @@ def datum_from_dict(doc: dict) -> MorseDatum:
             return tuple(out)
 
         return MorseDatum(
-            manifold_dim=int(doc["manifold_dim"]),
+            manifold_dim=_integer(doc["manifold_dim"], "manifold_dim"),
             points=points,
             boundary=coeffs("boundary"),
             cone_map=coeffs("cone_map"),
-            p=int(doc.get("p", 0)),
+            p=_integer(doc.get("p", 0), "p"),
             name=str(doc.get("name", "")),
             metadata=dict(doc.get("metadata", {})),
         )

@@ -1,8 +1,8 @@
-"""Graded cochain complexes, even-shift chain maps, mapping cones and cohomology.
+"""Graded cochain complexes, even-shift self chain maps, mapping cones and cohomology.
 
-Degrees live on a closed integer range; everything outside it has dimension 0
-and empty matrices, which keeps the cone index arithmetic (k - 2p - 1 and
-friends) total.
+Degrees run from 0 to len(dims) - 1; everything outside that range has
+dimension 0 and empty matrices, which keeps the cone index arithmetic
+(k - 2p - 1 and friends) total.
 """
 
 from __future__ import annotations
@@ -23,6 +23,11 @@ from .ratlinalg import (
 )
 
 
+def _at(values, k):
+    """values[k] inside the list, 0 outside it: the value at an empty degree."""
+    return values[k] if 0 <= k < len(values) else 0
+
+
 class CochainComplex:
     """Per-degree dimensions plus differentials d_k : degree k -> degree k+1.
 
@@ -34,44 +39,34 @@ class CochainComplex:
         self,
         dims: Sequence[int],
         differentials: Sequence[RationalMatrix] = (),
-        min_degree: int = 0,
     ) -> None:
-        self.min_degree = min_degree
         self.dims = tuple(int(d) for d in dims)
         if any(d < 0 for d in self.dims):
             raise ShapeError("negative dimension")
         diffs = list(differentials)
         if len(diffs) > len(self.dims):
             raise ShapeError("more differentials than degrees")
-        for i, d in enumerate(diffs):
-            expect = (self._dim_offset(i + 1), self._dim_offset(i))
+        for k, d in enumerate(diffs):
+            expect = (self.dim(k + 1), self.dim(k))
             if d.shape != expect:
                 raise ShapeError(
-                    f"differential at degree {min_degree + i} has shape {d.shape}, expected {expect}"
+                    f"differential at degree {k} has shape {d.shape}, expected {expect}"
                 )
         while len(diffs) < len(self.dims):
-            i = len(diffs)
-            diffs.append(RationalMatrix.zeros(self._dim_offset(i + 1), self._dim_offset(i)))
+            k = len(diffs)
+            diffs.append(RationalMatrix.zeros(self.dim(k + 1), self.dim(k)))
         self.differentials = tuple(diffs)
         self.checked = False
 
-    def _dim_offset(self, i: int) -> int:
-        return self.dims[i] if 0 <= i < len(self.dims) else 0
-
-    @property
-    def max_degree(self) -> int:
-        return self.min_degree + len(self.dims) - 1
-
     def degrees(self) -> range:
-        return range(self.min_degree, self.max_degree + 1)
+        return range(len(self.dims))
 
     def dim(self, k: int) -> int:
-        return self._dim_offset(k - self.min_degree)
+        return _at(self.dims, k)
 
     def d(self, k: int) -> RationalMatrix:
-        i = k - self.min_degree
-        if 0 <= i < len(self.differentials):
-            return self.differentials[i]
+        if 0 <= k < len(self.differentials):
+            return self.differentials[k]
         return RationalMatrix.zeros(self.dim(k + 1), self.dim(k))
 
     def euler_characteristic(self) -> int:
@@ -80,13 +75,12 @@ class CochainComplex:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, CochainComplex)
-            and self.min_degree == other.min_degree
             and self.dims == other.dims
             and self.differentials == other.differentials
         )
 
     def __repr__(self) -> str:
-        return f"CochainComplex(min_degree={self.min_degree}, dims={self.dims})"
+        return f"CochainComplex(dims={self.dims})"
 
 
 @dataclass(frozen=True)
@@ -119,7 +113,7 @@ def validate_complex(c: CochainComplex) -> Optional[ComplexViolation]:
 
 
 class DegreeChainMap:
-    """A chain map phi_k : source degree k -> target degree k + shift, shift even.
+    """A self chain map phi_k : degree k -> degree k + shift of one complex, shift even.
 
     The shift being even means the chain-map identity carries no sign:
     d phi = phi d.  ``checked`` becomes True once that identity is known to hold.
@@ -127,53 +121,47 @@ class DegreeChainMap:
 
     def __init__(
         self,
-        source: CochainComplex,
-        target: CochainComplex,
+        complex_: CochainComplex,
         shift: int,
         matrices: Sequence[RationalMatrix] = (),
     ) -> None:
         if shift <= 0 or shift % 2 != 0:
             raise ShapeError(f"shift must be a positive even integer, got {shift}")
-        self.source = source
-        self.target = target
+        self.complex = complex_
         self.shift = shift
         mats = list(matrices)
-        degrees = list(source.degrees())
-        if len(mats) > len(degrees):
-            raise ShapeError("more chain-map matrices than source degrees")
-        for i, m in enumerate(mats):
-            k = degrees[i]
-            expect = (target.dim(k + shift), source.dim(k))
+        if len(mats) > len(complex_.dims):
+            raise ShapeError("more chain-map matrices than degrees")
+        for k, m in enumerate(mats):
+            expect = (complex_.dim(k + shift), complex_.dim(k))
             if m.shape != expect:
                 raise ShapeError(
                     f"chain-map matrix at degree {k} has shape {m.shape}, expected {expect}"
                 )
-        while len(mats) < len(degrees):
-            k = degrees[len(mats)]
-            mats.append(RationalMatrix.zeros(target.dim(k + shift), source.dim(k)))
+        while len(mats) < len(complex_.dims):
+            k = len(mats)
+            mats.append(RationalMatrix.zeros(complex_.dim(k + shift), complex_.dim(k)))
         self.matrices = tuple(mats)
         self.checked = False
 
     def matrix(self, k: int) -> RationalMatrix:
-        i = k - self.source.min_degree
-        if 0 <= i < len(self.matrices):
-            return self.matrices[i]
-        return RationalMatrix.zeros(self.target.dim(k + self.shift), self.source.dim(k))
+        if 0 <= k < len(self.matrices):
+            return self.matrices[k]
+        return RationalMatrix.zeros(self.complex.dim(k + self.shift), self.complex.dim(k))
 
     def scaled(self, factor) -> "DegreeChainMap":
-        return DegreeChainMap(
-            self.source, self.target, self.shift, [m.scaled(factor) for m in self.matrices]
-        )
+        return DegreeChainMap(self.complex, self.shift, [m.scaled(factor) for m in self.matrices])
 
     def __repr__(self) -> str:
-        return f"DegreeChainMap(shift={self.shift}, source_dims={self.source.dims})"
+        return f"DegreeChainMap(shift={self.shift}, dims={self.complex.dims})"
 
 
 def validate_chain_map(phi: DegreeChainMap) -> Optional[ComplexViolation]:
     """Check d_{k+shift} phi_k = phi_{k+1} d_k; None means the identity holds."""
-    for k in phi.source.degrees():
-        lhs = phi.target.d(k + phi.shift) @ phi.matrix(k)
-        rhs = phi.matrix(k + 1) @ phi.source.d(k)
+    c = phi.complex
+    for k in c.degrees():
+        lhs = c.d(k + phi.shift) @ phi.matrix(k)
+        rhs = phi.matrix(k + 1) @ c.d(k)
         diff = lhs - rhs
         if not diff.is_zero():
             return ComplexViolation(k, *next(diff.nonzero()))
@@ -247,100 +235,85 @@ def cohomology_dims(c: CochainComplex) -> list:
     return [c.dim(k) - ranks.get(k, 0) - ranks.get(k - 1, 0) for k in c.degrees()]
 
 
-def _cohomologies(
-    phi: DegreeChainMap,
-    hs: Optional[CohomologyData] = None,
-    ht: Optional[CohomologyData] = None,
-) -> tuple:
-    """Check phi and return (hs, ht), computing those not given; a self map's once."""
+def _cohomology(phi: DegreeChainMap, h: Optional[CohomologyData] = None) -> CohomologyData:
+    """Check phi and return h, computing cohomology(phi.complex) when it is not given."""
     _require_chain_map(phi)
-    if hs is None:
-        hs = cohomology(phi.source)
-    if ht is None:
-        ht = hs if phi.target is phi.source else cohomology(phi.target)
-    return hs, ht
+    return cohomology(phi.complex) if h is None else h
 
 
-def induced_cohomology_maps(
-    phi: DegreeChainMap,
-    hs: Optional[CohomologyData] = None,
-    ht: Optional[CohomologyData] = None,
-) -> dict:
-    """Matrices of [phi] : H^k(source) -> H^{k+shift}(target), keyed by source degree.
+def induced_cohomology_maps(phi: DegreeChainMap, h: Optional[CohomologyData] = None) -> dict:
+    """Matrices of [phi] : H^k -> H^{k+shift}, keyed by degree k.
 
-    ``hs`` and ``ht``, when given, are cohomology(phi.source) and
-    cohomology(phi.target), already computed by the caller.  Classes are
-    represented by the cocycles that extend the coboundaries to a basis of Z_k.
+    ``h``, when given, is cohomology(phi.complex), already computed by the
+    caller.  Classes are represented by the cocycles that extend the
+    coboundaries to a basis of Z_k.
     """
-    hs, ht = _cohomologies(phi, hs, ht)
+    h = _cohomology(phi, h)
+    c = phi.complex
     out = {}
-    for k in phi.source.degrees():
+    for k in c.degrees():
         j = k + phi.shift
-        reps = _extend_to_basis(phi.source.d(k - 1), hs.cocycles(k))
-        coboundary = phi.target.d(j - 1)
-        target_reps = _extend_to_basis(coboundary, ht.cocycles(j))
+        reps = _extend_to_basis(c.d(k - 1), h.cocycles(k))
+        coboundary = c.d(j - 1)
+        target_reps = _extend_to_basis(coboundary, h.cocycles(j))
         spanning = hstack(target_reps, coboundary)
         out[k] = quotient_map(phi.matrix(k), reps, spanning, target_reps.cols)
     return out
 
 
-def induced_map_ranks(
-    phi: DegreeChainMap,
-    hs: Optional[CohomologyData] = None,
-    ht: Optional[CohomologyData] = None,
-) -> list:
-    """r_k = rank of the induced map on cohomology, listed over source degrees.
+def induced_map_ranks(phi: DegreeChainMap, h: Optional[CohomologyData] = None) -> list:
+    """r_k = rank of the induced map on cohomology, listed over the degrees.
 
     The image of H^k is (phi_k Z_k + B)/B, and the columns of d_{k+shift-1}
     span B, so r_k = rank [phi_k Z_k | d_{k+shift-1}] - rank d_{k+shift-1}.
-    ``hs`` and ``ht`` are as for induced_cohomology_maps.
+    ``h`` is as for induced_cohomology_maps.
     """
-    hs, ht = _cohomologies(phi, hs, ht)
+    h = _cohomology(phi, h)
+    c = phi.complex
     out = []
-    for k in phi.source.degrees():
-        if not phi.source.dim(k):  # an empty degree has no classes to map
+    for k in c.degrees():
+        if not c.dim(k):  # an empty degree has no classes to map
             out.append(0)
             continue
         j = k + phi.shift - 1
-        images = phi.matrix(k) @ hs.cocycles(k)
-        out.append(rank(hstack(images, phi.target.d(j))) - ht.rank_d(j))
+        images = phi.matrix(k) @ h.cocycles(k)
+        out.append(rank(hstack(images, c.d(j))) - h.rank_d(j))
     return out
 
 
 def chain_ranks(phi: DegreeChainMap) -> list:
-    """v_k = rank of phi_k on cochains, listed over source degrees."""
-    return [rank(phi.matrix(k)) if phi.source.dim(k) else 0 for k in phi.source.degrees()]
+    """v_k = rank of phi_k on cochains, listed over the degrees."""
+    c = phi.complex
+    return [rank(phi.matrix(k)) if c.dim(k) else 0 for k in c.degrees()]
 
 
 def cone_degree_range(phi: DegreeChainMap) -> range:
-    lo = min(phi.target.min_degree, phi.source.min_degree + phi.shift - 1)
-    hi = max(phi.target.max_degree, phi.source.max_degree + phi.shift - 1)
-    return range(lo, hi + 1)
+    return range(len(phi.complex.dims) + phi.shift - 1)
 
 
 def mapping_cone(phi: DegreeChainMap) -> CochainComplex:
-    """The cone of phi: degree k is target^k + source^{k-shift+1} with
-    differential [[d, phi], [0, -d]].
+    """The cone of phi: degree k is C^k + C^{k-shift+1} with differential
+    [[d, phi], [0, -d]].
 
     The second summand carries the odd degree shift - 1, so d^2 = 0 follows
-    from d^2 = 0 on both sides plus the (signless, even-shift) chain-map
-    identity; the result is validated before being returned.
+    from d^2 = 0 on C plus the (signless, even-shift) chain-map identity; the
+    result is validated before being returned.
     """
     _require_chain_map(phi)
-    degs = cone_degree_range(phi)
+    c = phi.complex
     theta = phi.shift - 1
-    dims = [phi.target.dim(k) + phi.source.dim(k - theta) for k in degs]
+    dims = [c.dim(k) + c.dim(k - theta) for k in cone_degree_range(phi)]
     diffs = []
-    for k, dim, next_dim in zip(degs, dims, dims[1:] + [0]):
+    for k, (dim, next_dim) in enumerate(zip(dims, dims[1:] + [0])):
         if not dim or not next_dim:  # an empty differential: no blocks to place
             diffs.append(RationalMatrix.zeros(next_dim, dim))
             continue
-        top_left = phi.target.d(k)
+        top_left = c.d(k)
         top_right = phi.matrix(k - theta)
-        bottom_left = RationalMatrix.zeros(phi.source.dim(k + 1 - theta), phi.target.dim(k))
-        bottom_right = -phi.source.d(k - theta)
+        bottom_left = RationalMatrix.zeros(c.dim(k + 1 - theta), c.dim(k))
+        bottom_right = -c.d(k - theta)
         diffs.append(block([[top_left, top_right], [bottom_left, bottom_right]]))
-    cone = CochainComplex(dims, diffs, min_degree=degs.start)
+    cone = CochainComplex(dims, diffs)
     check = validate_complex(cone)
     if check is not None:
         raise ChainMapError(f"cone differential does not square to zero: {check}")
@@ -354,23 +327,19 @@ def cone_cohomology_by_decomposition(phi: DegreeChainMap) -> list:
     Listed over the same degree range as mapping_cone(phi); see
     decomposition_dims for the formula.
     """
-    hs, ht = _cohomologies(phi)
-    return decomposition_dims(phi, hs, ht, induced_map_ranks(phi, hs, ht))
+    h = _cohomology(phi)
+    return decomposition_dims(phi, h, induced_map_ranks(phi, h))
 
 
-def decomposition_dims(
-    phi: DegreeChainMap, hs: CohomologyData, ht: CohomologyData, r: Sequence[int]
-) -> list:
+def decomposition_dims(phi: DegreeChainMap, h: CohomologyData, r: Sequence[int]) -> list:
     """dim_k = (b_k - r_{k-shift}) + (b_{k-shift+1} - r_{k-shift+1}) over cone_degree_range(phi).
 
-    b is over the target (``ht``) for the cokernel term and over the source
-    (``hs``) for the kernel term; ``r`` lists the induced-map ranks over the
-    source degrees, as induced_map_ranks returns them.
+    b is read from ``h`` = cohomology(phi.complex); ``r`` lists the
+    induced-map ranks over the degrees, as induced_map_ranks returns them.
     """
-    ranks = dict(zip(phi.source.degrees(), r))
     dims = []
     for k in cone_degree_range(phi):
-        coker = ht.b(k) - ranks.get(k - phi.shift, 0)
-        kernel = hs.b(k - phi.shift + 1) - ranks.get(k - phi.shift + 1, 0)
+        coker = h.b(k) - _at(r, k - phi.shift)
+        kernel = h.b(k - phi.shift + 1) - _at(r, k - phi.shift + 1)
         dims.append(coker + kernel)
     return dims

@@ -103,7 +103,7 @@ def random_complex_with_chain_map(
         for k in range(levels)
     ]
     complex_ = CochainComplex(dims, diffs)
-    chain_map = DegreeChainMap(complex_, complex_, shift, phi_mats)
+    chain_map = DegreeChainMap(complex_, shift, phi_mats)
     assert validate_complex(complex_) is None
     assert validate_chain_map(chain_map) is None
     return complex_, chain_map

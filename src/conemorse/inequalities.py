@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .complexes import (
+    _at,
     chain_ranks,
     cohomology,
     cohomology_dims,
@@ -51,10 +52,6 @@ class InequalityReport:
     @property
     def anomalous(self) -> bool:
         return any(s < 0 for s in self.weak_slack) or any(s < 0 for s in self.strong_slack)
-
-
-def _at(values, k):
-    return values[k] if 0 <= k < len(values) else 0
 
 
 def q_polynomial(m, v, b_omega, p: int = 0) -> list:
@@ -170,10 +167,10 @@ def cone_report(d: MorseDatum) -> InequalityReport:
     h = cohomology(complex_)
     b = list(h.dims)
     v = chain_ranks(phi)
-    r = induced_map_ranks(phi, h, h)
+    r = induced_map_ranks(phi, h)
 
     direct = cohomology_dims(mapping_cone(phi))
-    by_formula = decomposition_dims(phi, h, h, r)
+    by_formula = decomposition_dims(phi, h, r)
     if by_formula != direct:
         raise ConsistencyError(
             f"rank formula gives {by_formula} but the cone complex gives {direct}"

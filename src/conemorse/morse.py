@@ -213,7 +213,7 @@ def morse_complex(d: MorseDatum) -> tuple:
     _require_valid(d)
     by_index, boundary, cone = d._matrices
     complex_ = CochainComplex([len(ids) for ids in by_index], boundary)
-    chain_map = DegreeChainMap(complex_, complex_, d.cone_shift, cone)
+    chain_map = DegreeChainMap(complex_, d.cone_shift, cone)
     # validate_datum has checked d∘d = 0 and dc = cd on these very matrices
     complex_.checked = chain_map.checked = True
     return complex_, chain_map
@@ -311,14 +311,10 @@ def datum_from_chain_map(phi, name: str = "from-chain-map") -> MorseDatum:
 
     Generators are labeled g{degree}_{position}; the complex differential
     becomes the boundary and the chain map the cone coefficients, with
-    p = shift/2 - 1.  The source must start at degree 0 and equal the target.
+    p = shift/2 - 1.
     """
-    complex_ = phi.source
-    if phi.target is not complex_:
-        raise DegreeError("only self chain maps encode as a datum")
-    if complex_.min_degree != 0:
-        raise DegreeError("datum encoding needs degrees starting at 0")
-    top = complex_.max_degree
+    complex_ = phi.complex
+    top = len(complex_.dims) - 1
     manifold_dim = top if top % 2 == 0 else top + 1
     points, boundary, cone = [], [], []
     for k in range(manifold_dim + 1):

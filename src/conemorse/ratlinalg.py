@@ -34,6 +34,9 @@ _ONE = 1
 # int() alone would also take "1_0", " 2" or other digits, even where Fraction
 # does not, so only this plain form skips the Fraction parser
 _INTEGER = re.compile(r"-?[0-9]+")
+# Fraction(str) takes "1_0" from Python 3.11 and "3 / 4" from 3.12; refusing an
+# underscore and whitespace next to the slash keeps the 3.10 grammar everywhere
+_LATER_GRAMMAR = re.compile(r"_|\s/|/\s")
 
 
 def _integral(q: Fraction) -> Rational:
@@ -43,12 +46,13 @@ def _integral(q: Fraction) -> Rational:
 def rat(value) -> Rational:
     """Coerce an int, Fraction or string like ``"3/4"`` / ``"-2"`` to an exact rational.
 
-    Integral values come back as ``int``, others as ``Fraction``.  A string
-    without an exponent is accepted exactly when ``Fraction(str)`` accepts it;
-    a plain ``-?digits`` string skips the Fraction parser.  Floats are
-    rejected: inexact input has no place in the exact pipeline.  So are
-    exponent strings: Fraction would expand ``"1e999999999"`` into an integer
-    with a billion digits.
+    Integral values come back as ``int``, others as ``Fraction``.  On every
+    Python version a string is accepted exactly when it has no exponent and
+    Python 3.10's ``Fraction(str)`` accepts it (so no underscore and no
+    whitespace next to the slash); a plain ``-?digits`` string skips the
+    Fraction parser.  Floats are rejected: inexact input has no place in the
+    exact pipeline.  So are exponent strings: Fraction would expand
+    ``"1e999999999"`` into an integer with a billion digits.
     """
     if type(value) is int:
         return value
@@ -59,6 +63,8 @@ def rat(value) -> Rational:
     if isinstance(value, str):
         if "e" in value or "E" in value:
             raise ValueError(f"invalid rational {value!r}: exponents are not accepted")
+        if _LATER_GRAMMAR.search(value):
+            raise ValueError(f"invalid rational {value!r}")
         try:  # int() too may raise: its limit on the number of digits
             if _INTEGER.fullmatch(value):
                 return int(value)

@@ -93,9 +93,9 @@ class TestRoundTrip:
         datum = datum_from_chain_map(phi, name="encoded")
         parsed = datum_from_dict(json.loads(emit_datum(datum)))
         complex_, phi_back = morse_complex(parsed)
-        for k in phi.source.degrees():
+        for k in phi.complex.degrees():
             assert phi_back.matrix(k).to_rows() == phi.matrix(k).to_rows()
-            assert complex_.d(k).to_rows() == phi.source.d(k).to_rows()
+            assert complex_.d(k).to_rows() == phi.complex.d(k).to_rows()
 
     def test_determinism(self, tmp_path, capsys):
         out1 = tmp_path / "a.json"
@@ -158,6 +158,23 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", str(path))
         assert code == EXIT_USAGE and out == ""
         assert "malformed datum: invalid rational '1e5'" in err
+
+    @pytest.mark.parametrize("field", ["manifold_dim", "p", "index"])
+    def test_non_integer_field_exits_two(self, tmp_path, capsys, field):
+        # int() would truncate 2.9 to 2 and read True as 1; integer strings stay valid
+        doc = datum_to_dict(torus(1))
+        holder = doc["generators"][0] if field == "index" else doc
+        exact = holder[field]
+        path = tmp_path / "bad.json"
+        for value in (exact + 0.9, True):
+            holder[field] = value
+            path.write_text(json.dumps(doc))
+            code, out, err = run(capsys, "analyze", str(path))
+            assert code == EXIT_USAGE and out == ""
+            assert f"must be an integer, got {value!r}" in err
+        holder[field] = str(exact)
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "analyze", str(path))[0] == EXIT_OK
 
     def test_unknown_id_exits_one(self, tmp_path, capsys):
         doc = datum_to_dict(torus(1))

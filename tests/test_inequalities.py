@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from conemorse import complexes, ratlinalg
 from conemorse.errors import RemainderError
-from conemorse.families import projective_space, s2_bundle_over_k3, torus
+from conemorse.families import (
+    hard_lefschetz_ranks,
+    projective_space,
+    s2_bundle_over_k3,
+    synthetic_from_rank_profile,
+    torus,
+)
 from conemorse.fuzz import random_complex_with_chain_map
 from conemorse.inequalities import (
     _strong_slacks,
@@ -22,7 +28,14 @@ from conemorse.inequalities import (
     report_to_dict,
     report_to_text,
 )
-from conemorse.morse import CriticalPoint, MorseDatum, datum_from_chain_map, product, stabilize
+from conemorse.morse import (
+    CriticalPoint,
+    MorseDatum,
+    datum_from_chain_map,
+    morse_complex,
+    product,
+    stabilize,
+)
 
 
 class TestConeReport:
@@ -290,8 +303,18 @@ def test_text_and_csv_tables_list_the_report_columns():
     assert [line.split() for line in lines[2 : 2 + len(expected)]] == expected
 
 
+def _report_with_one_cone_range(datum):
+    """The report, after checking that it, cone_degree_range and the cone share one range."""
+    rep = cone_report(datum)
+    _, phi = morse_complex(datum)
+    degrees = range(datum.manifold_dim + 2 * datum.p + 2)
+    assert rep.cone_degrees == complexes.cone_degree_range(phi) == degrees
+    assert complexes.mapping_cone(phi).degrees() == degrees == range(len(rep.b_omega))
+    return rep
+
+
 def test_p_positive_report_has_slacks_but_no_certificate():
-    rep = cone_report(projective_space(3, p=1))
+    rep = _report_with_one_cone_range(projective_space(3, p=1))
     assert rep.q_coeffs is None and rep.mb_weak_slack is None
     assert len(rep.b_omega) == 6 + 2 * 1 + 2
     # sphere-bundle pattern: ones in the low even and high odd degrees
@@ -299,6 +322,28 @@ def test_p_positive_report_has_slacks_but_no_certificate():
     # a perfect datum makes the general-p inequalities sharp as well
     assert rep.weak_slack == [0] * 10
     assert rep.strong_slack == [0] * 10
+
+
+_BETTI_P2 = [1, 0, 2, 0, 3, 0, 2, 0, 1]
+
+
+@pytest.mark.parametrize(
+    "datum",
+    [projective_space(n, p=p) for n in range(1, 5) for p in range(n)]
+    + [synthetic_from_rank_profile(_BETTI_P2, hard_lefschetz_ranks(_BETTI_P2, p=2), p=2, name="p2")],
+    ids=lambda d: d.name,
+)
+def test_cone_degrees_are_one_range(datum):
+    _report_with_one_cone_range(datum)
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=20, deadline=None)
+def test_fuzzed_shift_four_cone_degrees_are_one_range(seed):
+    _, phi = random_complex_with_chain_map(random.Random(seed), max_degrees=6, max_dim=6, shift=4)
+    cone = complexes.mapping_cone(phi)
+    assert cone.degrees() == complexes.cone_degree_range(phi) == range(len(phi.complex.dims) + 3)
+    _report_with_one_cone_range(datum_from_chain_map(phi, name=f"fuzz{seed}"))
 
 
 def test_negative_slack_is_flagged_not_hidden():
