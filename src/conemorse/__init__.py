@@ -3,7 +3,8 @@
 Exact side: rational linear algebra, cochain complexes with even-shift chain
 maps, mapping cones, Morse data with a cone map, and the cone Morse inequality
 suite with its polynomial certificate.  Numerical side: Fourier-Galerkin
-spectra of the Witten-deformed cone Laplacian on the flat two-torus.
+spectra of the Witten-deformed cone Laplacian on the flat two-torus, in
+``conemorse.spectral``; only that side imports numpy and scipy.
 """
 
 from .complexes import (
@@ -54,16 +55,27 @@ from .ratlinalg import (
     rank,
     rat,
 )
-from .spectral import (
-    GapGrowthResult,
-    SpectralProblem,
-    SpectralReport,
-    assemble_quadratic_form,
-    cluster_counts,
-    gap_growth,
-    low_spectrum,
-    quasimode,
-    spectral_report,
-)
+# the spectral names load on first use (PEP 562), so the exact side runs
+# without importing numpy
+_SPECTRAL_NAMES = frozenset({
+    "GapGrowthResult",
+    "SpectralProblem",
+    "SpectralReport",
+    "assemble_quadratic_form",
+    "cluster_counts",
+    "gap_growth",
+    "low_spectrum",
+    "quasimode",
+    "spectral_report",
+})
+
+
+def __getattr__(name):
+    if name in _SPECTRAL_NAMES:
+        from . import spectral
+
+        return getattr(spectral, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

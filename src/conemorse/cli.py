@@ -38,16 +38,7 @@ from .families import (
 )
 from .inequalities import cone_report, report_to_csv, report_to_json, report_to_text
 from .morse import CriticalPoint, MorseDatum, morse_complex, product, stabilize, validate_datum
-from .ratlinalg import format_rat, rat
-from .spectral import (
-    DUAL_PAIR,
-    MAX_CUTOFF,
-    cluster_counts,
-    eigenvalues_to_csv,
-    gap_growth,
-    gap_growth_to_csv,
-    suggested_cutoff,
-)
+from .ratlinalg import _INTEGER, format_rat, rat
 
 FORMAT_TAG = "cone-morse-datum/1"
 
@@ -81,10 +72,12 @@ def datum_to_dict(d: MorseDatum) -> dict:
 
 
 def _integer(value, what: str) -> int:
-    """int(value), refusing the floats and bools that int() would truncate or take."""
-    if isinstance(value, (bool, float)):
-        raise DatumParseError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+    """An int (not a bool) or an ASCII -?[0-9]+ string, the grammar of integral coefficients."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, str) and _INTEGER.fullmatch(value):
+        return int(value)
+    raise DatumParseError(f"{what} must be an integer, got {value!r}")
 
 
 def datum_from_dict(doc: dict) -> MorseDatum:
@@ -228,6 +221,8 @@ def _cmd_cone(args) -> int:
 
 def _default_cutoff(t: float) -> int:
     """suggested_cutoff(t), refused without printing it when it exceeds the cap."""
+    from .spectral import MAX_CUTOFF, suggested_cutoff
+
     cutoff = suggested_cutoff(t)
     if cutoff > MAX_CUTOFF:
         raise DatumParseError(f"t = {t:g} needs a cutoff above the cap {MAX_CUTOFF}")
@@ -235,6 +230,15 @@ def _default_cutoff(t: float) -> int:
 
 
 def _cmd_spectral(args) -> int:
+    # numpy and the spectral side load here, so the exact commands never import them
+    from .spectral import (
+        DUAL_PAIR,
+        cluster_counts,
+        eigenvalues_to_csv,
+        gap_growth,
+        gap_growth_to_csv,
+    )
+
     t_values = args.t
     if not t_values:
         raise DatumParseError("spectral needs at least one --t")

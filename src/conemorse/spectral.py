@@ -15,7 +15,14 @@ orthonormal basis.  The table is read twice: the sparse assembly of the
 quadratic form |d_C s|^2 + |d_C* s|^2, symmetric positive semidefinite by
 construction; and a matrix-free apply on the grid of coefficients,
 (A(x)B) vec(U) = vec(A U B'), which rates quasimodes as |d_C v|^2 + |d_C* v|^2
-without assembling the form, and reads cluster values off Ritz vectors.
+without assembling the form, and reads cluster values off Ritz vectors.  The
+assembly lists each block's COO entries by index arithmetic on the nonzeros of
+its two dense 1D factors; the apply uses that E only pads with zeros, so a
+block multiplies by its other factor and adds into a corner of the output.
+The 1D tables that do not depend on t (d/dx, the sine multiplication, E and
+the quasimode basis on its 4N grid) are built once per band limit and kept
+read-only for the last TABLES_KEPT band limits, at most 10.2 MiB at
+MAX_CUTOFF; G = d/dx + t a pi sin(2 pi x) is one axpy per call.
 
 The degree-0 form is the Kronecker sum H(x)I + I(x)H of the 1D operator
 H = G'G, G = d/dx + t a pi sin(2 pi x) (its two blocks write different
@@ -39,6 +46,7 @@ the partner from the same solve.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -65,6 +73,8 @@ MAX_DEFORMATION = 1e152
 # largest accepted band limit N: a cone degree 1 or 2 form has 3 (2N+1)^2
 # unknowns, 198,147 at the cap
 MAX_CUTOFF = 128
+# band limits whose t-independent 1D tables stay cached, per table
+TABLES_KEPT = 4
 
 # the four critical points of the cosine Morse function, keyed like torus(1)
 CRITICAL_POINTS = {
@@ -132,15 +142,22 @@ def matrix_size(degree: int, cutoff: int) -> int:
     return COMPONENTS[degree] * basis_size(cutoff) ** 2
 
 
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=TABLES_KEPT)
 def _deriv_1d(cutoff: int) -> np.ndarray:
     """d/dx: band N -> band N+1 (the top band stays empty)."""
     mat = np.zeros((basis_size(cutoff + 1), basis_size(cutoff)))
     m = np.arange(1, cutoff + 1)
     mat[2 * m, 2 * m - 1] = -2.0 * math.pi * m  # d/dx cos -> sin
     mat[2 * m - 1, 2 * m] = 2.0 * math.pi * m  # d/dx sin -> cos
-    return mat
+    return _read_only(mat)
 
 
+@functools.lru_cache(maxsize=TABLES_KEPT)
 def _sin_mult_1d(cutoff: int) -> np.ndarray:
     """Multiplication by sin(2 pi x): band N -> band N+1, exact."""
     mat = np.zeros((basis_size(cutoff + 1), basis_size(cutoff)))
@@ -152,7 +169,13 @@ def _sin_mult_1d(cutoff: int) -> np.ndarray:
     m = np.arange(2, cutoff + 1)
     mat[2 * (m - 1), 2 * m - 1] = -0.5  # sin * cos_m -> -sin_{m-1}
     mat[2 * (m - 1) - 1, 2 * m] = 0.5  # sin * sin_m -> cos_{m-1}
-    return mat
+    return _read_only(mat)
+
+
+@functools.lru_cache(maxsize=TABLES_KEPT)
+def _embed_1d(cutoff: int) -> np.ndarray:
+    """E, the embedding of band N into band N+1."""
+    return _read_only(np.eye(basis_size(cutoff + 1), basis_size(cutoff)))
 
 
 # d_C out of each cone degree as blocks (output component, input component,
@@ -227,7 +250,7 @@ def _differential(degree: int, cutoff: int, deform: float, grad=None) -> tuple:
         raise DegreeError(f"cone degree must be 0..3, got {degree}")
     rows, cols = basis_size(cutoff + 1), basis_size(cutoff)
     grad = _grad_1d(cutoff, deform) if grad is None else grad[:rows, :cols]
-    embed = np.eye(rows, cols)
+    embed = _embed_1d(cutoff)
     pairs = {"x": (grad, embed), "y": (embed, grad), "w": (embed, embed)}
     return DIFFERENTIAL[degree], pairs, COMPONENTS[degree + 1]
 
@@ -262,7 +285,11 @@ def _operators(prob: SpectralProblem) -> list:
 
 
 def _kron_matrix(blocks, pairs, out_components: int, in_components: int) -> sp.csr_matrix:
-    """Sparse matrix of a block operator: each block is sign * kron of its 1D factors."""
+    """Sparse matrix of a block operator: each block is sign * kron of its 1D factors.
+
+    The COO entries of kron(A, B) pair each nonzero of A with each nonzero of
+    B, both in row-major order, as scipy.sparse.kron lists them.
+    """
     import scipy.sparse as sp
 
     rows_1d, cols_1d = pairs["w"][0].shape
@@ -271,10 +298,10 @@ def _kron_matrix(blocks, pairs, out_components: int, in_components: int) -> sp.c
     rows, cols, data = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
     for out, inp, sign, kind in blocks:
         a, b = pairs[kind]
-        block = sp.kron(sign * a, b, format="coo")
-        rows.append(block.row + out * height)
-        cols.append(block.col + inp * width)
-        data.append(block.data)
+        (a_row, a_col), (b_row, b_col) = np.nonzero(a), np.nonzero(b)
+        rows.append((out * height + a_row[:, None] * rows_1d + b_row).ravel())
+        cols.append((inp * width + a_col[:, None] * cols_1d + b_col).ravel())
+        data.append(np.outer(sign * a[a_row, a_col], b[b_row, b_col]).ravel())
     shape = (out_components * height, in_components * width)
     entries = (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols)))
     return sp.csr_matrix(entries, shape=shape)
@@ -283,13 +310,20 @@ def _kron_matrix(blocks, pairs, out_components: int, in_components: int) -> sp.c
 def _apply(blocks, pairs, out_components: int, grids: np.ndarray) -> np.ndarray:
     """A block operator on a stack of coefficient grids, (A(x)B) vec(U) = vec(A U B').
 
+    The factor E of "x", "y" and "w" only pads with zeros, so each block
+    applies its other factor and adds into the padded output's corner.
     Matrix-free and numpy only: nothing is assembled and scipy is not loaded.
     """
-    size = pairs["w"][0].shape[0]
+    size, inner = pairs["w"][0].shape[0], grids.shape[-1]
     out = np.zeros((out_components, size, size))
     for o, i, sign, kind in blocks:
         a, b = pairs[kind]
-        out[o] += sign * (a @ grids[i] @ b.T)
+        if kind == "x":  # G(x)E
+            out[o, :, :inner] += sign * (a @ grids[i])
+        elif kind == "y":  # E(x)G
+            out[o, :inner, :] += sign * (grids[i] @ b.T)
+        else:  # E(x)E
+            out[o, :inner, :inner] += sign * grids[i]
     return out
 
 
@@ -590,6 +624,13 @@ def _basis_values_1d(cutoff: int, grid: np.ndarray) -> np.ndarray:
     return rows
 
 
+@functools.lru_cache(maxsize=TABLES_KEPT)
+def _quasimode_basis(cutoff: int) -> np.ndarray:
+    """_basis_values_1d on the quasimode grid of 4N points, built once per band limit."""
+    npts = 4 * cutoff
+    return _read_only(_basis_values_1d(cutoff, np.arange(npts) / npts))
+
+
 @dataclass
 class QuasimodeResult:
     point: str
@@ -662,7 +703,7 @@ def quasimode(prob: SpectralProblem, point: str, kind: int) -> QuasimodeResult:
         components = [gauss]
 
     # trapezoidal projection of every component onto the product basis at once
-    basis = _basis_values_1d(prob.cutoff, grid)
+    basis = _quasimode_basis(prob.cutoff)
     vec = (basis @ np.array(components) @ basis.T / npts**2).reshape(-1)
     norm = np.linalg.norm(vec)
     if norm == 0:

@@ -176,6 +176,24 @@ class TestAnalyze:
         path.write_text(json.dumps(doc))
         assert run(capsys, "analyze", str(path))[0] == EXIT_OK
 
+    @pytest.mark.parametrize("field", ["manifold_dim", "p", "index"])
+    def test_integer_field_takes_only_ascii_digits(self, tmp_path, capsys, field):
+        # the grammar of integral coefficients; int() would read all three as 2
+        doc = datum_to_dict(projective_space(3, 2) if field == "p" else torus(1))
+        holder = doc["generators"][-1] if field == "index" else doc
+        assert holder[field] == 2
+        path = tmp_path / "datum.json"
+        for value in ("0_2", " 2 ", "\u0662"):
+            holder[field] = value
+            path.write_text(json.dumps(doc))
+            code, out, err = run(capsys, "analyze", str(path))
+            assert code == EXIT_USAGE and out == ""
+            assert f"must be an integer, got {value!r}" in err
+        for value in (2, "2"):
+            holder[field] = value
+            path.write_text(json.dumps(doc))
+            assert run(capsys, "analyze", str(path))[0] == EXIT_OK
+
     def test_unknown_id_exits_one(self, tmp_path, capsys):
         doc = datum_to_dict(torus(1))
         doc["boundary"] = [{"from": "q0", "to": "ghost", "coeff": "1"}]

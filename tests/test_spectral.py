@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -200,6 +201,148 @@ class TestSharedTable:
             assert abs(mode.rayleigh - vec @ (form @ vec)) <= 1e-12
 
 
+def kron_matrix_oracle(blocks, pairs, out_components, in_components):
+    """A block operator with each block built by scipy.sparse.kron."""
+    import scipy.sparse as sp
+
+    rows_1d, cols_1d = pairs["w"][0].shape
+    height, width = rows_1d**2, cols_1d**2
+    rows, cols, data = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
+    for out, inp, sign, kind in blocks:
+        a, b = pairs[kind]
+        block = sp.kron(sign * a, b, format="coo")
+        rows.append(block.row + out * height)
+        cols.append(block.col + inp * width)
+        data.append(block.data)
+    shape = (out_components * height, in_components * width)
+    entries = (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols)))
+    return sp.csr_matrix(entries, shape=shape)
+
+
+class TestKroneckerAssembly:
+    """Index arithmetic lists the entries scipy.sparse.kron lists, and padding applies E."""
+
+    @pytest.mark.parametrize("t, cutoff, a", [(7.3, 5, 1.0), (2.0, 6, -0.3), (40.0, 19, 1.0)])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_form_equals_kron_oracle_bitwise(self, t, cutoff, a, degree):
+        prob = SpectralProblem(t, cutoff, degree, a)
+        up, *down = [
+            kron_matrix_oracle(*op, COMPONENTS[degree]) for op in spectral._operators(prob)
+        ]
+        oracle = sum((mat.T @ mat for mat in down), up.T @ up).tocsr()
+        form = assemble_quadratic_form(prob)
+        assert form.shape == oracle.shape
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(form, name), getattr(oracle, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert form.nbytes == oracle.data.nbytes + oracle.indices.nbytes + oracle.indptr.nbytes
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_padded_apply_equals_dense_kron_per_block(self, degree):
+        n, deform = 5, 3.7 * math.pi
+        grids = np.random.default_rng(degree).standard_normal(
+            (COMPONENTS[degree], basis_size(n), basis_size(n))
+        )
+        ops = [_differential(degree, n, deform)]
+        if degree:
+            ops.append(_adjoint(degree, n, deform))
+        blocks_seen = 0
+        for blocks, pairs, out_components in ops:
+            size = pairs["w"][0].shape[0]
+            for block in blocks:
+                o, i, sign, kind = block
+                applied = _apply((block,), pairs, out_components, grids)
+                expected = np.zeros((out_components, size * size))
+                expected[o] = sign * np.kron(*pairs[kind]) @ grids[i].ravel()
+                err = np.abs(applied.reshape(out_components, -1) - expected).max()
+                assert err <= 1e-13 * np.abs(expected).max(), block
+                blocks_seen += 1
+        adjoint_blocks = len(DIFFERENTIAL[degree - 1]) if degree else 0
+        assert blocks_seen == len(DIFFERENTIAL[degree]) + adjoint_blocks
+
+
+class TestTables:
+    """The t-independent 1D tables are built once per band limit and cannot be written."""
+
+    TABLES = ("_deriv_1d", "_sin_mult_1d", "_embed_1d", "_quasimode_basis")
+
+    def test_cached_tables_raise_on_write(self):
+        n = 7
+        tables = [getattr(spectral, name)(n) for name in self.TABLES]
+        tables += [_differential(1, n, 2.0)[1]["w"][0], _adjoint(1, n, 2.0)[1]["w"][1]]
+        for table in tables:
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
+        assert spectral._grad_1d(n, 2.0).flags.writeable  # G depends on t: a fresh array
+
+    def test_second_quasimode_at_a_band_builds_no_table(self, monkeypatch):
+        built = []
+        for name in self.TABLES:
+            build = getattr(spectral, name).__wrapped__  # the table function without its cache
+
+            def counted(cutoff, name=name, build=build):
+                built.append((name, cutoff))
+                return build(cutoff)
+
+            cache = functools.lru_cache(maxsize=spectral.TABLES_KEPT)(counted)
+            monkeypatch.setattr(spectral, name, cache)
+        quasimode(SpectralProblem(20.0, 14, 1), "q1", 1)
+        assert sorted(built) == [
+            ("_deriv_1d", 15),
+            ("_embed_1d", 14),
+            ("_embed_1d", 15),
+            ("_quasimode_basis", 14),
+            ("_sin_mult_1d", 15),
+        ]
+        built.clear()
+        for degree, modes in QUASIMODES.items():
+            for point, kind in modes:
+                quasimode(SpectralProblem(20.0 + degree, 14, degree), point, kind)
+        assert built == []
+
+
+# the values before the tables were cached (quasimodes at t = 20, N = 14, and
+# `spectral --t 10 --cutoff 10 --emit -`), reproduced to 1e-12 relative
+PINNED_RAYLEIGH = {
+    (0, "q0", 1): 0.00015821404879414833,
+    (1, "q0", 2): 0.00039818312306469036,
+    (1, "q1", 1): 0.00015821404879461884,
+    (1, "q2", 1): 0.00015821404879459412,
+    (2, "q1", 2): 0.00015821404879461882,
+    (2, "q2", 2): 0.00015821404879459415,
+    (2, "q12", 1): 0.0003981831230656476,
+    (3, "q12", 2): 0.00015821404879507334,
+}
+PINNED_SPECTRUM = {
+    0: [7.669044306547984e-06, 373.12928418171253, 373.12928418171253, 373.129337297254],
+    1: [7.668997826597948e-06, 7.668997826597948e-06, 7.789295837428176e-06, 354.3461002244759],
+    2: [7.66899782659795e-06, 7.66899782659795e-06, 7.789295837428174e-06, 354.34610022447606],
+    3: [7.669044306547984e-06, 373.12928418171253, 373.12928418171253, 373.129337297254],
+}
+
+
+class TestPinnedResults:
+    def test_quasimode_rayleigh_quotients(self):
+        for (degree, point, kind), pinned in PINNED_RAYLEIGH.items():
+            rayleigh = quasimode(SpectralProblem(20.0, 14, degree), point, kind).rayleigh
+            assert abs(rayleigh - pinned) <= 1e-12 * pinned, (degree, point, kind)
+
+    def test_emitted_spectrum(self, capsys):
+        assert cli.main(["spectral", "--t", "10", "--cutoff", "10", "--emit", "-"]) == 0
+        emitted = capsys.readouterr().out.split("degree,index,eigenvalue\n")[1]
+        pinned_rows = [
+            f"{k},{i},{val:.9e}"
+            for k, vals in PINNED_SPECTRUM.items()
+            for i, val in enumerate(vals)
+        ]
+        assert emitted.splitlines() == pinned_rows
+        reports = {}
+        cluster_counts(10.0, 10, reports=reports)
+        for k, pinned in PINNED_SPECTRUM.items():
+            err = np.abs(reports[k].eigenvalues - pinned)
+            assert np.all(err <= 1e-12 * np.array(pinned)), k
+
+
 LOADS_SCIPY_SPARSE = """
 import json, os, sys
 from conemorse import cli, families, spectral
@@ -248,6 +391,32 @@ def test_degrees_0_and_3_leave_scipy_sparse_unloaded():
     code, loaded = fresh_process(DEGREES_0_3)
     assert code == 0
     assert not loaded
+
+
+EXACT_COMMANDS = """
+import json, os, sys
+from conemorse import cli
+
+path = os.path.join(sys.argv[1], "t4.json")
+codes = [cli.main(["example", "torus", "--n", "2", "-o", path, "--quiet"])]
+codes += [cli.main([command, path]) for command in ("validate", "analyze", "cone")]
+print(json.dumps([codes, "numpy" in sys.modules]))
+"""
+
+
+def test_exact_commands_leave_numpy_unloaded(tmp_path):
+    # no exact step uses numpy, and its import costs more than a T^10 analyze
+    codes, loaded = fresh_process(EXACT_COMMANDS, str(tmp_path))
+    assert codes == [0, 0, 0, 0]
+    assert not loaded
+
+
+def test_spectral_names_load_through_the_package():
+    from conemorse import low_spectrum as lazy
+
+    assert lazy is low_spectrum and conemorse.SpectralProblem is SpectralProblem
+    with pytest.raises(AttributeError):
+        conemorse.no_such_name
 
 
 class TestClusters:
