@@ -67,6 +67,7 @@ _SPECTRAL_NAMES = frozenset({
     "low_spectrum",
     "quasimode",
     "spectral_report",
+    "spectral_reports",
 })
 
 

@@ -144,10 +144,11 @@ def _write_output(text: str, path, quiet: bool) -> None:
 
 
 def _parse_int_list(raw: str, what: str) -> list:
-    try:
-        return [int(x) for x in raw.split(",") if x.strip() != ""]
-    except ValueError as exc:
-        raise DatumParseError(f"invalid {what} list {raw!r}") from exc
+    """A comma list of ASCII -?[0-9]+ items, blanks around them and empty items skipped."""
+    items = [x.strip() for x in raw.split(",")]
+    if not all(_INTEGER.fullmatch(x) for x in items if x):
+        raise DatumParseError(f"invalid {what} list {raw!r}")
+    return [int(x) for x in items if x]
 
 
 def _cmd_example(args) -> int:
@@ -219,28 +220,11 @@ def _cmd_cone(args) -> int:
     return EXIT_OK
 
 
-def _default_cutoff(t: float) -> int:
-    """suggested_cutoff(t), refused without printing it when it exceeds the cap."""
-    from .spectral import MAX_CUTOFF, suggested_cutoff
-
-    cutoff = suggested_cutoff(t)
-    if cutoff > MAX_CUTOFF:
-        raise DatumParseError(f"t = {t:g} needs a cutoff above the cap {MAX_CUTOFF}")
-    return cutoff
-
-
 def _cmd_spectral(args) -> int:
     # numpy and the spectral side load here, so the exact commands never import them
-    from .spectral import (
-        DUAL_PAIR,
-        cluster_counts,
-        eigenvalues_to_csv,
-        gap_growth,
-        gap_growth_to_csv,
-    )
+    from .spectral import eigenvalues_to_csv, gap_growth, gap_growth_to_csv, spectral_reports
 
-    t_values = args.t
-    if not t_values:
+    if not args.t:
         raise DatumParseError("spectral needs at least one --t")
     if args.degrees == "all":
         degrees = [0, 1, 2, 3]
@@ -255,39 +239,25 @@ def _cmd_spectral(args) -> int:
         if args.gap_growth:
             if args.emit and len(degrees) > 1:
                 raise DatumParseError("--emit with --gap-growth takes a single cone degree")
-            rule = (lambda t: args.cutoff) if args.cutoff else _default_cutoff
-            fits = {}  # one fit per dual pair, at its first requested degree
-            for k in degrees:
-                if DUAL_PAIR[k] not in fits:
-                    fits[DUAL_PAIR[k]] = gap_growth(
-                        t_values, cutoff_rule=rule, degree=k, morse_scale=args.morse_scale
-                    )
-                result = fits[DUAL_PAIR[k]]
+            fits = gap_growth(args.t, args.cutoff, degrees, args.morse_scale)
+            for k, result in fits.items():
                 for t, n, g in zip(result.t_values, result.cutoffs, result.gaps):
                     print(f"degree {k}: t = {t:g}  cutoff = {n}  gap = {g:.9e}")
                 flag = "  (degenerate fit: no spread in t)" if result.degenerate else ""
                 print(f"degree {k}: gap slope = {result.slope:.9e}{flag}")
             if args.emit:
-                _write_output(gap_growth_to_csv(result), args.emit, args.quiet)
+                _write_output(gap_growth_to_csv(fits[degrees[0]]), args.emit, args.quiet)
             return EXIT_OK
-        if len(t_values) != 1:
+        if len(args.t) != 1:
             raise DatumParseError("multiple --t values require --gap-growth")
-        t = t_values[0]
-        cutoff = args.cutoff if args.cutoff else _default_cutoff(t)
-        reports = {}
-        counts = cluster_counts(
-            t, cutoff, degrees=degrees, morse_scale=args.morse_scale, reports=reports
-        )
-        for k, count in zip(degrees, counts):
-            rep = reports[k]
+        reports = spectral_reports(args.t[0], args.cutoff, degrees, args.morse_scale)
+        for k, rep in reports.items():
             print(
-                f"degree {k}: {count} low eigenvalue(s), gap = {rep.gap:.9e}, "
+                f"degree {k}: {rep.low_count} low eigenvalue(s), gap = {rep.gap:.9e}, "
                 f"cluster ratio = {rep.cluster_ratio:.3e}"
             )
         if args.emit:
-            _write_output(
-                eigenvalues_to_csv([reports[k] for k in degrees]), args.emit, args.quiet
-            )
+            _write_output(eigenvalues_to_csv(list(reports.values())), args.emit, args.quiet)
         return EXIT_OK
     except AdequacyError as exc:
         print(f"inadequate resolution: {exc}", file=sys.stderr)

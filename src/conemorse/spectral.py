@@ -507,6 +507,15 @@ def suggested_cutoff(t: float) -> int:
     return math.ceil(2.0 * math.sqrt(t)) + 6
 
 
+def _settled_cutoff(t: float, cutoff: Optional[int]) -> int:
+    """`cutoff`, or suggested_cutoff(t) when it is None, refused without printing it above the cap."""
+    if cutoff is None:
+        cutoff = suggested_cutoff(t)
+        if cutoff > MAX_CUTOFF:
+            raise ValueError(f"t = {t:g} needs a cutoff above the cap {MAX_CUTOFF}")
+    return cutoff
+
+
 def _require_adequate(report: SpectralReport) -> None:
     if report.cluster_ratio < ADEQUACY_RATIO:
         hint = max(suggested_cutoff(report.t), report.cutoff + 2)
@@ -522,29 +531,40 @@ def _require_adequate(report: SpectralReport) -> None:
         )
 
 
-def cluster_counts(
+def spectral_reports(
     t: float,
-    cutoff: int,
+    cutoff: Optional[int] = None,
     degrees: Sequence[int] = (0, 1, 2, 3),
     morse_scale: float = 1.0,
-    reports: Optional[dict] = None,
-) -> list:
-    """Per-degree counts of eigenvalues <= 1, gated on cluster_ratio >= 10.
+) -> dict:
+    """The SpectralReport of each requested cone degree, in request order, each gated on adequacy.
 
-    Pass a dict as `reports` to receive the per-degree SpectralReport objects.
+    `cutoff` None takes suggested_cutoff(t), refused above MAX_CUTOFF.  A
+    repeated degree or an invalid problem is refused before the first solve.
     Each dual pair of DUAL_PAIR is solved once, at its first requested degree.
     """
-    counts, solved = [], {}
-    for k in degrees:
-        prob = SpectralProblem(t, cutoff, k, morse_scale)
-        if DUAL_PAIR[k] not in solved:
-            solved[DUAL_PAIR[k]] = spectral_report(prob)
-        rep = replace(solved[DUAL_PAIR[k]], degree=k)
-        _require_adequate(rep)
-        if reports is not None:
-            reports[k] = rep
-        counts.append(rep.low_count)
-    return counts
+    if len(set(degrees)) != len(degrees):
+        raise ValueError(f"cone degrees {list(degrees)} repeat a degree")
+    cutoff = _settled_cutoff(t, cutoff)
+    problems = [SpectralProblem(t, cutoff, k, morse_scale) for k in degrees]
+    reports, solved = {}, {}
+    for prob in problems:
+        pair = DUAL_PAIR[prob.degree]
+        if pair not in solved:
+            solved[pair] = spectral_report(prob)
+        reports[prob.degree] = replace(solved[pair], degree=prob.degree)
+        _require_adequate(reports[prob.degree])
+    return reports
+
+
+def cluster_counts(
+    t: float,
+    cutoff: Optional[int] = None,
+    degrees: Sequence[int] = (0, 1, 2, 3),
+    morse_scale: float = 1.0,
+) -> list:
+    """Per-degree counts of eigenvalues <= 1: the list view of spectral_reports."""
+    return [rep.low_count for rep in spectral_reports(t, cutoff, degrees, morse_scale).values()]
 
 
 @dataclass
@@ -556,40 +576,34 @@ class GapGrowthResult:
     intercept: float
     degenerate: bool  # zero spread in t: the fit means nothing
 
-    @property
-    def points(self) -> list:
-        return list(zip(self.t_values, self.gaps))
-
 
 def gap_growth(
     t_values: Sequence[float],
-    cutoff_rule=suggested_cutoff,
-    degree: int = 1,
+    cutoff: Optional[int] = None,
+    degrees: Sequence[int] = (1,),
     morse_scale: float = 1.0,
-) -> GapGrowthResult:
-    """Least-squares slope of gap(t) against t at a fixed cone degree.
+) -> dict:
+    """Least-squares slope of gap(t) against t, per requested cone degree.
 
     The gap of the deformed cone Laplacian grows linearly in t (the local
     model spectrum is equally spaced with step proportional to t), so the
-    slope must come out positive.  Needs at least three t values.
+    slope must come out positive.  Needs at least three t values.  Every
+    cutoff is settled before the first solve; each t is one spectral_reports call.
     """
     ts = [float(t) for t in t_values]
     if len(ts) < 3:
         raise ValueError(f"gap growth needs >= 3 deformation values, got {len(ts)}")
-    cutoffs, gaps = [], []
-    for t in ts:
-        n = int(cutoff_rule(t))
-        rep = spectral_report(SpectralProblem(t, n, degree, morse_scale))
-        _require_adequate(rep)
-        cutoffs.append(n)
-        gaps.append(rep.gap)
+    cutoffs = [_settled_cutoff(t, cutoff) for t in ts]
+    runs = [spectral_reports(t, n, degrees, morse_scale) for t, n in zip(ts, cutoffs)]
     tbar = sum(ts) / len(ts)
-    gbar = sum(gaps) / len(gaps)
     spread = sum((t - tbar) ** 2 for t in ts)
-    if spread == 0:
-        return GapGrowthResult(ts, cutoffs, gaps, 0.0, gbar, True)
-    slope = sum((t - tbar) * (g - gbar) for t, g in zip(ts, gaps)) / spread
-    return GapGrowthResult(ts, cutoffs, gaps, slope, gbar - slope * tbar, False)
+    fits = {}
+    for k in degrees:
+        gaps = [run[k].gap for run in runs]
+        gbar = sum(gaps) / len(gaps)
+        slope = sum((t - tbar) * (g - gbar) for t, g in zip(ts, gaps)) / spread if spread else 0.0
+        fits[k] = GapGrowthResult(list(ts), list(cutoffs), gaps, slope, gbar - slope * tbar, not spread)
+    return fits
 
 
 # ---------------------------------------------------------------------------
@@ -722,6 +736,6 @@ def eigenvalues_to_csv(reports: Sequence[SpectralReport]) -> str:
 
 def gap_growth_to_csv(result: GapGrowthResult) -> str:
     lines = ["t,gap"]
-    for t, g in result.points:
+    for t, g in zip(result.t_values, result.gaps):
         lines.append(f"{t:.9e},{g:.9e}")
     return "\n".join(lines) + "\n"

@@ -30,10 +30,9 @@ from conemorse.inequalities import cone_report
 from conemorse.morse import cone_morse_complex, product, stabilize
 from conemorse.spectral import (
     SpectralProblem,
-    cluster_counts,
     gap_growth,
     quasimode,
-    suggested_cutoff,
+    spectral_reports,
 )
 
 
@@ -169,8 +168,8 @@ def test_criterion_07_cone_bound_sharper_than_circle_bundle_bound():
 def test_criterion_08_low_cluster_counts():
     start = time.perf_counter()
     for t, cutoff in ((10, 10), (20, 14)):
-        reports = {}
-        counts = cluster_counts(t, cutoff, reports=reports)
+        reports = spectral_reports(t, cutoff)
+        counts = [rep.low_count for rep in reports.values()]
         assert counts == [1, 3, 3, 1], f"(t={t}, N={cutoff}): {counts}"
         for rep in reports.values():
             assert rep.cluster_ratio >= 10
@@ -181,7 +180,7 @@ def test_criterion_08_low_cluster_counts():
 
 def test_criterion_09_gap_grows_linearly():
     start = time.perf_counter()
-    result = gap_growth([10.0, 20.0, 40.0], cutoff_rule=suggested_cutoff, degree=1)
+    result = gap_growth([10.0, 20.0, 40.0], degrees=(1,))[1]
     ratio = result.gaps[2] / result.gaps[1]
     assert 1.5 <= ratio <= 2.5, f"gap(40)/gap(20) = {ratio:.3f}"
     assert result.slope > 0

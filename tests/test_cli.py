@@ -510,6 +510,49 @@ class TestSpectralCommand:
         assert "at least one cone degree" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "extra", [[], ["--t", "11", "--t", "12", "--gap-growth"]], ids=["counts", "gap-growth"]
+    )
+    def test_cutoff_zero_is_not_replaced(self, capsys, extra):
+        code, out, err = run(capsys, "spectral", "--t", "10", *extra, "--cutoff", "0", "--degrees", "1")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: cutoff must be >= 2, got 0\n"
+
+    @pytest.mark.parametrize(
+        "extra", [[], ["--t", "3", "--t", "4", "--gap-growth"]], ids=["counts", "gap-growth"]
+    )
+    def test_repeated_degree_rejected_before_any_solve(self, capsys, monkeypatch, extra):
+        def fail(prob, count):
+            raise AssertionError(f"degree {prob.degree} was solved")
+
+        monkeypatch.setattr(spectral, "low_spectrum", fail)
+        code, out, err = run(capsys, "spectral", "--t", "2", *extra, "--cutoff", "6", "--degrees", "1,1")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: cone degrees [1, 1] repeat a degree\n"
+
+
+@pytest.mark.parametrize("item", ["\u0660", "1_0", "+1"], ids=["arabic-indic-zero", "underscore", "plus"])
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["spectral", "--t", "2", "--cutoff", "6", "--degrees", "{}"], "degree"),
+        (["example", "synthetic", "--betti", "1,{},1", "--ranks", "1"], "betti"),
+        (["example", "synthetic", "--betti", "1,0,1", "--ranks", "{}"], "rank"),
+    ],
+    ids=["degrees", "betti", "ranks"],
+)
+def test_int_lists_take_only_ascii_digits(capsys, argv, what, item):
+    # the grammar of integral datum fields, -?[0-9]+; int() alone takes these
+    code, out, err = run(capsys, *(arg.format(item) for arg in argv))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith(f"error: invalid {what} list ")
+
+
+def test_int_lists_allow_blanks(capsys):
+    code, out, _ = run(capsys, "example", "synthetic", "--betti", "1, 0, 1", "--ranks", " 1")
+    assert code == EXIT_OK
+    assert json.loads(out)["manifold_dim"] == 2
+
 
 def test_missing_file_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, "validate", str(tmp_path / "nope.json"))

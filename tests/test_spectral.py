@@ -41,6 +41,7 @@ from conemorse.spectral import (
     matrix_size,
     quasimode,
     spectral_report,
+    spectral_reports,
     suggested_cutoff,
 )
 
@@ -336,8 +337,7 @@ class TestPinnedResults:
             for i, val in enumerate(vals)
         ]
         assert emitted.splitlines() == pinned_rows
-        reports = {}
-        cluster_counts(10.0, 10, reports=reports)
+        reports = spectral_reports(10.0, 10)
         for k, pinned in PINNED_SPECTRUM.items():
             err = np.abs(reports[k].eigenvalues - pinned)
             assert np.all(err <= 1e-12 * np.array(pinned)), k
@@ -458,8 +458,8 @@ class TestClusters:
             spectral, "low_spectrum",
             lambda prob, count: solved.append(prob.degree) or low_spectrum(prob, count),
         )
-        reports = {}
-        assert cluster_counts(10, 10, degrees=(0, 1, 2, 3), reports=reports) == [1, 3, 3, 1]
+        reports = spectral_reports(10, 10, degrees=(0, 1, 2, 3))
+        assert [rep.low_count for rep in reports.values()] == [1, 3, 3, 1]
         assert solved == [0, 1]
         assert [reports[k].degree for k in range(4)] == [0, 1, 2, 3]
         assert np.array_equal(reports[3].eigenvalues, reports[0].eigenvalues)
@@ -471,6 +471,27 @@ class TestClusters:
     def test_inadequate_lone_partner_is_named(self):
         with pytest.raises(AdequacyError, match="at degree 3 "):
             cluster_counts(80, 6, degrees=(3,))
+
+    def test_suggested_cutoff_above_cap_builds_nothing(self, monkeypatch):
+        def fail(cutoff):
+            raise AssertionError(f"a band-{cutoff} operator was built")
+
+        monkeypatch.setattr(spectral, "_deriv_1d", fail)
+        with pytest.raises(ValueError, match=f"t = 1e\\+06 needs a cutoff above the cap {MAX_CUTOFF}"):
+            spectral_reports(1e6)
+
+    def test_repeated_degree_refused_before_any_solve(self, monkeypatch):
+        def fail(prob, count):
+            raise AssertionError(f"degree {prob.degree} was solved")
+
+        monkeypatch.setattr(spectral, "low_spectrum", fail)
+        for solve in (
+            lambda: spectral_reports(10, 10, degrees=(0, 1, 1)),
+            lambda: cluster_counts(10, 10, degrees=(3, 3)),
+            lambda: gap_growth([2, 3, 4], 6, degrees=(2, 2)),
+        ):
+            with pytest.raises(ValueError, match="repeat a degree"):
+                solve()
 
     def test_signed_morse_scale(self):
         with pytest.raises(ValueError, match="nonzero"):
@@ -485,19 +506,46 @@ class TestGapGrowth:
             gap_growth([10.0])
 
     def test_degenerate_fit_flagged(self):
-        result = gap_growth([6.0, 6.0, 6.0], cutoff_rule=lambda t: 8, degree=1)
+        result = gap_growth([6.0, 6.0, 6.0], 8, degrees=(1,))[1]
         assert result.degenerate and result.slope == 0.0
 
     def test_small_ramp_has_positive_slope(self):
-        result = gap_growth([5.0, 7.0, 9.0], cutoff_rule=lambda t: 9, degree=1)
+        result = gap_growth([5.0, 7.0, 9.0], 9, degrees=(1,))[1]
         assert not result.degenerate
         assert result.slope > 0
         assert result.gaps[-1] > result.gaps[0]
 
+    def test_one_solve_per_dual_pair_and_t(self, monkeypatch):
+        solved = []
+        monkeypatch.setattr(
+            spectral, "low_spectrum",
+            lambda prob, count: solved.append((prob.t, prob.degree)) or low_spectrum(prob, count),
+        )
+        fits = gap_growth([2, 3, 4], 6, degrees=(0, 1, 2, 3))
+        assert solved == [(t, k) for t in (2.0, 3.0, 4.0) for k in (0, 1)]
+        assert list(fits) == [0, 1, 2, 3]
+        for k in (0, 1):
+            assert fits[3 - k].gaps == fits[k].gaps and fits[3 - k].slope == fits[k].slope
+            assert fits[k].t_values == [2.0, 3.0, 4.0] and fits[k].cutoffs == [6, 6, 6]
+
+    def test_cutoffs_settled_before_any_solve(self, monkeypatch):
+        fit = gap_growth([2, 3, 4], degrees=(0,))[0]
+        assert fit.cutoffs == [suggested_cutoff(t) for t in (2, 3, 4)]
+
+        def fail(prob, count):
+            raise AssertionError(f"t = {prob.t} was solved")
+
+        monkeypatch.setattr(spectral, "low_spectrum", fail)
+        with pytest.raises(ValueError, match=f"t = 1e\\+06 needs a cutoff above the cap {MAX_CUTOFF}"):
+            gap_growth([2, 1e6, 3])
+
     def test_csv_formats(self):
-        result = gap_growth([5.0, 7.0, 9.0], cutoff_rule=lambda t: 9, degree=1)
+        result = gap_growth([5.0, 7.0, 9.0], 9, degrees=(1,))[1]
         csv_text = gap_growth_to_csv(result)
         assert csv_text.splitlines()[0] == "t,gap"
+        assert csv_text.splitlines()[1:] == [
+            f"{t:.9e},{g:.9e}" for t, g in zip([5.0, 7.0, 9.0], result.gaps)
+        ]
         rep = spectral_report(SpectralProblem(8, 8, 0))
         table = eigenvalues_to_csv([rep])
         assert table.splitlines()[0] == "degree,index,eigenvalue"
