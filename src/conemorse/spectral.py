@@ -22,7 +22,12 @@ block multiplies by its other factor and adds into a corner of the output.
 The 1D tables that do not depend on t (d/dx, the sine multiplication, E and
 the quasimode basis on its 4N grid) are built once per band limit and kept
 read-only for the last TABLES_KEPT band limits, at most 10.2 MiB at
-MAX_CUTOFF; G = d/dx + t a pi sin(2 pi x) is one axpy per call.
+MAX_CUTOFF; G = d/dx + t a pi sin(2 pi x) is one axpy per call.  So are the
+t-independent fields of each critical point's quasimode on its 4N x 4N grid
+(displacements, well profiles and radial bump), for all four points at the
+last TABLES_KEPT band limits, at most 31.6 MiB at MAX_CUTOFF (the bump is
+2 MiB per point at N = 128): rating a quasimode at a new t computes only
+its two 1D exponentials, the projection and the matrix-free apply.
 
 The degree-0 form is the Kronecker sum H(x)I + I(x)H of the 1D operator
 H = G'G, G = d/dx + t a pi sin(2 pi x) (its two blocks write different
@@ -308,22 +313,29 @@ def _kron_matrix(blocks, pairs, out_components: int, in_components: int) -> sp.c
 
 
 def _apply(blocks, pairs, out_components: int, grids: np.ndarray) -> np.ndarray:
-    """A block operator on a stack of coefficient grids, (A(x)B) vec(U) = vec(A U B').
+    """A block operator on the coefficient grids of a form, (A(x)B) vec(U) = vec(A U B').
 
-    The factor E of "x", "y" and "w" only pads with zeros, so each block
-    applies its other factor and adds into the padded output's corner.
-    Matrix-free and numpy only: nothing is assembled and scipy is not loaded.
+    `grids` holds one form, (components, n, n), or a stack of them with any
+    leading axes, each mapped as on its own.  The factor E of "x", "y" and
+    "w" only pads with zeros, so each block applies its other factor and
+    adds into, or subtracts from, the padded output's corner.  Matrix-free
+    and numpy only: nothing is assembled and scipy is not loaded.
     """
     size, inner = pairs["w"][0].shape[0], grids.shape[-1]
-    out = np.zeros((out_components, size, size))
+    out = np.zeros(grids.shape[:-3] + (out_components, size, size))
     for o, i, sign, kind in blocks:
         a, b = pairs[kind]
+        grid = grids[..., i, :, :]
         if kind == "x":  # G(x)E
-            out[o, :, :inner] += sign * (a @ grids[i])
+            term, corner = a @ grid, out[..., o, :, :inner]
         elif kind == "y":  # E(x)G
-            out[o, :inner, :] += sign * (grids[i] @ b.T)
+            term, corner = grid @ b.T, out[..., o, :inner, :]
         else:  # E(x)E
-            out[o, :inner, :inner] += sign * grids[i]
+            term, corner = grid, out[..., o, :inner, :inner]
+        if sign > 0:
+            corner += term
+        else:
+            corner -= term
     return out
 
 
@@ -425,17 +437,15 @@ def _cluster_values(prob: SpectralProblem, ops: list, idx: np.ndarray, vecs: np.
     These are the Rayleigh-Ritz values of the form on the vectors' span,
     which lambda = sigma + 1/mu from shift-invert Lanczos gets only to about
     eps |A|, and can print negative, when lambda is near 0.  Each column of
-    `vecs` is scattered from the sector indices `idx` into the grid and
-    mapped matrix-free.  The values stay <= LOW_THRESHOLD: the inertia
-    counted them there.
+    `vecs` is scattered from the sector indices `idx` into the grid, and the
+    stack of them is mapped matrix-free in one call per map.  The values
+    stay <= LOW_THRESHOLD: the inertia counted them there.
     """
-    size = basis_size(prob.cutoff)
-    grids = np.zeros((vecs.shape[1], matrix_size(prob.degree, prob.cutoff)))
+    size, count = basis_size(prob.cutoff), vecs.shape[1]
+    grids = np.zeros((count, matrix_size(prob.degree, prob.cutoff)))
     grids[:, idx] = vecs.T
-    images = np.array([
-        np.concatenate([_apply(*op, g.reshape(-1, size, size)).ravel() for op in ops])
-        for g in grids
-    ])
+    stack = grids.reshape(count, -1, size, size)
+    images = np.concatenate([_apply(*op, stack).reshape(count, -1) for op in ops], axis=1)
     sq = np.sort(np.linalg.svd(images, compute_uv=False) ** 2)
     return np.minimum(sq, LOW_THRESHOLD)
 
@@ -504,6 +514,8 @@ def spectral_report(prob: SpectralProblem) -> SpectralReport:
 def suggested_cutoff(t: float) -> int:
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
+    if t <= 0:
+        raise ValueError(f"t must be positive, got {t}")
     return math.ceil(2.0 * math.sqrt(t)) + 6
 
 
@@ -531,6 +543,33 @@ def _require_adequate(report: SpectralReport) -> None:
         )
 
 
+def _problems(t: float, cutoff: Optional[int], degrees: Sequence[int], morse_scale: float) -> list:
+    """The SpectralProblem of each requested degree at one t, each checked on construction.
+
+    `cutoff` None takes suggested_cutoff(t), refused above MAX_CUTOFF; a
+    repeated degree is refused.
+    """
+    if len(set(degrees)) != len(degrees):
+        raise ValueError(f"cone degrees {list(degrees)} repeat a degree")
+    cutoff = _settled_cutoff(t, cutoff)
+    return [SpectralProblem(t, cutoff, k, morse_scale) for k in degrees]
+
+
+def _solve_reports(problems: Sequence[SpectralProblem]) -> dict:
+    """The SpectralReport of each problem, in order, each gated on adequacy.
+
+    Each dual pair of DUAL_PAIR is solved once, at its first problem.
+    """
+    reports, solved = {}, {}
+    for prob in problems:
+        pair = DUAL_PAIR[prob.degree]
+        if pair not in solved:
+            solved[pair] = spectral_report(prob)
+        reports[prob.degree] = replace(solved[pair], degree=prob.degree)
+        _require_adequate(reports[prob.degree])
+    return reports
+
+
 def spectral_reports(
     t: float,
     cutoff: Optional[int] = None,
@@ -543,18 +582,7 @@ def spectral_reports(
     repeated degree or an invalid problem is refused before the first solve.
     Each dual pair of DUAL_PAIR is solved once, at its first requested degree.
     """
-    if len(set(degrees)) != len(degrees):
-        raise ValueError(f"cone degrees {list(degrees)} repeat a degree")
-    cutoff = _settled_cutoff(t, cutoff)
-    problems = [SpectralProblem(t, cutoff, k, morse_scale) for k in degrees]
-    reports, solved = {}, {}
-    for prob in problems:
-        pair = DUAL_PAIR[prob.degree]
-        if pair not in solved:
-            solved[pair] = spectral_report(prob)
-        reports[prob.degree] = replace(solved[pair], degree=prob.degree)
-        _require_adequate(reports[prob.degree])
-    return reports
+    return _solve_reports(_problems(t, cutoff, degrees, morse_scale))
 
 
 def cluster_counts(
@@ -588,13 +616,15 @@ def gap_growth(
     The gap of the deformed cone Laplacian grows linearly in t (the local
     model spectrum is equally spaced with step proportional to t), so the
     slope must come out positive.  Needs at least three t values.  Every
-    cutoff is settled before the first solve; each t is one spectral_reports call.
+    cutoff is settled, and every problem of every t built and so checked,
+    before the first solve; each t is then solved as by spectral_reports.
     """
     ts = [float(t) for t in t_values]
     if len(ts) < 3:
         raise ValueError(f"gap growth needs >= 3 deformation values, got {len(ts)}")
     cutoffs = [_settled_cutoff(t, cutoff) for t in ts]
-    runs = [spectral_reports(t, n, degrees, morse_scale) for t, n in zip(ts, cutoffs)]
+    problems = [_problems(t, n, degrees, morse_scale) for t, n in zip(ts, cutoffs)]
+    runs = [_solve_reports(probs) for probs in problems]
     tbar = sum(ts) / len(ts)
     spread = sum((t - tbar) ** 2 for t in ts)
     fits = {}
@@ -645,6 +675,26 @@ def _quasimode_basis(cutoff: int) -> np.ndarray:
     return _read_only(_basis_values_1d(cutoff, np.arange(npts) / npts))
 
 
+@functools.lru_cache(maxsize=len(CRITICAL_POINTS) * TABLES_KEPT)
+def _quasimode_grid(cutoff: int, point: str) -> tuple:
+    """The t-independent fields of a quasimode at `point` on the 4N grid, built once per band limit.
+
+    The wrapped displacements xs, ys from the point along each axis, the
+    well profile (1 - cos 2 pi X)/2 on each, and the bump on the 4N x 4N
+    grid, each computed as the uncached construction did it, all read-only.
+    The bump is 2 MiB at MAX_CUTOFF; the cache holds every point at the
+    last TABLES_KEPT band limits, at most 31.6 MiB.
+    """
+    px, py = CRITICAL_POINTS[point]
+    npts = 4 * cutoff
+    grid = np.arange(npts) / npts
+    xs = ((grid - px + 0.5) % 1.0) - 0.5
+    ys = ((grid - py + 0.5) % 1.0) - 0.5
+    wells = [0.5 - 0.5 * np.cos(2.0 * math.pi * d) for d in (xs, ys)]
+    bump = _bump(np.sqrt(xs[:, None] ** 2 + ys[None, :] ** 2))
+    return tuple(_read_only(table) for table in (xs, ys, *wells, bump))
+
+
 @dataclass
 class QuasimodeResult:
     point: str
@@ -665,7 +715,9 @@ def quasimode(prob: SpectralProblem, point: str, kind: int) -> QuasimodeResult:
     equations exactly; a smooth bump of radius 1/4 keeps neighboring supports
     disjoint.  The mode is expanded on a 4N x 4N grid by the trapezoidal rule,
     normalized, and rated as |d_C v|^2 + |d_C* v|^2 from the 1D factors of
-    d_C, without assembling the form (numpy only; scipy is not loaded).
+    d_C, without assembling the form (numpy only; scipy is not loaded).  Only
+    the two 1D exponentials depend on t: the rest of the grid is a table (see
+    _quasimode_grid), and only the nonzero components are projected.
     """
     if point not in CRITICAL_POINTS:
         raise KeyError(f"unknown critical point {point!r}; choose from {sorted(CRITICAL_POINTS)}")
@@ -685,10 +737,7 @@ def quasimode(prob: SpectralProblem, point: str, kind: int) -> QuasimodeResult:
             f"{expected_degree}, not {prob.degree}"
         )
 
-    npts = 4 * prob.cutoff
-    grid = np.arange(npts) / npts
-    xs = ((grid - px + 0.5) % 1.0) - 0.5
-    ys = ((grid - py + 0.5) % 1.0) - 0.5
+    xs, ys, wells_x, wells_y, bump = _quasimode_grid(prob.cutoff, point)
     x1, x2 = xs[:, None], ys[None, :]  # broadcast over the grid
     # product profile exp(-t a sum_i (1 - cos(2 pi X_i))/2) in the wrapped
     # displacement X: the chart Gaussian expressed in torus coordinates (f is
@@ -697,28 +746,32 @@ def quasimode(prob: SpectralProblem, point: str, kind: int) -> QuasimodeResult:
     # cutoff and the cubic remainder of the partner fields contribute to the
     # Rayleigh quotient.  It is the outer product of its two 1D factors
     ta = prob.t * prob.morse_scale
-    gx, gy = (np.exp(-ta * (0.5 - 0.5 * np.cos(2.0 * math.pi * d))) for d in (xs, ys))
-    gauss = _bump(np.sqrt(x1**2 + x2**2)) * np.outer(gx, gy)
-    zero = np.zeros_like(gauss)
+    gx, gy = (np.exp(-ta * wells) for wells in (wells_x, wells_y))
+    gauss = bump * (gx[:, None] * gy[None, :])
 
+    # the nonzero components, by their place among COMPONENTS[degree]
     if kind == 1 and index == 0:
-        components = [gauss]
+        components = {0: gauss}
     elif kind == 2 and index == 0:
         # eta = -tau ^ zeta with the rotational primitive tau of omega
-        components = [0.5 * x2 * gauss, -0.5 * x1 * gauss, gauss]
+        components = {0: 0.5 * x2 * gauss, 1: -0.5 * x1 * gauss, 2: gauss}
     elif kind == 1 and index == 1:
-        components = [gauss, zero, zero] if descending[0] else [zero, gauss, zero]
+        components = {0 if descending[0] else 1: gauss}
     elif kind == 2 and index == 1:
-        components = [zero, gauss, zero] if descending[0] else [zero, zero, gauss]
+        components = {1 if descending[0] else 2: gauss}
     elif kind == 1 and index == 2:
         # radial interior-product partner; coefficient fixed by the adjoint equation
-        components = [gauss, -0.5 * x1 * gauss, -0.5 * x2 * gauss]
+        components = {0: gauss, 1: -0.5 * x1 * gauss, 2: -0.5 * x2 * gauss}
     else:  # kind == 2 and index == 2
-        components = [gauss]
+        components = {0: gauss}
 
-    # trapezoidal projection of every component onto the product basis at once
+    # trapezoidal projection of every nonzero component onto the product basis at once
+    npts = 4 * prob.cutoff
     basis = _quasimode_basis(prob.cutoff)
-    vec = (basis @ np.array(components) @ basis.T / npts**2).reshape(-1)
+    size = basis_size(prob.cutoff)
+    grids = np.zeros((COMPONENTS[prob.degree], size, size))
+    grids[list(components)] = basis @ np.array(list(components.values())) @ basis.T / npts**2
+    vec = grids.reshape(-1)
     norm = np.linalg.norm(vec)
     if norm == 0:
         raise SolverError("quasimode projected to zero")

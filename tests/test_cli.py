@@ -519,6 +519,33 @@ class TestSpectralCommand:
         assert err == "error: cutoff must be >= 2, got 0\n"
 
     @pytest.mark.parametrize(
+        "extra",
+        [["--t", "-4"], ["--t", "2", "--t", "3", "--t", "-4", "--gap-growth"]],
+        ids=["counts", "gap-growth"],
+    )
+    def test_negative_t_without_cutoff_rejected(self, capsys, monkeypatch, extra):
+        # the suggested cutoff took the square root of t: "math domain error"
+        def fail(prob, count):
+            raise AssertionError(f"t = {prob.t} was solved")
+
+        monkeypatch.setattr(spectral, "low_spectrum", fail)
+        code, out, err = run(capsys, "spectral", *extra)
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: t must be positive, got -4.0\n"
+
+    def test_gap_growth_checks_every_t_before_any_solve(self, capsys, monkeypatch):
+        solved = []
+        monkeypatch.setattr(spectral, "low_spectrum", lambda prob, count: solved.append(prob.t))
+        code, out, err = run(
+            capsys,
+            "spectral", "--t", "30", "--t", "40", "--t", "nan",
+            "--cutoff", "40", "--degrees", "1", "--gap-growth",
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: t and morse_scale must be finite, got t=nan")
+        assert solved == []
+
+    @pytest.mark.parametrize(
         "extra", [[], ["--t", "3", "--t", "4", "--gap-growth"]], ids=["counts", "gap-growth"]
     )
     def test_repeated_degree_rejected_before_any_solve(self, capsys, monkeypatch, extra):

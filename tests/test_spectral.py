@@ -23,6 +23,7 @@ from conemorse.spectral import (
     REPORT_COUNT,
     SECTORS,
     SpectralProblem,
+    TABLES_KEPT,
     _adjoint,
     _apply,
     _differential,
@@ -132,6 +133,9 @@ class TestAssembly:
                 SpectralProblem(5, 8, 0, bad)
         with pytest.raises(ValueError, match="finite"):
             suggested_cutoff(math.inf)
+        for bad in (-4.0, 0.0):  # refused as SpectralProblem refuses it, not by math.sqrt
+            with pytest.raises(ValueError, match=f"t must be positive, got {bad}"):
+                suggested_cutoff(bad)
         # the form's entries grow like (t * a * pi)^2
         for t, a in ((1e160, 1.0), (2.0, 1e308), (1e76, -1e77)):
             with pytest.raises(ValueError, match="overflow"):
@@ -300,6 +304,38 @@ class TestTables:
             for point, kind in modes:
                 quasimode(SpectralProblem(20.0 + degree, 14, degree), point, kind)
         assert built == []
+
+
+    def test_quasimode_grid_raises_on_write(self):
+        tables = spectral._quasimode_grid(7, "q1")
+        assert len(tables) == 5
+        for table in tables:
+            with pytest.raises(ValueError):
+                table[(0,) * table.ndim] = 1.0
+
+    def test_quasimode_grid_cache_bound(self):
+        # every point at the last TABLES_KEPT band limits, as the module docstring states
+        assert spectral._quasimode_grid.cache_info().maxsize == len(spectral.CRITICAL_POINTS) * TABLES_KEPT
+        build = spectral._quasimode_grid.__wrapped__  # uncached: the big grids are dropped
+        sizes = [sum(table.nbytes for table in build(n, "q0")) for n in range(MAX_CUTOFF - TABLES_KEPT + 1, MAX_CUTOFF + 1)]
+        assert build(MAX_CUTOFF, "q12")[-1].nbytes == 2 * 2**20  # the bump
+        assert len(spectral.CRITICAL_POINTS) * sum(sizes) <= 31.6 * 2**20
+
+    def test_second_t_at_a_band_builds_no_grid(self, monkeypatch):
+        built = []
+        build = spectral._quasimode_grid.__wrapped__
+
+        def counted(cutoff, point):
+            built.append((cutoff, point))
+            return build(cutoff, point)
+
+        maxsize = spectral._quasimode_grid.cache_info().maxsize
+        monkeypatch.setattr(spectral, "_quasimode_grid", functools.lru_cache(maxsize=maxsize)(counted))
+        for t in (20.0, 21.0):
+            for degree, modes in QUASIMODES.items():
+                for point, kind in modes:
+                    quasimode(SpectralProblem(t, 14, degree), point, kind)
+        assert sorted(built) == sorted((14, point) for point in spectral.CRITICAL_POINTS)
 
 
 # the values before the tables were cached (quasimodes at t = 20, N = 14, and
@@ -539,6 +575,22 @@ class TestGapGrowth:
         with pytest.raises(ValueError, match=f"t = 1e\\+06 needs a cutoff above the cap {MAX_CUTOFF}"):
             gap_growth([2, 1e6, 3])
 
+    @pytest.mark.parametrize(
+        "ts, cutoff, match",
+        [
+            ([30, 40, float("nan")], 40, "must be finite"),
+            ([2, 3, -4], 6, "t must be positive, got -4.0"),
+            ([2, 3, -4], None, "t must be positive, got -4.0"),
+        ],
+        ids=["nan-given-cutoff", "negative-given-cutoff", "negative-suggested-cutoff"],
+    )
+    def test_every_problem_checked_before_any_solve(self, monkeypatch, ts, cutoff, match):
+        solved = []
+        monkeypatch.setattr(spectral, "low_spectrum", lambda prob, count: solved.append(prob.t))
+        with pytest.raises(ValueError, match=match):
+            gap_growth(ts, cutoff, degrees=(1,))
+        assert solved == []
+
     def test_csv_formats(self):
         result = gap_growth([5.0, 7.0, 9.0], 9, degrees=(1,))[1]
         csv_text = gap_growth_to_csv(result)
@@ -628,6 +680,111 @@ def reference_quasimode(prob, point, kind):
         maps.append(_adjoint(prob.degree, prob.cutoff, deform))
     grids = vec.reshape(-1, basis_size(prob.cutoff), basis_size(prob.cutoff))
     return vec, sum(np.sum(_apply(*op, grids) ** 2) for op in maps)
+
+
+def signed_apply(blocks, pairs, out_components, grids):
+    """Oracle: the block apply on one form, each block added as sign * (its product)."""
+    size, inner = pairs["w"][0].shape[0], grids.shape[-1]
+    out = np.zeros((out_components, size, size))
+    for o, i, sign, kind in blocks:
+        a, b = pairs[kind]
+        if kind == "x":
+            out[o, :, :inner] += sign * (a @ grids[i])
+        elif kind == "y":
+            out[o, :inner, :] += sign * (grids[i] @ b.T)
+        else:
+            out[o, :inner, :inner] += sign * grids[i]
+    return out
+
+
+def uncached_quasimode(prob, point, kind):
+    """Oracle: a quasimode with its whole grid built at the call and every component projected.
+
+    The construction before the grid table: displacements, cosines and bump
+    on every call, zero components projected too, and signed_apply.
+    """
+    px, py = spectral.CRITICAL_POINTS[point]
+    descending = (px == 0.5, py == 0.5)
+    index = int(descending[0]) + int(descending[1])
+    npts = 4 * prob.cutoff
+    grid = np.arange(npts) / npts
+    xs = ((grid - px + 0.5) % 1.0) - 0.5
+    ys = ((grid - py + 0.5) % 1.0) - 0.5
+    x1, x2 = xs[:, None], ys[None, :]
+    ta = prob.t * prob.morse_scale
+    gx, gy = (np.exp(-ta * (0.5 - 0.5 * np.cos(2.0 * math.pi * d))) for d in (xs, ys))
+    gauss = spectral._bump(np.sqrt(x1**2 + x2**2)) * np.outer(gx, gy)
+    zero = np.zeros_like(gauss)
+    components = {
+        (1, 0): [gauss],
+        (2, 0): [0.5 * x2 * gauss, -0.5 * x1 * gauss, gauss],
+        (1, 1): [gauss, zero, zero] if descending[0] else [zero, gauss, zero],
+        (2, 1): [zero, gauss, zero] if descending[0] else [zero, zero, gauss],
+        (1, 2): [gauss, -0.5 * x1 * gauss, -0.5 * x2 * gauss],
+        (2, 2): [gauss],
+    }[kind, index]
+    basis = spectral._basis_values_1d(prob.cutoff, grid)
+    vec = (basis @ np.array(components) @ basis.T / npts**2).reshape(-1)
+    vec = vec / np.linalg.norm(vec)
+    size = basis_size(prob.cutoff)
+    grids = vec.reshape(-1, size, size)
+    return vec, float(sum(np.sum(signed_apply(*op, grids) ** 2) for op in spectral._operators(prob)))
+
+
+class TestQuasimodeTables:
+    """The grid table, the nonzero-only projection and the sign-free, stackable apply change no bit."""
+
+    @pytest.mark.parametrize(
+        "t, cutoff, a", [(20.0, 14, 1.0), (3.0, 6, 0.5), (40.0, 19, 1.0), (7.3, 5, 2.0)]
+    )
+    def test_equals_uncached_construction_bitwise(self, t, cutoff, a):
+        for degree, modes in QUASIMODES.items():
+            prob = SpectralProblem(t, cutoff, degree, a)
+            for point, kind in modes:
+                mode = quasimode(prob, point, kind)
+                coeffs, rayleigh = uncached_quasimode(prob, point, kind)
+                assert mode.coefficients.tobytes() == coeffs.tobytes(), (point, kind)
+                assert mode.rayleigh == rayleigh, (point, kind)
+
+    @pytest.mark.parametrize("stack", [(4,), (2, 3)], ids=["one-axis", "two-axes"])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_stacked_apply_equals_per_form_calls_bitwise(self, degree, stack):
+        n, deform = 6, 5.1 * math.pi
+        size = basis_size(n)
+        grids = np.random.default_rng(degree).standard_normal(stack + (COMPONENTS[degree], size, size))
+        ops = [_differential(degree, n, deform)]
+        if degree:
+            ops.append(_adjoint(degree, n, deform))
+        for op in ops:
+            stacked = _apply(*op, grids)
+            assert stacked.shape == stack + (op[2], size + 2, size + 2)
+            for at in np.ndindex(*stack):
+                one = _apply(*op, grids[at])
+                assert stacked[at].tobytes() == one.tobytes(), at
+                assert one.tobytes() == signed_apply(*op, grids[at]).tobytes(), at
+
+    @pytest.mark.parametrize("t", [40.0, 10.0])
+    def test_cluster_values_equal_per_vector_oracle(self, t):
+        prob = SpectralProblem(t, suggested_cutoff(t), 1)
+        form, ops = assemble_quadratic_form(prob), spectral._operators(prob)
+        size = basis_size(prob.cutoff)
+        known = 0
+        for sector, weight in SECTORS:
+            idx = _sector_indices(1, prob.cutoff, sector)
+            _, vecs, below = _sector_spectrum(form[idx][:, idx], weight, REPORT_COUNT - known)
+            known += weight * below
+            # the cluster vectors low_spectrum passes, and every returned vector: a stack of several
+            for count in sorted({below, vecs.shape[1]} - {0}):
+                grids = np.zeros((count, matrix_size(1, prob.cutoff)))
+                grids[:, idx] = vecs[:, :count].T
+                images = np.array([
+                    np.concatenate([signed_apply(*op, g.reshape(-1, size, size)).ravel() for op in ops])
+                    for g in grids
+                ])
+                want = np.minimum(np.sort(np.linalg.svd(images, compute_uv=False) ** 2), LOW_THRESHOLD)
+                got = spectral._cluster_values(prob, ops, idx, vecs[:, :count])
+                assert got.tobytes() == want.tobytes(), (sector, count)
+        assert known == 3  # m_1 + m_0 on the torus
 
 
 class TestQuasimodeConstruction:
