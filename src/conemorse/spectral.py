@@ -22,12 +22,15 @@ block multiplies by its other factor and adds into a corner of the output.
 The 1D tables that do not depend on t (d/dx, the sine multiplication, E and
 the quasimode basis on its 4N grid) are built once per band limit and kept
 read-only for the last TABLES_KEPT band limits, at most 10.2 MiB at
-MAX_CUTOFF; G = d/dx + t a pi sin(2 pi x) is one axpy per call.  So are the
+MAX_CUTOFF; G = d/dx + t a pi sin(2 pi x) is one axpy per call.  The
 t-independent fields of each critical point's quasimode on its 4N x 4N grid
-(displacements, well profiles and radial bump), for all four points at the
-last TABLES_KEPT band limits, at most 31.6 MiB at MAX_CUTOFF (the bump is
-2 MiB per point at N = 128): rating a quasimode at a new t computes only
-its two 1D exponentials, the projection and the matrix-free apply.
+(displacements, well profiles and radial bump) are a read-only table too,
+kept for all four points at the last band limit only, at most 8.1 MiB at
+MAX_CUTOFF (the bump is 2 MiB per point at N = 128).  The table pays off
+only when quasimodes are rated again at the same band limit and point, as
+in a t-sweep at fixed N: such a rating computes only its two 1D
+exponentials, the projection and the matrix-free apply.  A first rating
+at a band limit builds the table and gains nothing from it.
 
 The degree-0 form is the Kronecker sum H(x)I + I(x)H of the 1D operator
 H = G'G, G = d/dx + t a pi sin(2 pi x) (its two blocks write different
@@ -622,8 +625,7 @@ def gap_growth(
     ts = [float(t) for t in t_values]
     if len(ts) < 3:
         raise ValueError(f"gap growth needs >= 3 deformation values, got {len(ts)}")
-    cutoffs = [_settled_cutoff(t, cutoff) for t in ts]
-    problems = [_problems(t, n, degrees, morse_scale) for t, n in zip(ts, cutoffs)]
+    problems = [_problems(t, cutoff, degrees, morse_scale) for t in ts]
     runs = [_solve_reports(probs) for probs in problems]
     tbar = sum(ts) / len(ts)
     spread = sum((t - tbar) ** 2 for t in ts)
@@ -632,7 +634,8 @@ def gap_growth(
         gaps = [run[k].gap for run in runs]
         gbar = sum(gaps) / len(gaps)
         slope = sum((t - tbar) * (g - gbar) for t, g in zip(ts, gaps)) / spread if spread else 0.0
-        fits[k] = GapGrowthResult(list(ts), list(cutoffs), gaps, slope, gbar - slope * tbar, not spread)
+        cutoffs = [run[k].cutoff for run in runs]
+        fits[k] = GapGrowthResult(list(ts), cutoffs, gaps, slope, gbar - slope * tbar, not spread)
     return fits
 
 
@@ -675,15 +678,15 @@ def _quasimode_basis(cutoff: int) -> np.ndarray:
     return _read_only(_basis_values_1d(cutoff, np.arange(npts) / npts))
 
 
-@functools.lru_cache(maxsize=len(CRITICAL_POINTS) * TABLES_KEPT)
+@functools.lru_cache(maxsize=len(CRITICAL_POINTS))
 def _quasimode_grid(cutoff: int, point: str) -> tuple:
     """The t-independent fields of a quasimode at `point` on the 4N grid, built once per band limit.
 
     The wrapped displacements xs, ys from the point along each axis, the
     well profile (1 - cos 2 pi X)/2 on each, and the bump on the 4N x 4N
     grid, each computed as the uncached construction did it, all read-only.
-    The bump is 2 MiB at MAX_CUTOFF; the cache holds every point at the
-    last TABLES_KEPT band limits, at most 31.6 MiB.
+    The bump is 2 MiB at MAX_CUTOFF; the cache holds every point at one
+    band limit, at most 8.1 MiB.
     """
     px, py = CRITICAL_POINTS[point]
     npts = 4 * cutoff

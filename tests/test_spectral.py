@@ -23,7 +23,6 @@ from conemorse.spectral import (
     REPORT_COUNT,
     SECTORS,
     SpectralProblem,
-    TABLES_KEPT,
     _adjoint,
     _apply,
     _differential,
@@ -305,7 +304,6 @@ class TestTables:
                 quasimode(SpectralProblem(20.0 + degree, 14, degree), point, kind)
         assert built == []
 
-
     def test_quasimode_grid_raises_on_write(self):
         tables = spectral._quasimode_grid(7, "q1")
         assert len(tables) == 5
@@ -314,12 +312,12 @@ class TestTables:
                 table[(0,) * table.ndim] = 1.0
 
     def test_quasimode_grid_cache_bound(self):
-        # every point at the last TABLES_KEPT band limits, as the module docstring states
-        assert spectral._quasimode_grid.cache_info().maxsize == len(spectral.CRITICAL_POINTS) * TABLES_KEPT
+        # every point at one band limit, as the module docstring states
+        assert spectral._quasimode_grid.cache_info().maxsize == len(spectral.CRITICAL_POINTS)
         build = spectral._quasimode_grid.__wrapped__  # uncached: the big grids are dropped
-        sizes = [sum(table.nbytes for table in build(n, "q0")) for n in range(MAX_CUTOFF - TABLES_KEPT + 1, MAX_CUTOFF + 1)]
+        sizes = [sum(table.nbytes for table in build(MAX_CUTOFF, point)) for point in spectral.CRITICAL_POINTS]
         assert build(MAX_CUTOFF, "q12")[-1].nbytes == 2 * 2**20  # the bump
-        assert len(spectral.CRITICAL_POINTS) * sum(sizes) <= 31.6 * 2**20
+        assert sum(sizes) <= 8.1 * 2**20
 
     def test_second_t_at_a_band_builds_no_grid(self, monkeypatch):
         built = []
