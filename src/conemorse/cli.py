@@ -135,8 +135,11 @@ def load_datum(path: str) -> MorseDatum:
 
 def _write_output(text: str, path, quiet: bool) -> None:
     if path and path != "-":
-        with open(path, "w") as handle:
-            handle.write(text)
+        try:
+            with open(path, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc}") from exc
         if not quiet:
             print(f"wrote {path}")
     else:

@@ -16,21 +16,21 @@ quadratic form |d_C s|^2 + |d_C* s|^2, symmetric positive semidefinite by
 construction; and a matrix-free apply on the grid of coefficients,
 (A(x)B) vec(U) = vec(A U B'), which rates quasimodes as |d_C v|^2 + |d_C* v|^2
 without assembling the form, and reads cluster values off Ritz vectors.  The
-assembly lists each block's COO entries by index arithmetic on the nonzeros of
-its two dense 1D factors; the apply uses that E only pads with zeros, so a
-block multiplies by its other factor and adds into a corner of the output.
-The 1D tables that do not depend on t (d/dx, the sine multiplication, E and
-the quasimode basis on its 4N grid) are built once per band limit and kept
-read-only for the last TABLES_KEPT band limits, at most 10.2 MiB at
-MAX_CUTOFF; G = d/dx + t a pi sin(2 pi x) is one axpy per call.  The
-t-independent fields of each critical point's quasimode on its 4N x 4N grid
-(displacements, well profiles and radial bump) are a read-only table too,
-kept for all four points at the last band limit only, at most 8.1 MiB at
-MAX_CUTOFF (the bump is 2 MiB per point at N = 128).  The table pays off
+1D factors are G = d/dx + t a pi sin(2 pi x) and the band embedding E,
+which is never stored: the assembly lists each block's COO entries by index
+arithmetic on the nonzeros of G and E's diagonal of ones, and the apply uses
+that E only pads with zeros, so a block multiplies by G or by nothing and
+adds into a corner of the output.  d/dx and the sine multiplication are one
+read-only table at band MAX_CUTOFF + 1, about 1 MiB, built once per process;
+G at any band is its top-left block plus one axpy.  The quasimode's basis on
+its 4N grid and the t-independent fields of each critical point's quasimode
+on its 4N x 4N grid (displacements, well profiles and radial bump) are
+read-only tables kept for the last band limit only, the fields at most
+8.1 MiB at MAX_CUTOFF (the bump is 2 MiB per point at N = 128).  These pay off
 only when quasimodes are rated again at the same band limit and point, as
 in a t-sweep at fixed N: such a rating computes only its two 1D
 exponentials, the projection and the matrix-free apply.  A first rating
-at a band limit builds the table and gains nothing from it.
+at a band limit builds them and gains nothing from them.
 
 The degree-0 form is the Kronecker sum H(x)I + I(x)H of the 1D operator
 H = G'G, G = d/dx + t a pi sin(2 pi x) (its two blocks write different
@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -81,8 +82,6 @@ MAX_DEFORMATION = 1e152
 # largest accepted band limit N: a cone degree 1 or 2 form has 3 (2N+1)^2
 # unknowns, 198,147 at the cap
 MAX_CUTOFF = 128
-# band limits whose t-independent 1D tables stay cached, per table
-TABLES_KEPT = 4
 
 # the four critical points of the cosine Morse function, keyed like torus(1)
 CRITICAL_POINTS = {
@@ -91,6 +90,11 @@ CRITICAL_POINTS = {
     "q2": (0.0, 0.5),
     "q12": (0.5, 0.5),
 }
+
+
+def _is_integer(value) -> bool:
+    """An integral number, as int or np.int64, but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -120,12 +124,14 @@ class SpectralProblem:
                 f"t * |morse_scale| * pi must be at most {MAX_DEFORMATION:g}, got "
                 f"t={self.t}, morse_scale={self.morse_scale}: the form would overflow"
             )
+        if not _is_integer(self.cutoff):
+            raise ValueError(f"cutoff must be an integer, got {self.cutoff!r}")
         if self.cutoff < 2:
             raise ValueError(f"cutoff must be >= 2, got {self.cutoff}")
         if self.cutoff > MAX_CUTOFF:
             raise ValueError(f"cutoff must be at most {MAX_CUTOFF}, got {self.cutoff}")
-        if self.degree not in (0, 1, 2, 3):
-            raise DegreeError(f"cone degree must be 0..3, got {self.degree}")
+        if not _is_integer(self.degree) or self.degree not in (0, 1, 2, 3):
+            raise DegreeError(f"cone degree must be 0..3, got {self.degree!r}")
         if self.morse_scale == 0:
             raise ValueError(f"morse_scale must be nonzero, got {self.morse_scale}")
 
@@ -155,35 +161,28 @@ def _read_only(table: np.ndarray) -> np.ndarray:
     return table
 
 
-@functools.lru_cache(maxsize=TABLES_KEPT)
-def _deriv_1d(cutoff: int) -> np.ndarray:
-    """d/dx: band N -> band N+1 (the top band stays empty)."""
-    mat = np.zeros((basis_size(cutoff + 1), basis_size(cutoff)))
+@functools.cache
+def _band_tables() -> tuple:
+    """d/dx and multiplication by sin(2 pi x), band MAX_CUTOFF + 1 -> MAX_CUTOFF + 2, read-only.
+
+    A band adds rows and columns only past the old ones, so band N's
+    operators are their top-left (2N+3) x (2N+1) blocks.  About 1 MiB, built
+    once per process.
+    """
+    cutoff = MAX_CUTOFF + 1
+    deriv = np.zeros((basis_size(cutoff + 1), basis_size(cutoff)))
     m = np.arange(1, cutoff + 1)
-    mat[2 * m, 2 * m - 1] = -2.0 * math.pi * m  # d/dx cos -> sin
-    mat[2 * m - 1, 2 * m] = 2.0 * math.pi * m  # d/dx sin -> cos
-    return _read_only(mat)
-
-
-@functools.lru_cache(maxsize=TABLES_KEPT)
-def _sin_mult_1d(cutoff: int) -> np.ndarray:
-    """Multiplication by sin(2 pi x): band N -> band N+1, exact."""
-    mat = np.zeros((basis_size(cutoff + 1), basis_size(cutoff)))
+    deriv[2 * m, 2 * m - 1] = -2.0 * math.pi * m  # d/dx cos -> sin
+    deriv[2 * m - 1, 2 * m] = 2.0 * math.pi * m  # d/dx sin -> cos
+    sin_mult = np.zeros_like(deriv)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    mat[2, 0] = mat[0, 2] = inv_sqrt2  # sin * 1 -> sin_1, sin * sin_1 -> constant
-    m = np.arange(1, cutoff + 1)
-    mat[2 * (m + 1), 2 * m - 1] = 0.5  # sin * cos_m -> sin_{m+1}
-    mat[2 * (m + 1) - 1, 2 * m] = -0.5  # sin * sin_m -> -cos_{m+1}
+    sin_mult[2, 0] = sin_mult[0, 2] = inv_sqrt2  # sin * 1 -> sin_1, sin * sin_1 -> constant
+    sin_mult[2 * (m + 1), 2 * m - 1] = 0.5  # sin * cos_m -> sin_{m+1}
+    sin_mult[2 * (m + 1) - 1, 2 * m] = -0.5  # sin * sin_m -> -cos_{m+1}
     m = np.arange(2, cutoff + 1)
-    mat[2 * (m - 1), 2 * m - 1] = -0.5  # sin * cos_m -> -sin_{m-1}
-    mat[2 * (m - 1) - 1, 2 * m] = 0.5  # sin * sin_m -> cos_{m-1}
-    return _read_only(mat)
-
-
-@functools.lru_cache(maxsize=TABLES_KEPT)
-def _embed_1d(cutoff: int) -> np.ndarray:
-    """E, the embedding of band N into band N+1."""
-    return _read_only(np.eye(basis_size(cutoff + 1), basis_size(cutoff)))
+    sin_mult[2 * (m - 1), 2 * m - 1] = -0.5  # sin * cos_m -> -sin_{m-1}
+    sin_mult[2 * (m - 1) - 1, 2 * m] = 0.5  # sin * sin_m -> cos_{m-1}
+    return _read_only(deriv), _read_only(sin_mult)
 
 
 # d_C out of each cone degree as blocks (output component, input component,
@@ -242,97 +241,93 @@ def _sector_indices(degree: int, cutoff: int, sector: tuple) -> np.ndarray:
 
 
 def _grad_1d(cutoff: int, deform: float) -> np.ndarray:
-    """G = d/dx + deform * sin(2 pi x), band N -> band N+1: the 1D factor of d_t."""
-    return _deriv_1d(cutoff) + deform * _sin_mult_1d(cutoff)
+    """G = d/dx + deform * sin(2 pi x), band N -> band N+1, deform = t a pi: the 1D factor of d_t."""
+    if cutoff > MAX_CUTOFF + 1:
+        raise ValueError(f"band limit must be at most {MAX_CUTOFF + 1}, got {cutoff}")
+    rows, cols = basis_size(cutoff + 1), basis_size(cutoff)
+    deriv, sin_mult = _band_tables()
+    return deriv[:rows, :cols] + deform * sin_mult[:rows, :cols]
 
 
-def _differential(degree: int, cutoff: int, deform: float, grad=None) -> tuple:
-    """d_C out of `degree`, band N -> band N+1: (blocks, 1D factor pairs, output components).
+def _differential(degree: int, grad: np.ndarray) -> tuple:
+    """d_C out of `degree`, band N -> band N+1: (blocks, G, output components).
 
-    deform is the full multiplier t * a * pi on the sine factors of df.  A
-    `grad` built by _grad_1d at a band above N is used through its top-left
-    block, which equals G at band N bitwise: a band adds rows and columns
-    only past the old ones.
+    `grad` is G at band N (see _grad_1d); the band embedding E is implicit.
     """
     if degree not in (0, 1, 2, 3):
         raise DegreeError(f"cone degree must be 0..3, got {degree}")
-    rows, cols = basis_size(cutoff + 1), basis_size(cutoff)
-    grad = _grad_1d(cutoff, deform) if grad is None else grad[:rows, :cols]
-    embed = _embed_1d(cutoff)
-    pairs = {"x": (grad, embed), "y": (embed, grad), "w": (embed, embed)}
-    return DIFFERENTIAL[degree], pairs, COMPONENTS[degree + 1]
+    return DIFFERENTIAL[degree], grad, COMPONENTS[degree + 1]
 
 
-def _adjoint(degree: int, cutoff: int, deform: float, grad=None) -> tuple:
+def _adjoint(degree: int, grad: np.ndarray) -> tuple:
     """d_C* out of `degree` > 0, band N -> band N+1, in the form of `_differential`.
 
     The transpose of d_C one degree lower and one band higher, applied to the
-    form embedded in band N+2: the transposed table, each 1D factor restricted
-    to its band-N rows and transposed.
+    form embedded in band N+2: the transposed table, with `grad`, G at band
+    N+1, restricted to its band-N rows and transposed (E restricted and
+    transposed is E again).
     """
-    blocks, pairs, _ = _differential(degree - 1, cutoff + 1, deform, grad)
-    size = basis_size(cutoff)
-    return (
-        tuple((inp, out, sign, kind) for out, inp, sign, kind in blocks),
-        {kind: (a[:size].T, b[:size].T) for kind, (a, b) in pairs.items()},
-        COMPONENTS[degree - 1],
-    )
+    blocks, grad, _ = _differential(degree - 1, grad)
+    transposed = tuple((inp, out, sign, kind) for out, inp, sign, kind in blocks)
+    return transposed, grad[: grad.shape[1] - 2].T, COMPONENTS[degree - 1]
 
 
 def _operators(prob: SpectralProblem) -> list:
     """The maps whose squared norms add up to the form: d_C, and d_C* above degree 0.
 
-    Both read one G, built once at band N+1 (see _differential).
+    Both read one G at band N+1, d_C through its band-N block (see _band_tables).
     """
-    deform = prob.t * prob.morse_scale * math.pi
-    grad = _grad_1d(prob.cutoff + 1, deform)
-    ops = [_differential(prob.degree, prob.cutoff, deform, grad)]
+    grad = _grad_1d(prob.cutoff + 1, prob.t * prob.morse_scale * math.pi)
+    ops = [_differential(prob.degree, grad[:-2, :-2])]
     if prob.degree > 0:
-        ops.append(_adjoint(prob.degree, prob.cutoff, deform, grad))
+        ops.append(_adjoint(prob.degree, grad))
     return ops
 
 
-def _kron_matrix(blocks, pairs, out_components: int, in_components: int) -> sp.csr_matrix:
+def _kron_matrix(blocks, grad, out_components: int, in_components: int) -> sp.csr_matrix:
     """Sparse matrix of a block operator: each block is sign * kron of its 1D factors.
 
     The COO entries of kron(A, B) pair each nonzero of A with each nonzero of
-    B, both in row-major order, as scipy.sparse.kron lists them.
+    B, both in row-major order, as scipy.sparse.kron lists them.  E's
+    nonzeros are the ones on its diagonal.
     """
     import scipy.sparse as sp
 
-    rows_1d, cols_1d = pairs["w"][0].shape
+    rows_1d, cols_1d = grad.shape
     height, width = rows_1d**2, cols_1d**2
+    nonzero = np.nonzero(grad)
+    diagonal = np.arange(cols_1d)
+    g, e = (*nonzero, grad[nonzero]), (diagonal, diagonal, np.ones(cols_1d))
+    factors = {"x": (g, e), "y": (e, g), "w": (e, e)}
     # seeded with empty arrays, so an empty table (out of degree 3) gives a 0-row matrix
     rows, cols, data = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
     for out, inp, sign, kind in blocks:
-        a, b = pairs[kind]
-        (a_row, a_col), (b_row, b_col) = np.nonzero(a), np.nonzero(b)
+        (a_row, a_col, a_val), (b_row, b_col, b_val) = factors[kind]
         rows.append((out * height + a_row[:, None] * rows_1d + b_row).ravel())
         cols.append((inp * width + a_col[:, None] * cols_1d + b_col).ravel())
-        data.append(np.outer(sign * a[a_row, a_col], b[b_row, b_col]).ravel())
+        data.append(np.outer(sign * a_val, b_val).ravel())
     shape = (out_components * height, in_components * width)
     entries = (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols)))
     return sp.csr_matrix(entries, shape=shape)
 
 
-def _apply(blocks, pairs, out_components: int, grids: np.ndarray) -> np.ndarray:
+def _apply(blocks, grad, out_components: int, grids: np.ndarray) -> np.ndarray:
     """A block operator on the coefficient grids of a form, (A(x)B) vec(U) = vec(A U B').
 
     `grids` holds one form, (components, n, n), or a stack of them with any
     leading axes, each mapped as on its own.  The factor E of "x", "y" and
-    "w" only pads with zeros, so each block applies its other factor and
-    adds into, or subtracts from, the padded output's corner.  Matrix-free
-    and numpy only: nothing is assembled and scipy is not loaded.
+    "w" only pads with zeros, so each block applies G or nothing and adds
+    into, or subtracts from, the padded output's corner.  Matrix-free and
+    numpy only: nothing is assembled and scipy is not loaded.
     """
-    size, inner = pairs["w"][0].shape[0], grids.shape[-1]
+    size, inner = grad.shape[0], grids.shape[-1]
     out = np.zeros(grids.shape[:-3] + (out_components, size, size))
     for o, i, sign, kind in blocks:
-        a, b = pairs[kind]
         grid = grids[..., i, :, :]
         if kind == "x":  # G(x)E
-            term, corner = a @ grid, out[..., o, :, :inner]
+            term, corner = grad @ grid, out[..., o, :, :inner]
         elif kind == "y":  # E(x)G
-            term, corner = grid @ b.T, out[..., o, :inner, :]
+            term, corner = grid @ grad.T, out[..., o, :inner, :]
         else:  # E(x)E
             term, corner = grid, out[..., o, :inner, :inner]
         if sign > 0:
@@ -344,7 +339,7 @@ def _apply(blocks, pairs, out_components: int, grids: np.ndarray) -> np.ndarray:
 
 def cone_differential_matrix(degree: int, cutoff: int, deform: float) -> sp.csr_matrix:
     """Matrix of d_C from cone degree `degree` in band N to degree+1 in band N+1."""
-    return _kron_matrix(*_differential(degree, cutoff, deform), COMPONENTS[degree])
+    return _kron_matrix(*_differential(degree, _grad_1d(cutoff, deform)), COMPONENTS[degree])
 
 
 def assemble_quadratic_form(prob: SpectralProblem) -> sp.csr_matrix:
@@ -469,8 +464,7 @@ def low_spectrum(prob: SpectralProblem, count: int) -> np.ndarray:
     if count > size:
         raise ValueError(f"requested {count} eigenvalues of a {size}-dim form")
     if prob.degree in (0, 3):
-        _, pairs, _ = _differential(0, prob.cutoff, prob.t * prob.morse_scale * math.pi)
-        grad = pairs["x"][0]
+        grad = _grad_1d(prob.cutoff, prob.t * prob.morse_scale * math.pi)
         # the count smallest sums use only the count smallest 1D values
         vals = np.sort(np.linalg.svd(grad, compute_uv=False) ** 2)[:count]
         return np.sort((vals[:, None] + vals[None, :]).ravel())[:count]
@@ -671,16 +665,16 @@ def _basis_values_1d(cutoff: int, grid: np.ndarray) -> np.ndarray:
     return rows
 
 
-@functools.lru_cache(maxsize=TABLES_KEPT)
+@functools.lru_cache(maxsize=1)
 def _quasimode_basis(cutoff: int) -> np.ndarray:
-    """_basis_values_1d on the quasimode grid of 4N points, built once per band limit."""
+    """_basis_values_1d on the quasimode grid of 4N points, kept for the last band limit."""
     npts = 4 * cutoff
     return _read_only(_basis_values_1d(cutoff, np.arange(npts) / npts))
 
 
 @functools.lru_cache(maxsize=len(CRITICAL_POINTS))
 def _quasimode_grid(cutoff: int, point: str) -> tuple:
-    """The t-independent fields of a quasimode at `point` on the 4N grid, built once per band limit.
+    """The t-independent fields of a quasimode at `point` on the 4N grid, kept for the last band limit.
 
     The wrapped displacements xs, ys from the point along each axis, the
     well profile (1 - cos 2 pi X)/2 on each, and the bump on the 4N x 4N

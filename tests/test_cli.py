@@ -409,10 +409,10 @@ class TestSpectralCommand:
         ids=["suggested", "suggested-76-digits", "given", "gap-growth"],
     )
     def test_cutoff_above_cap_rejected_before_sizing(self, capsys, monkeypatch, extra):
-        def fail(cutoff):
+        def fail(cutoff, deform):
             raise AssertionError(f"a band-{cutoff} operator was built")
 
-        monkeypatch.setattr(spectral, "_deriv_1d", fail)
+        monkeypatch.setattr(spectral, "_grad_1d", fail)
         code, out, err = run(capsys, "spectral", *extra, "--degrees", "1")
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: ") and f"{spectral.MAX_CUTOFF}" in err
@@ -585,3 +585,24 @@ def test_missing_file_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, "validate", str(tmp_path / "nope.json"))
     assert code == EXIT_USAGE
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize(
+    "argv, printed",
+    [
+        (["analyze", "{datum}", "-o", "{target}"], []),
+        (["example", "torus", "--n", "1", "-o", "{target}"], []),
+        (["spectral", "--t", "10", "--cutoff", "10", "--degrees", "0", "--emit", "{target}"], ["degree 0"]),
+    ],
+    ids=["analyze-o", "example-o", "spectral-emit"],
+)
+def test_unwritable_output_exits_two(tmp_path, capsys, argv, printed):
+    # exit 1 is reserved for a datum that fails validation
+    datum = tmp_path / "t2.json"
+    datum.write_text(emit_datum(torus(1)))
+    target = tmp_path / "missing" / "out"
+    code, out, err = run(capsys, *(arg.format(datum=datum, target=target) for arg in argv))
+    assert code == EXIT_USAGE
+    assert [line.split(":")[0] for line in out.splitlines()] == printed  # the report came first
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+    assert not target.parent.exists()

@@ -28,6 +28,7 @@ from conemorse.spectral import (
     _differential,
     _factor,
     _form_value,
+    _grad_1d,
     _sector_indices,
     _sector_spectrum,
     assemble_quadratic_form,
@@ -58,14 +59,15 @@ class TestAssembly:
     def test_sine_multiplication_is_exact_one_band_up(self):
         # the whole assembly rests on this: multiplying a band-N function by
         # sin(2 pi x) is reproduced exactly by the band-(N+1) matrix
-        from conemorse.spectral import _basis_values_1d, _sin_mult_1d
+        from conemorse.spectral import _basis_values_1d
 
         rng = np.random.default_rng(0)
         cutoff, npts = 7, 512
         grid = np.arange(npts) / npts
         coeff = rng.standard_normal(basis_size(cutoff))
         sampled = coeff @ _basis_values_1d(cutoff, grid)
-        lifted = (_sin_mult_1d(cutoff) @ coeff) @ _basis_values_1d(cutoff + 1, grid)
+        sin_mult = spectral._band_tables()[1][: basis_size(cutoff + 1), : basis_size(cutoff)]
+        lifted = (sin_mult @ coeff) @ _basis_values_1d(cutoff + 1, grid)
         assert np.abs(np.sin(2 * np.pi * grid) * sampled - lifted).max() < 1e-12
 
     def test_flat_limit_recovers_torus_spectrum(self):
@@ -141,6 +143,31 @@ class TestAssembly:
                 SpectralProblem(t, 8, 0, a)
         SpectralProblem(1e150, 8, 0, -1.0)
 
+    @pytest.mark.parametrize(
+        "cutoff, degree, error, shown",
+        [
+            (10.5, 1, ValueError, "cutoff must be an integer, got 10.5"),
+            ("10", 1, ValueError, "cutoff must be an integer, got '10'"),
+            (True, 1, ValueError, "cutoff must be an integer, got True"),
+            (10, 1.0, DegreeError, "cone degree must be 0..3, got 1.0"),
+            (10, True, DegreeError, "cone degree must be 0..3, got True"),
+        ],
+        ids=["float-cutoff", "str-cutoff", "bool-cutoff", "float-degree", "bool-degree"],
+    )
+    def test_non_integral_field_refused(self, cutoff, degree, error, shown):
+        # numpy would refuse these later with a bare TypeError
+        with pytest.raises(ValueError) as info:
+            SpectralProblem(10, cutoff, degree)
+        assert info.type is error and str(info.value) == shown
+
+    def test_numpy_integers_accepted(self):
+        prob = SpectralProblem(10, np.int64(10), np.int64(0))
+        assert np.array_equal(low_spectrum(prob, 4), low_spectrum(SpectralProblem(10, 10, 0), 4))
+
+    def test_quasimode_on_non_integral_cutoff_refused(self):
+        with pytest.raises(ValueError, match="cutoff must be an integer, got 14.0"):
+            quasimode(SpectralProblem(20.0, 14.0, 1), "q1", 1)
+
     def test_cutoff_cap(self):
         # a degree-1 form has 3 (2N+1)^2 unknowns; nothing above the cap is sized
         with pytest.raises(ValueError, match=f"at most {MAX_CUTOFF}"):
@@ -186,13 +213,13 @@ class TestSharedTable:
             unit = np.zeros(matrix_size(degree, n))
             unit[j] = 1.0
             grids = unit.reshape(-1, size, size)
-            applied = _apply(*_differential(degree, n, deform), grids).reshape(-1)
+            applied = _apply(*_differential(degree, _grad_1d(n, deform)), grids).reshape(-1)
             assert np.array_equal(applied, up[:, [j]].toarray().ravel())
             if lower is not None:
                 padded = np.zeros((COMPONENTS[degree], big, big))
                 padded[:, :size, :size] = grids
                 expected = lower.T @ padded.reshape(-1)
-                applied = _apply(*_adjoint(degree, n, deform), grids).reshape(-1)
+                applied = _apply(*_adjoint(degree, _grad_1d(n + 1, deform)), grids).reshape(-1)
                 assert np.array_equal(applied, expected)
 
     @pytest.mark.parametrize("degree", [0, 1, 2, 3])
@@ -205,11 +232,18 @@ class TestSharedTable:
             assert abs(mode.rayleigh - vec @ (form @ vec)) <= 1e-12
 
 
-def kron_matrix_oracle(blocks, pairs, out_components, in_components):
+def factor_pairs(grad):
+    """The two 1D factors of each block kind, with the band embedding E stored densely."""
+    embed = np.eye(*grad.shape)
+    return {"x": (grad, embed), "y": (embed, grad), "w": (embed, embed)}
+
+
+def kron_matrix_oracle(blocks, grad, out_components, in_components):
     """A block operator with each block built by scipy.sparse.kron."""
     import scipy.sparse as sp
 
-    rows_1d, cols_1d = pairs["w"][0].shape
+    pairs = factor_pairs(grad)
+    rows_1d, cols_1d = grad.shape
     height, width = rows_1d**2, cols_1d**2
     rows, cols, data = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
     for out, inp, sign, kind in blocks:
@@ -247,15 +281,15 @@ class TestKroneckerAssembly:
         grids = np.random.default_rng(degree).standard_normal(
             (COMPONENTS[degree], basis_size(n), basis_size(n))
         )
-        ops = [_differential(degree, n, deform)]
+        ops = [_differential(degree, _grad_1d(n, deform))]
         if degree:
-            ops.append(_adjoint(degree, n, deform))
+            ops.append(_adjoint(degree, _grad_1d(n + 1, deform)))
         blocks_seen = 0
-        for blocks, pairs, out_components in ops:
-            size = pairs["w"][0].shape[0]
+        for blocks, grad, out_components in ops:
+            size, pairs = grad.shape[0], factor_pairs(grad)
             for block in blocks:
                 o, i, sign, kind = block
-                applied = _apply((block,), pairs, out_components, grids)
+                applied = _apply((block,), grad, out_components, grids)
                 expected = np.zeros((out_components, size * size))
                 expected[o] = sign * np.kron(*pairs[kind]) @ grids[i].ravel()
                 err = np.abs(applied.reshape(out_components, -1) - expected).max()
@@ -265,39 +299,85 @@ class TestKroneckerAssembly:
         assert blocks_seen == len(DIFFERENTIAL[degree]) + adjoint_blocks
 
 
-class TestTables:
-    """The t-independent 1D tables are built once per band limit and cannot be written."""
+def deriv_oracle(cutoff):
+    """d/dx: band N -> band N+1, built at its own band (the top band stays empty)."""
+    mat = np.zeros((basis_size(cutoff + 1), basis_size(cutoff)))
+    m = np.arange(1, cutoff + 1)
+    mat[2 * m, 2 * m - 1] = -2.0 * math.pi * m  # d/dx cos -> sin
+    mat[2 * m - 1, 2 * m] = 2.0 * math.pi * m  # d/dx sin -> cos
+    return mat
 
-    TABLES = ("_deriv_1d", "_sin_mult_1d", "_embed_1d", "_quasimode_basis")
+
+def sin_mult_oracle(cutoff):
+    """Multiplication by sin(2 pi x): band N -> band N+1, built at its own band."""
+    mat = np.zeros((basis_size(cutoff + 1), basis_size(cutoff)))
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    mat[2, 0] = mat[0, 2] = inv_sqrt2  # sin * 1 -> sin_1, sin * sin_1 -> constant
+    m = np.arange(1, cutoff + 1)
+    mat[2 * (m + 1), 2 * m - 1] = 0.5  # sin * cos_m -> sin_{m+1}
+    mat[2 * (m + 1) - 1, 2 * m] = -0.5  # sin * sin_m -> -cos_{m+1}
+    m = np.arange(2, cutoff + 1)
+    mat[2 * (m - 1), 2 * m - 1] = -0.5  # sin * cos_m -> -sin_{m-1}
+    mat[2 * (m - 1) - 1, 2 * m] = 0.5  # sin * sin_m -> cos_{m-1}
+    return mat
+
+
+def grad_oracle(cutoff, deform):
+    """G at band N from the two factors built at band N, as before the table at the cap."""
+    return deriv_oracle(cutoff) + deform * sin_mult_oracle(cutoff)
+
+
+def counted_cache(monkeypatch, name, built):
+    """Replace spectral.<name> by its builder under a fresh cache of the same bound, logging each build."""
+    table = getattr(spectral, name)
+    build = table.__wrapped__  # the table function without its cache
+
+    def counted(*key):
+        built.append((name, *key))
+        return build(*key)
+
+    monkeypatch.setattr(spectral, name, functools.lru_cache(maxsize=table.cache_info().maxsize)(counted))
+
+
+class TestTables:
+    """The t-independent tables cannot be written; d/dx and the sine multiplication are built once per process."""
 
     def test_cached_tables_raise_on_write(self):
-        n = 7
-        tables = [getattr(spectral, name)(n) for name in self.TABLES]
-        tables += [_differential(1, n, 2.0)[1]["w"][0], _adjoint(1, n, 2.0)[1]["w"][1]]
-        for table in tables:
+        deriv, sin_mult = spectral._band_tables()
+        assert deriv.shape == sin_mult.shape == (basis_size(MAX_CUTOFF + 2), basis_size(MAX_CUTOFF + 1))
+        for table in (deriv, sin_mult, spectral._quasimode_basis(7)):
             with pytest.raises(ValueError):
                 table[0, 0] = 1.0
-        assert spectral._grad_1d(n, 2.0).flags.writeable  # G depends on t: a fresh array
+        assert _grad_1d(7, 2.0).flags.writeable  # G depends on t: a fresh array
+
+    def test_band_tables_built_once_for_every_band(self, monkeypatch):
+        assert spectral._band_tables.cache_info().maxsize is None  # never evicted
+        built = []
+        counted_cache(monkeypatch, "_band_tables", built)
+        for n in range(2, MAX_CUTOFF + 1):
+            _grad_1d(n, 1.0)
+        low_spectrum(SpectralProblem(2.0, MAX_CUTOFF, 0), 4)
+        quasimode(SpectralProblem(20.0, 14, 1), "q1", 1)
+        assert built == [("_band_tables",)]
+
+    def test_grad_equals_per_band_oracle_bitwise(self):
+        for n in range(2, MAX_CUTOFF + 2):
+            for deform in (0.0, 3.7 * math.pi, -1e150):
+                got, want = _grad_1d(n, deform), grad_oracle(n, deform)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (n, deform)
+
+    def test_band_above_the_table_refused(self):
+        with pytest.raises(ValueError, match=f"band limit must be at most {MAX_CUTOFF + 1}"):
+            _grad_1d(MAX_CUTOFF + 2, 1.0)
+        with pytest.raises(ValueError, match=f"band limit must be at most {MAX_CUTOFF + 1}"):
+            cone_differential_matrix(0, MAX_CUTOFF + 2, 1.0)
 
     def test_second_quasimode_at_a_band_builds_no_table(self, monkeypatch):
         built = []
-        for name in self.TABLES:
-            build = getattr(spectral, name).__wrapped__  # the table function without its cache
-
-            def counted(cutoff, name=name, build=build):
-                built.append((name, cutoff))
-                return build(cutoff)
-
-            cache = functools.lru_cache(maxsize=spectral.TABLES_KEPT)(counted)
-            monkeypatch.setattr(spectral, name, cache)
+        for name in ("_band_tables", "_quasimode_basis"):
+            counted_cache(monkeypatch, name, built)
         quasimode(SpectralProblem(20.0, 14, 1), "q1", 1)
-        assert sorted(built) == [
-            ("_deriv_1d", 15),
-            ("_embed_1d", 14),
-            ("_embed_1d", 15),
-            ("_quasimode_basis", 14),
-            ("_sin_mult_1d", 15),
-        ]
+        assert sorted(built) == [("_band_tables",), ("_quasimode_basis", 14)]
         built.clear()
         for degree, modes in QUASIMODES.items():
             for point, kind in modes:
@@ -321,19 +401,12 @@ class TestTables:
 
     def test_second_t_at_a_band_builds_no_grid(self, monkeypatch):
         built = []
-        build = spectral._quasimode_grid.__wrapped__
-
-        def counted(cutoff, point):
-            built.append((cutoff, point))
-            return build(cutoff, point)
-
-        maxsize = spectral._quasimode_grid.cache_info().maxsize
-        monkeypatch.setattr(spectral, "_quasimode_grid", functools.lru_cache(maxsize=maxsize)(counted))
+        counted_cache(monkeypatch, "_quasimode_grid", built)
         for t in (20.0, 21.0):
             for degree, modes in QUASIMODES.items():
                 for point, kind in modes:
                     quasimode(SpectralProblem(t, 14, degree), point, kind)
-        assert sorted(built) == sorted((14, point) for point in spectral.CRITICAL_POINTS)
+        assert sorted(built) == sorted(("_quasimode_grid", 14, point) for point in spectral.CRITICAL_POINTS)
 
 
 # the values before the tables were cached (quasimodes at t = 20, N = 14, and
@@ -507,10 +580,10 @@ class TestClusters:
             cluster_counts(80, 6, degrees=(3,))
 
     def test_suggested_cutoff_above_cap_builds_nothing(self, monkeypatch):
-        def fail(cutoff):
+        def fail(cutoff, deform):
             raise AssertionError(f"a band-{cutoff} operator was built")
 
-        monkeypatch.setattr(spectral, "_deriv_1d", fail)
+        monkeypatch.setattr(spectral, "_grad_1d", fail)
         with pytest.raises(ValueError, match=f"t = 1e\\+06 needs a cutoff above the cap {MAX_CUTOFF}"):
             spectral_reports(1e6)
 
@@ -672,24 +745,28 @@ def reference_quasimode(prob, point, kind):
     basis = basis_values(prob.cutoff, grid)
     vec = np.concatenate([(basis @ c @ basis.T / npts**2).reshape(-1) for c in components])
     vec /= np.linalg.norm(vec)
-    deform = prob.t * prob.morse_scale * math.pi
-    maps = [_differential(prob.degree, prob.cutoff, deform)]
-    if prob.degree:
-        maps.append(_adjoint(prob.degree, prob.cutoff, deform))
     grids = vec.reshape(-1, basis_size(prob.cutoff), basis_size(prob.cutoff))
-    return vec, sum(np.sum(_apply(*op, grids) ** 2) for op in maps)
+    return vec, sum(np.sum(_apply(*op, grids) ** 2) for op in oracle_maps(prob))
 
 
-def signed_apply(blocks, pairs, out_components, grids):
+def oracle_maps(prob):
+    """d_C, and d_C* above degree 0, each on its own G from the per-band oracle factors."""
+    deform = prob.t * prob.morse_scale * math.pi
+    maps = [_differential(prob.degree, grad_oracle(prob.cutoff, deform))]
+    if prob.degree:
+        maps.append(_adjoint(prob.degree, grad_oracle(prob.cutoff + 1, deform)))
+    return maps
+
+
+def signed_apply(blocks, grad, out_components, grids):
     """Oracle: the block apply on one form, each block added as sign * (its product)."""
-    size, inner = pairs["w"][0].shape[0], grids.shape[-1]
+    size, inner = grad.shape[0], grids.shape[-1]
     out = np.zeros((out_components, size, size))
     for o, i, sign, kind in blocks:
-        a, b = pairs[kind]
         if kind == "x":
-            out[o, :, :inner] += sign * (a @ grids[i])
+            out[o, :, :inner] += sign * (grad @ grids[i])
         elif kind == "y":
-            out[o, :inner, :] += sign * (grids[i] @ b.T)
+            out[o, :inner, :] += sign * (grids[i] @ grad.T)
         else:
             out[o, :inner, :inner] += sign * grids[i]
     return out
@@ -699,7 +776,8 @@ def uncached_quasimode(prob, point, kind):
     """Oracle: a quasimode with its whole grid built at the call and every component projected.
 
     The construction before the grid table: displacements, cosines and bump
-    on every call, zero components projected too, and signed_apply.
+    on every call, zero components projected too, signed_apply, and G built
+    from the per-band oracle factors.
     """
     px, py = spectral.CRITICAL_POINTS[point]
     descending = (px == 0.5, py == 0.5)
@@ -726,14 +804,16 @@ def uncached_quasimode(prob, point, kind):
     vec = vec / np.linalg.norm(vec)
     size = basis_size(prob.cutoff)
     grids = vec.reshape(-1, size, size)
-    return vec, float(sum(np.sum(signed_apply(*op, grids) ** 2) for op in spectral._operators(prob)))
+    return vec, float(sum(np.sum(signed_apply(*op, grids) ** 2) for op in oracle_maps(prob)))
 
 
 class TestQuasimodeTables:
     """The grid table, the nonzero-only projection and the sign-free, stackable apply change no bit."""
 
     @pytest.mark.parametrize(
-        "t, cutoff, a", [(20.0, 14, 1.0), (3.0, 6, 0.5), (40.0, 19, 1.0), (7.3, 5, 2.0)]
+        "t, cutoff, a",
+        # N = 2 and N = MAX_CUTOFF, where d_C* reads the last band of the table
+        [(20.0, 14, 1.0), (3.0, 6, 0.5), (40.0, 19, 1.0), (7.3, 5, 2.0), (20.0, 2, 1.0), (20.0, MAX_CUTOFF, 1.0)],
     )
     def test_equals_uncached_construction_bitwise(self, t, cutoff, a):
         for degree, modes in QUASIMODES.items():
@@ -750,9 +830,9 @@ class TestQuasimodeTables:
         n, deform = 6, 5.1 * math.pi
         size = basis_size(n)
         grids = np.random.default_rng(degree).standard_normal(stack + (COMPONENTS[degree], size, size))
-        ops = [_differential(degree, n, deform)]
+        ops = [_differential(degree, _grad_1d(n, deform))]
         if degree:
-            ops.append(_adjoint(degree, n, deform))
+            ops.append(_adjoint(degree, _grad_1d(n + 1, deform)))
         for op in ops:
             stacked = _apply(*op, grids)
             assert stacked.shape == stack + (op[2], size + 2, size + 2)
@@ -802,14 +882,14 @@ class TestQuasimodeConstruction:
     @pytest.mark.parametrize("cutoff", [2, 14, 127])
     def test_band_n_factors_are_blocks_of_band_n_plus_1(self, cutoff):
         rows, cols = basis_size(cutoff + 1), basis_size(cutoff)
-        for factor in (spectral._deriv_1d, spectral._sin_mult_1d):
-            assert np.array_equal(factor(cutoff + 1)[:rows, :cols], factor(cutoff))
+        for deform in (0.0, 3.7 * math.pi):
+            above, grad = _grad_1d(cutoff + 1, deform), _grad_1d(cutoff, deform)
+            assert above[:rows, :cols].tobytes() == grad.tobytes()
 
     def test_one_factor_build_per_quasimode(self, monkeypatch):
         built = []
-        deriv = spectral._deriv_1d
         monkeypatch.setattr(
-            spectral, "_deriv_1d", lambda cutoff: built.append(cutoff) or deriv(cutoff)
+            spectral, "_grad_1d", lambda cutoff, deform: built.append(cutoff) or _grad_1d(cutoff, deform)
         )
         for degree, modes in QUASIMODES.items():
             for point, kind in modes:
@@ -1292,8 +1372,7 @@ class TestKroneckerSum:
         mpmath = pytest.importorskip("mpmath")
         rep = spectral_report(SpectralProblem(10.0, 13, 0))
         assert rep.low_count == 1
-        _, pairs, _ = _differential(0, 13, 10.0 * math.pi)
         with mpmath.workdps(30):
-            grad = mpmath.matrix(pairs["x"][0].tolist())
+            grad = mpmath.matrix(_grad_1d(13, 10.0 * math.pi).tolist())
             exact = float(2 * min(mpmath.eigsy(grad.T * grad, eigvals_only=True)))
         assert abs(rep.eigenvalues[0] - exact) <= 1e-8 * exact
