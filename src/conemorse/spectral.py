@@ -42,10 +42,16 @@ reflections x -> -x and y -> -y fix all four critical points, so the form
 splits exactly into four parity sectors, and the mirror (x, y) -> (y, x)
 maps sector (1, 0) onto (0, 1).  Each of three sectors is factored once at
 the cluster threshold; the factor's inertia counts the sector's low cluster,
-and shift-invert Lanczos on the same factor must find as many, plus only as
-many values above it as can still reach the requested count.  The cluster
-values are then the squared singular values of [d_C; d_C*] on their Lanczos
-vectors, never negative.
+and shift-invert Lanczos on the same factor, stopped at ARPACK tolerance
+LANCZOS_TOL, must find as many, plus only as many values above it as can
+still reach the requested count.  Each value theta above the threshold must
+have |(B - theta) v| <= RESIDUAL_TOL * max(1, theta) on its sector block B,
+which by Weyl's bound caps its error, or the solve fails.  The last sector
+is settled by one inertia when the sectors before it already hold the
+requested count with its count-th value beta above the threshold: factored
+at beta, an inertia of 0 proves it holds no value the count can use, and it
+is not solved.  The cluster values are then the squared singular values of
+[d_C; d_C*] on their Lanczos vectors, never negative.
 Translation by (1/2, 1/2) and the cone Hodge star map the form of degree
 3 - k onto that of degree k, so degree 3 has the spectrum of degree 0, and
 cluster counts and gap fits solve each dual pair of degrees once and report
@@ -82,6 +88,10 @@ MAX_DEFORMATION = 1e152
 # largest accepted band limit N: a cone degree 1 or 2 form has 3 (2N+1)^2
 # unknowns, 198,147 at the cap
 MAX_CUTOFF = 128
+# shift-invert Lanczos stops at this ARPACK tolerance; every value it returns
+# above the threshold must then have |(B - theta) v| <= RESIDUAL_TOL * max(1, theta)
+LANCZOS_TOL = 1e-12
+RESIDUAL_TOL = 1e-9
 
 # the four critical points of the cosine Morse function, keyed like torus(1)
 CRITICAL_POINTS = {
@@ -112,6 +122,10 @@ class SpectralProblem:
     morse_scale: float = 1.0
 
     def __post_init__(self):
+        for name in ("t", "morse_scale"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not (math.isfinite(self.t) and math.isfinite(self.morse_scale)):
             raise ValueError(
                 f"t and morse_scale must be finite, got t={self.t}, "
@@ -395,10 +409,13 @@ def _sector_spectrum(block: sp.csr_matrix, weight: int, wanted: int) -> tuple:
     all but n would lie above the threshold, and a sector standing for
     `weight` sectors supplies at most ceil((wanted - weight * n) / weight) of
     those; so n plus that many, and one at least, are asked for.  The values
-    come from shift-invert Lanczos on the factor, or a dense solve of all
-    when k >= size - 1 leaves ARPACK no room.  Lanczos finds the values
-    nearest the shift, the lowest ones iff all n are among them; a
-    SolverError says they are not.
+    come from shift-invert Lanczos on the factor, stopped at LANCZOS_TOL, or
+    a dense solve of all when k >= size - 1 leaves ARPACK no room.  Lanczos
+    finds the values nearest the shift, the lowest ones iff all n are among
+    them; a SolverError says they are not.  Each value theta above the
+    threshold must have a residual |(B - theta) v| <= RESIDUAL_TOL * max(1,
+    theta), which by Weyl's bound caps its error; a SolverError says one has
+    not.
     """
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
@@ -417,6 +434,7 @@ def _sector_spectrum(block: sp.csr_matrix, weight: int, wanted: int) -> tuple:
                 # every call, so repeated solves would differ in the last digits
                 v0=np.random.default_rng(0).standard_normal(size),
                 OPinv=LinearOperator((size, size), matvec=factor.solve, dtype=block.dtype),
+                tol=LANCZOS_TOL,
             )
         except ArpackError as exc:
             raise SolverError(f"eigensolver failed: {exc}") from exc
@@ -424,6 +442,16 @@ def _sector_spectrum(block: sp.csr_matrix, weight: int, wanted: int) -> tuple:
     if found != below:
         raise SolverError(
             f"eigensolver found {found} eigenvalue(s) <= {LOW_THRESHOLD:g}, inertia counts {below}"
+        )
+    # ARPACK's stopping rule bounds the residual of the inverted operator, not of B
+    high = vals > LOW_THRESHOLD
+    residuals = np.linalg.norm(block @ vecs[:, high] - vecs[:, high] * vals[high], axis=0)
+    bounds = RESIDUAL_TOL * np.maximum(1.0, vals[high])
+    if not np.all(residuals <= bounds):
+        worst = np.argmax(residuals / bounds)
+        raise SolverError(
+            f"eigensolver residual {residuals[worst]:.3g} exceeds {bounds[worst]:.3g} "
+            f"at eigenvalue {vals[high][worst]:.9g}"
         )
     order = np.argsort(vals)
     return vals[order], vecs[:, order], below
@@ -458,7 +486,9 @@ def low_spectrum(prob: SpectralProblem, count: int) -> np.ndarray:
     counts of the sectors solved before it known: the form's lowest `count`
     values are its whole cluster and the lowest ones above the threshold, so
     each is among those of its sector, and the merge holds them all.  The
-    cluster values are then taken from the Ritz vectors (see _cluster_values).
+    last sector is skipped when its inertia at the count-th value found so
+    far proves it holds none of them.  The cluster values are then taken
+    from the Ritz vectors (see _cluster_values).
     """
     size = matrix_size(prob.degree, prob.cutoff)
     if count > size:
@@ -470,15 +500,23 @@ def low_spectrum(prob: SpectralProblem, count: int) -> np.ndarray:
         return np.sort((vals[:, None] + vals[None, :]).ravel())[:count]
     form = assemble_quadratic_form(prob)
     ops = _operators(prob)
-    merged, known = [], 0
+    merged, known = np.zeros(0), 0
     for sector, weight in SECTORS:
         idx = _sector_indices(prob.degree, prob.cutoff, sector)
-        vals, vecs, below = _sector_spectrum(form[idx][:, idx], weight, count - known)
+        block = form[idx][:, idx]
+        if sector == SECTORS[-1][0] and len(merged) >= count and merged[count - 1] > LOW_THRESHOLD:
+            # the last sector holds a value among the lowest `count` only if it
+            # has one below beta, the count-th found so far, which is above the
+            # threshold: an inertia of 0 there settles it without Lanczos
+            if _factor(block, merged[count - 1])[1] == 0:
+                break
+        vals, vecs, below = _sector_spectrum(block, weight, count - known)
+        del block  # one sector slice at a time
         if below:
             vals[:below] = _cluster_values(prob, ops, idx, vecs[:, :below])
         known += weight * below
-        merged.append(np.repeat(vals, weight))
-    return np.sort(np.concatenate(merged))[:count]
+        merged = np.sort(np.concatenate([merged, np.repeat(vals, weight)]))
+    return merged[:count]
 
 
 def spectral_report(prob: SpectralProblem) -> SpectralReport:

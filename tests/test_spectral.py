@@ -160,6 +160,27 @@ class TestAssembly:
             SpectralProblem(10, cutoff, degree)
         assert info.type is error and str(info.value) == shown
 
+    @pytest.mark.parametrize(
+        "t, morse_scale, shown",
+        [
+            ("10", 1.0, "t must be a real number, got '10'"),
+            (10, "1", "morse_scale must be a real number, got '1'"),
+            (True, 1.0, "t must be a real number, got True"),
+            (10, True, "morse_scale must be a real number, got True"),
+            (10, None, "morse_scale must be a real number, got None"),
+        ],
+        ids=["str-t", "str-morse_scale", "bool-t", "bool-morse_scale", "none-morse_scale"],
+    )
+    def test_non_real_deformation_refused(self, t, morse_scale, shown):
+        # math.isfinite would refuse a string with a bare TypeError and take True as 1
+        with pytest.raises(ValueError) as info:
+            SpectralProblem(t, 10, 1, morse_scale)
+        assert info.type is ValueError and str(info.value) == shown
+
+    def test_numpy_floats_accepted(self):
+        prob = SpectralProblem(np.float64(10.0), 10, 1, np.float64(-1.0))
+        assert np.array_equal(low_spectrum(prob, 4), low_spectrum(SpectralProblem(10.0, 10, 1, -1.0), 4))
+
     def test_numpy_integers_accepted(self):
         prob = SpectralProblem(10, np.int64(10), np.int64(0))
         assert np.array_equal(low_spectrum(prob, 4), low_spectrum(SpectralProblem(10, 10, 0), 4))
@@ -1167,6 +1188,20 @@ def patched_eigsh(monkeypatch, edit):
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", patched)
 
 
+def record_factors(monkeypatch):
+    """(shift, inertia) of every sector factorization low_spectrum makes, in order."""
+    factor = spectral._factor
+    factored = []
+
+    def recorded(block, shift):
+        result = factor(block, shift)
+        factored.append((shift, result[1]))
+        return result
+
+    monkeypatch.setattr(spectral, "_factor", recorded)
+    return factored
+
+
 class TestInertia:
     """Each sector's cluster count is the inertia of its one factorization, and Lanczos must agree."""
 
@@ -1255,10 +1290,11 @@ class TestInertia:
             )
         assert cluster_counts(10, 10) == [1, 3, 3, 1]
         # only the pair (1, 2) is solved sparse, one sector at a time: (0, 1)
-        # (weight 2) and (1, 1) hold one cluster value each, so (0, 0) is left
-        # REPORT_COUNT - 3 = 1 value to supply
+        # (weight 2) and (1, 1) hold one cluster value each and the gap, so
+        # the clusterless (0, 0) is settled by its inertia at the fourth value
+        # found, one factorization and no Lanczos solve
         assert [name for name, _ in calls].count("splu") == 3
-        assert [k for name, k in calls if name == "eigsh"] == [2, 2, 1]
+        assert [k for name, k in calls if name == "eigsh"] == [2, 2]
         # degrees 0 and 3 come from the 1D factor: no form, factor or Lanczos
         calls.clear()
         monkeypatch.setattr(
@@ -1291,7 +1327,7 @@ class TestSectorBudget:
                 assert np.all(err <= 1e-9 * np.maximum(1.0, dense[:count])), (cutoff, count)
 
     @pytest.mark.parametrize("degree", [1, 2])
-    def test_clusterless_sector_supplies_a_value(self, degree):
+    def test_clusterless_sector_supplies_a_value(self, monkeypatch, degree):
         prob = SpectralProblem(10.0, 4, degree, 0.3)
         dense = np.linalg.eigvalsh(assemble_quadratic_form(prob).toarray())
         *_, (last, _) = sector_blocks(prob)
@@ -1301,15 +1337,25 @@ class TestSectorBudget:
         near = 1e-6 * own[0]
         assert dense[8] < own[0] - near and abs(dense[9] - own[0]) < near
         assert np.sum(np.abs(dense - own[0]) < near) == np.sum(np.abs(own - own[0]) < near)
+        factored = record_factors(monkeypatch)
         for count in (10, 11, 12):
+            factored.clear()
             vals = low_spectrum(prob, count)
             assert np.all(np.abs(vals - dense[:count]) <= 1e-9 * np.maximum(1.0, dense[:count]))
+            # (0, 0) holds values below beta, the count-th value the sectors
+            # before it hold, so its inertia there is positive and it is
+            # factored again at the threshold and solved by Lanczos
+            (beta, inertia), last = factored[2], factored[3]
+            assert len(factored) == 4 and beta >= dense[count - 1] * (1 - 1e-9)
+            assert beta > LOW_THRESHOLD and inertia > 0 and last == (LOW_THRESHOLD, 0)
 
     # k per sector at t = 10, N = 10, degree 1: (0, 1) of weight 2 and (1, 1)
     # hold one cluster value each, (0, 0) none; each asks for its cluster plus
-    # ceil((count - known - weight * n) / weight) values, one at least
+    # ceil((count - known - weight * n) / weight) values, one at least.  At
+    # count 5 the fifth value found is below every value of (0, 0), whose
+    # inertia there settles it without a Lanczos solve
     @pytest.mark.parametrize(
-        "count, ks", [(1, [2, 2, 1]), (5, [3, 3, 2]), (12, [6, 10, 9])]
+        "count, ks", [(1, [2, 2, 1]), (5, [3, 3]), (12, [6, 10, 9])]
     )
     def test_lanczos_asks_only_for_reachable_values(self, monkeypatch, count, ks):
         import scipy.sparse.linalg
@@ -1322,6 +1368,97 @@ class TestSectorBudget:
         )
         low_spectrum(SpectralProblem(10.0, 10, 1), count)
         assert asked == ks
+
+
+class TestResidualGate:
+    """Each value theta above the threshold has |(B - theta) v| <= RESIDUAL_TOL * max(1, theta)."""
+
+    def test_perturbed_ritz_vector_is_a_solver_error(self, monkeypatch, capsys):
+        def perturb_top(vals, vecs):
+            vecs[:, -1] += 1e-6 * np.random.default_rng(1).standard_normal(vecs.shape[0])
+            vecs[:, -1] /= np.linalg.norm(vecs[:, -1])
+            return vals, vecs
+
+        patched_eigsh(monkeypatch, perturb_top)
+        with pytest.raises(SolverError, match="eigensolver residual .* exceeds"):
+            low_spectrum(SpectralProblem(10.0, 10, 1), REPORT_COUNT)
+        assert cli.main(["spectral", "--t", "10", "--cutoff", "10", "--degrees", "1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("spectral solve failed: eigensolver residual ")
+
+    def test_residuals_bound_the_error_against_dense(self):
+        prob = SpectralProblem(7.3, 6, 2, -0.6)
+        dense = np.linalg.eigvalsh(assemble_quadratic_form(prob).toarray())[:12]
+        vals = low_spectrum(prob, 12)
+        high = dense > LOW_THRESHOLD
+        assert np.all(np.abs(vals - dense)[high] <= spectral.RESIDUAL_TOL * dense[high])
+
+
+def parent_path_spectrum(prob, count):
+    """Oracle for degrees 1 and 2: every sector in grid order, factored with MMD, solved by
+    Lanczos to machine precision (tol = 0), none settled by inertia alone."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import LinearOperator, eigsh, splu
+
+    form = assemble_quadratic_form(prob)
+    ops = spectral._operators(prob)
+    merged, known = [], 0
+    for sector, weight in SECTORS:
+        idx = _sector_indices(prob.degree, prob.cutoff, sector)
+        block = form[idx][:, idx]
+        size = block.shape[0]
+        factor = splu(
+            (block - LOW_THRESHOLD * sp.identity(size, format="csr")).tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+        below = int(np.count_nonzero(factor.U.diagonal() < 0))
+        k = below + max(1, -(-(count - known - weight * below) // weight))
+        vals, vecs = eigsh(
+            block,
+            k=k,
+            sigma=LOW_THRESHOLD,
+            v0=np.random.default_rng(0).standard_normal(size),
+            OPinv=LinearOperator((size, size), matvec=factor.solve, dtype=block.dtype),
+            tol=0,
+        )
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
+        if below:
+            vals[:below] = spectral._cluster_values(prob, ops, idx, vecs[:, :below])
+        known += weight * below
+        merged.append(np.repeat(vals, weight))
+    return np.sort(np.concatenate(merged))[:count]
+
+
+class TestAgainstParentPath:
+    """The Lanczos tolerance and the settled last sector move no printed digit."""
+
+    @pytest.mark.parametrize("t", [1.0, 2.0, 3.0, 5.0, 7.3, 10.0, 20.0, 40.0, 80.0])
+    def test_values_match_the_parent_path(self, monkeypatch, t):
+        import scipy.sparse.linalg
+
+        eigsh = scipy.sparse.linalg.eigsh
+        for a, degree in itertools.product((1.0, -0.6, 2.0), (1, 2)):
+            prob = SpectralProblem(t, suggested_cutoff(t), degree, a)
+            oracle = parent_path_spectrum(prob, REPORT_COUNT)
+            solves = []
+            monkeypatch.setattr(
+                scipy.sparse.linalg, "eigsh",
+                lambda *args, **kwargs: solves.append(kwargs["k"]) or eigsh(*args, **kwargs),
+            )
+            vals = low_spectrum(prob, REPORT_COUNT)
+            monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
+            # the clusterless (0, 0) is settled by its inertia in every case
+            assert len(solves) == len(SECTORS) - 1, (a, degree)
+            high = oracle > LOW_THRESHOLD
+            rel = np.abs(vals - oracle) / np.abs(oracle)
+            assert np.all(rel[high] <= 1e-12), (a, degree)
+            # cluster values below 1e-18 sit at the rounding floor of the singular values
+            floor = (vals < 1e-18) & (oracle < 1e-18)
+            assert np.all((rel <= 1e-9) | floor), (a, degree)
 
 
 # (t, N, count) -> {sector: the values it holds twice among the lowest count}
@@ -1355,7 +1492,10 @@ class TestKroneckerSum:
     """Degrees 0 and 3: sums of two squared singular values of the 1D factor G."""
 
     @pytest.mark.parametrize("t", [2.0, 10.0, 40.0, 80.0])
-    def test_equals_sector_and_whole_form_solves(self, t):
+    def test_equals_sector_and_whole_form_solves(self, monkeypatch, t):
+        # the sector oracle runs Lanczos to machine precision: at LANCZOS_TOL
+        # sector (0, 0) of degree 0 at t = 10, a = 0.3 fails the residual gate
+        monkeypatch.setattr(spectral, "LANCZOS_TOL", 0.0)
         for a, degree in itertools.product((1.0, -1.0, 0.3), (0, 3)):
             prob = SpectralProblem(t, suggested_cutoff(t), degree, a)
             vals = low_spectrum(prob, 12)
