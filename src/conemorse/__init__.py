@@ -51,7 +51,6 @@ from .ratlinalg import (
     Rational,
     RationalMatrix,
     nullspace_basis,
-    quotient_map,
     rank,
     rat,
 )

@@ -276,8 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
+    def add_common(p, output=False):
+        if output:
+            p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
         p.add_argument("--quiet", action="store_true", help="suppress chatter")
 
     p_example = sub.add_parser("example", help="generate a built-in datum file")
@@ -300,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_example.add_argument("--input", help="input datum file (stabilize)")
     p_example.add_argument("--degree", type=int, default=0, help="stabilization degree")
     p_example.add_argument("--label", default="stab", help="label stem for the new pair")
-    add_common(p_example)
+    add_common(p_example, output=True)
     p_example.set_defaults(func=_cmd_example)
 
     p_validate = sub.add_parser("validate", help="parse and validate a datum file")
@@ -311,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="inequality report for a datum file")
     p_analyze.add_argument("input")
     p_analyze.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    add_common(p_analyze)
+    add_common(p_analyze, output=True)
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_cone = sub.add_parser(

@@ -17,8 +17,8 @@ from .ratlinalg import (
     block,
     hstack,
     nullspace_basis,
-    quotient_map,
     rank,
+    solve,
     _pivots,
 )
 
@@ -68,9 +68,6 @@ class CochainComplex:
         if 0 <= k < len(self.differentials):
             return self.differentials[k]
         return RationalMatrix.zeros(self.dim(k + 1), self.dim(k))
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** k * self.dim(k) for k in self.degrees())
 
     def __eq__(self, other) -> bool:
         return (
@@ -246,7 +243,7 @@ def induced_cohomology_maps(phi: DegreeChainMap, h: Optional[CohomologyData] = N
 
     ``h``, when given, is cohomology(phi.complex), already computed by the
     caller.  Classes are represented by the cocycles that extend the
-    coboundaries to a basis of Z_k.
+    coboundaries to a basis of Z_k.  A foreign ``h`` can raise ValueError.
     """
     h = _cohomology(phi, h)
     c = phi.complex
@@ -256,8 +253,10 @@ def induced_cohomology_maps(phi: DegreeChainMap, h: Optional[CohomologyData] = N
         reps = _extend_to_basis(c.d(k - 1), h.cocycles(k))
         coboundary = c.d(j - 1)
         target_reps = _extend_to_basis(coboundary, h.cocycles(j))
-        spanning = hstack(target_reps, coboundary)
-        out[k] = quotient_map(phi.matrix(k), reps, spanning, target_reps.cols)
+        coords = solve(hstack(target_reps, coboundary), phi.matrix(k) @ reps)
+        if coords is None:
+            raise ValueError(f"h is not cohomology(phi.complex) at degree {k}")
+        out[k] = coords.submatrix(slice(0, target_reps.cols), slice(None))
     return out
 
 

@@ -13,10 +13,6 @@ class UsageError(ValueError):
     """A requested parameter cannot be realized (Betti vector, rank, power of omega)."""
 
 
-class MembershipError(ValueError):
-    """A vector that should lie in a stated span does not."""
-
-
 class ChainMapError(ValueError):
     """The chain-map identity d ∘ phi = phi ∘ d fails."""
 

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .complexes import CochainComplex, DegreeChainMap, validate_chain_map, validate_complex
-from .ratlinalg import RationalMatrix, inverse
+from .ratlinalg import RationalMatrix, solve
 
 
 def _random_unimodular(rng: random.Random, n: int) -> RationalMatrix:
@@ -96,7 +96,8 @@ def random_complex_with_chain_map(
 
     # conjugate by random unimodular coordinate changes
     bases = [_random_unimodular(rng, dims[k]) for k in range(levels)]
-    inverses = [inverse(s) for s in bases]
+    # L U with unit-triangular factors: always invertible
+    inverses = [solve(s, RationalMatrix.identity(s.rows)) for s in bases]
     diffs = [bases[k + 1] @ diffs[k] @ inverses[k] for k in range(levels - 1)]
     phi_mats = [
         (bases[k + shift] @ phi_mats[k] @ inverses[k]) if k + shift < levels else phi_mats[k]

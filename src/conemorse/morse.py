@@ -144,12 +144,10 @@ def _check_structure(d: MorseDatum) -> dict:
 
 
 def _ordered_generators(d: MorseDatum) -> list:
-    """Generator ids per index, lexicographic within each index class."""
+    """Generator ids per index, lexicographic within each class: MorseDatum sorts its points."""
     by_index = [[] for _ in range(d.manifold_dim + 1)]
     for q in d.points:
         by_index[q.index].append(q.id)
-    for ids in by_index:
-        ids.sort()
     return by_index
 
 

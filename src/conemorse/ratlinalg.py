@@ -1,7 +1,7 @@
 """Exact sparse linear algebra over the rationals.
 
 Every cohomology computation in this package reduces to ranks, kernels and
-induced quotient maps of matrices that are mostly zeros (Morse and cone
+linear solves of matrices that are mostly zeros (Morse and cone
 differentials are ±1 on a few entries per row).  A matrix stores one dict of
 nonzero entries per row.  An integral entry is a Python ``int`` and any other
 entry a ``fractions.Fraction`` whose denominator is not 1: integer data stays
@@ -23,7 +23,7 @@ from collections import defaultdict
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import MembershipError, ShapeError
+from .errors import ShapeError
 
 # an exact rational as stored: an int when integral, else a Fraction
 Rational = Union[int, Fraction]
@@ -418,41 +418,3 @@ def solve(m: RationalMatrix, rhs: RationalMatrix) -> Optional[RationalMatrix]:
     for row, pc in zip(rref, pivots):
         data[pc] = {j - n: x for j, x in row.items() if j >= n}
     return _matrix(n, rhs.cols, tuple(data))
-
-
-def inverse(m: RationalMatrix) -> RationalMatrix:
-    if m.rows != m.cols:
-        raise ShapeError("inverse of a non-square matrix")
-    inv = solve(m, RationalMatrix.identity(m.rows))
-    if inv is None or rank(m) != m.rows:
-        raise ShapeError("matrix is singular")
-    return inv
-
-
-def quotient_map(
-    f: RationalMatrix,
-    sub_source: RationalMatrix,
-    sub_target: RationalMatrix,
-    split: int,
-) -> RationalMatrix:
-    """Matrix of the map induced by f on a quotient.
-
-    ``sub_source`` holds class representatives of the source quotient, one per
-    column.  ``sub_target`` is the concatenation (representatives | columns
-    spanning the quotiented subspace); ``split`` marks where the representatives
-    end.  Each image f @ v is expressed in ``sub_target``'s columns and the
-    first ``split`` coordinates are kept.  Raises MembershipError when an image
-    is not in the stated span (the usual symptom of feeding in a non-chain-map).
-    """
-    if not 0 <= split <= sub_target.cols:
-        raise ShapeError("split out of range")
-    images = f @ sub_source
-    coords = solve(sub_target, images)
-    if coords is None:
-        for j in range(sub_source.cols):
-            if solve(sub_target, images.select_columns([j])) is None:
-                raise MembershipError(
-                    f"image of representative {j} is outside the stated span"
-                )
-        raise MembershipError("image outside the stated span")
-    return coords.submatrix(slice(0, split), slice(None))

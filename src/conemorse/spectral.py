@@ -92,6 +92,7 @@ MAX_CUTOFF = 128
 # above the threshold must then have |(B - theta) v| <= RESIDUAL_TOL * max(1, theta)
 LANCZOS_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
+BUMP_INNER, BUMP_OUTER = 0.2, 0.25  # the quasimode bump: 1 inside the first radius, 0 outside
 
 # the four critical points of the cosine Morse function, keyed like torus(1)
 CRITICAL_POINTS = {
@@ -675,18 +676,18 @@ def gap_growth(
 # quasimodes
 
 
-def _bump(rho: np.ndarray, inner: float = 0.2, outer: float = 0.25) -> np.ndarray:
-    """Smooth radial cutoff: 1 inside `inner`, 0 outside `outer`.
+def _bump(rho: np.ndarray) -> np.ndarray:
+    """Smooth radial cutoff: 1 inside `BUMP_INNER`, 0 outside `BUMP_OUTER`.
 
     Supports of radius 1/4 around neighboring critical points (spacing 1/2)
     stay disjoint; the plateau sits at 0.2 so the transition annulus only sees
     the far Gaussian tail and contributes negligibly to the Rayleigh quotient.
     On the annulus the value is r(u) / (r(u) + r(1 - u)) with r(u) = exp(-1/u)
-    and u = (outer - rho) / (outer - inner) in (0, 1].
+    and u = (BUMP_OUTER - rho) / (BUMP_OUTER - BUMP_INNER) in (0, 1].
     """
-    out = (rho <= inner).astype(float)
-    ring = (rho > inner) & (rho < outer)
-    u = (outer - rho[ring]) / (outer - inner)
+    out = (rho <= BUMP_INNER).astype(float)
+    ring = (rho > BUMP_INNER) & (rho < BUMP_OUTER)
+    u = (BUMP_OUTER - rho[ring]) / (BUMP_OUTER - BUMP_INNER)
     near = np.exp(-1.0 / u)
     # 1 - u may round to 0 next to the plateau, where the value is 1
     out[ring] = near / (near + np.exp(-1.0 / np.maximum(1.0 - u, 1e-300)))

@@ -97,6 +97,27 @@ class TestRoundTrip:
             assert phi_back.matrix(k).to_rows() == phi.matrix(k).to_rows()
             assert complex_.d(k).to_rows() == phi.complex.d(k).to_rows()
 
+    @pytest.mark.parametrize(
+        "seed, shift, digest",
+        [
+            (0, 2, "a7642a9107a4ad7115dde2c78a427699d22684f100c2d78515936138d75b7255"),
+            (1, 2, "aadf66cdd311edc7e81262269a64c5b9b4ed14e4ba46ca7c104e922cd21f3754"),
+            (5, 2, "22450db9430c05c12dc8be45cf132719b0bdf28db8031c9adcc4769e6038bb6d"),
+            (3, 4, "ec3819a5d47f27c4c68cba28a59e98e78435bb9f5183e1f8c1d72254d40f3be6"),
+        ],
+    )
+    def test_fuzzed_datum_files_are_pinned(self, seed, shift, digest):
+        # the fuzzer's bases, their inverses and the encoding all feed these bytes
+        import hashlib
+        import random
+
+        from conemorse.fuzz import random_complex_with_chain_map
+        from conemorse.morse import datum_from_chain_map
+
+        _, phi = random_complex_with_chain_map(random.Random(seed), shift=shift)
+        text = emit_datum(datum_from_chain_map(phi, name=f"fuzz{seed}"))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_determinism(self, tmp_path, capsys):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"
@@ -606,3 +627,24 @@ def test_unwritable_output_exits_two(tmp_path, capsys, argv, printed):
     assert [line.split(":")[0] for line in out.splitlines()] == printed  # the report came first
     assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectral", "--t", "10", "--cutoff", "6", "--degrees", "0"],
+        ["cone", "{datum}"],
+        ["validate", "{datum}"],
+    ],
+    ids=["spectral", "cone", "validate"],
+)
+def test_output_flag_refused_where_nothing_is_written(tmp_path, capsys, argv):
+    # only example and analyze write a text; the others print, so -o is a usage error
+    datum = tmp_path / "t2.json"
+    datum.write_text(emit_datum(torus(1)))
+    target = tmp_path / "out.txt"
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(datum=datum) for arg in argv] + ["-o", str(target)])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: -o" in capsys.readouterr().err
+    assert not target.exists()

@@ -121,7 +121,6 @@ def test_cone_report_takes_ranks_not_class_bases(monkeypatch, n, eliminations):
     expected = cone_report(torus(n))
     for original in (
         ratlinalg.solve,
-        ratlinalg.quotient_map,
         ratlinalg.column_space_basis,
         complexes._extend_to_basis,
     ):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conemorse.errors import MembershipError, ShapeError
+from conemorse.errors import ShapeError
 from conemorse.ratlinalg import (
     RationalMatrix,
     _eliminate,
@@ -14,7 +14,6 @@ from conemorse.ratlinalg import (
     format_rat,
     hstack,
     nullspace_basis,
-    quotient_map,
     rank,
     rat,
     solve,
@@ -157,40 +156,6 @@ class TestNullspace:
         # proportional to (2, -1)
         assert basis.entry(0, 0) * (-1) == basis.entry(1, 0) * 2
         assert (m @ basis).is_zero()
-
-
-class TestQuotientMap:
-    def test_identity_on_trivial_quotient(self):
-        eye = RationalMatrix.identity(3)
-        got = quotient_map(eye, eye, eye, split=3)
-        assert got == eye
-
-    def test_zero_map(self):
-        f = RationalMatrix.zeros(2, 2)
-        reps = RationalMatrix.identity(2)
-        assert quotient_map(f, reps, reps, split=2) == RationalMatrix.zeros(2, 2)
-
-    def test_wedge_on_torus_exterior_algebra(self):
-        # rank-4 algebra of the 2-torus: basis 1, dx, dy, dx^dy; f = wedge by dx^dy
-        f = M(
-            [
-                [0, 0, 0, 0],
-                [0, 0, 0, 0],
-                [0, 0, 0, 0],
-                [1, 0, 0, 0],
-            ]
-        )
-        source_reps = M([[1], [0], [0], [0]])  # the class of 1
-        target_reps = M([[0], [0], [0], [1]])  # the class of dx^dy
-        got = quotient_map(f, source_reps, target_reps, split=1)
-        assert got == M([[1]])
-
-    def test_membership_error(self):
-        f = RationalMatrix.identity(2)
-        reps = M([[1], [0]])
-        bad_target = M([[0], [1]])  # image e1 is not in span(e2)
-        with pytest.raises(MembershipError):
-            quotient_map(f, reps, bad_target, split=1)
 
 
 small_entries = st.integers(min_value=-9, max_value=9)
