@@ -20,7 +20,6 @@ from .complexes import (
     validate_complex,
 )
 from .families import (
-    TorusConvention,
     minimal_model,
     projective_space,
     s2_bundle_over_k3,
@@ -31,15 +30,12 @@ from .families import (
 from .inequalities import (
     InequalityReport,
     cone_report,
-    machon_check,
     morse_bott_bounds,
     q_polynomial,
 )
 from .morse import (
     CriticalPoint,
     MorseDatum,
-    betti,
-    cone_morse_complex,
     datum_from_chain_map,
     morse_complex,
     product,
@@ -61,7 +57,6 @@ _SPECTRAL_NAMES = frozenset({
     "SpectralProblem",
     "SpectralReport",
     "assemble_quadratic_form",
-    "cluster_counts",
     "gap_growth",
     "low_spectrum",
     "quasimode",

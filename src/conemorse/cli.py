@@ -4,8 +4,9 @@ Commands: example, validate, analyze, cone, spectral.  Exit codes are part of
 the contract: 0 ok, 1 datum validation failure, 2 usage/parse error, 3
 negative-slack anomaly in a report, 4 the spectral computation could not be
 resolved (inadequate resolution, or a failed factorization or eigensolve), 5
-internal error (two computations of the same quantity disagree, or matrix
-shapes disagree inside the exact algebra).  `spectral
+internal error (two computations of the same quantity disagree, a cone of
+checked inputs does not square to zero, or matrix shapes disagree inside the
+exact algebra).  `spectral
 --emit` writes the lowest 4 eigenvalues per cone degree.
 """
 
@@ -29,13 +30,7 @@ from .errors import (
     UnknownIdError,
     UsageError,
 )
-from .families import (
-    TorusConvention,
-    hard_lefschetz_ranks,
-    projective_space,
-    synthetic_from_rank_profile,
-    torus,
-)
+from .families import hard_lefschetz_ranks, projective_space, synthetic_from_rank_profile, torus
 from .inequalities import cone_report, report_to_csv, report_to_json, report_to_text
 from .morse import CriticalPoint, MorseDatum, morse_complex, product, stabilize, validate_datum
 from .ratlinalg import _INTEGER, format_rat, rat
@@ -100,6 +95,8 @@ def datum_from_dict(doc: dict) -> MorseDatum:
                     raise DatumParseError(
                         f"invalid rational {value!r}: floats are not exact"
                     )
+                if isinstance(value, bool):
+                    raise DatumParseError(f"invalid rational {value!r}: booleans are not numbers")
                 out.append((str(entry["from"]), str(entry["to"]), rat(value)))
             return tuple(out)
 
@@ -156,7 +153,7 @@ def _parse_int_list(raw: str, what: str) -> list:
 
 def _cmd_example(args) -> int:
     if args.family == "torus":
-        datum = torus(TorusConvention(args.n, args.pairing))
+        datum = torus(args.n, args.pairing)
     elif args.family == "cpn":
         datum = projective_space(args.n, args.p)
     elif args.family == "synthetic":

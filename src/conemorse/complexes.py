@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import ChainMapError, ShapeError
+from .errors import ChainMapError, ConsistencyError, ShapeError
 from .ratlinalg import (
     Rational,
     RationalMatrix,
@@ -94,6 +94,14 @@ class ComplexViolation:
         )
 
 
+def _witness(k: int, m: RationalMatrix) -> Optional[ComplexViolation]:
+    """None for a zero m, else its lowest nonzero column, read at the lowest row holding it."""
+    if m.is_zero():
+        return None
+    row, col, value = min(m.nonzero(), key=lambda e: (e[1], e[0]))
+    return ComplexViolation(k, row, col, value)
+
+
 def validate_complex(c: CochainComplex) -> Optional[ComplexViolation]:
     """Check d_{k+1} d_k = 0 at every degree; None means the complex is valid.
 
@@ -103,9 +111,9 @@ def validate_complex(c: CochainComplex) -> Optional[ComplexViolation]:
     for k in c.degrees():
         if not c.dim(k):  # an empty degree composes to an empty matrix
             continue
-        comp = c.d(k + 1) @ c.d(k)
-        if not comp.is_zero():
-            return ComplexViolation(k, *next(comp.nonzero()))
+        violation = _witness(k, c.d(k + 1) @ c.d(k))
+        if violation is not None:
+            return violation
     return None
 
 
@@ -146,9 +154,6 @@ class DegreeChainMap:
             return self.matrices[k]
         return RationalMatrix.zeros(self.complex.dim(k + self.shift), self.complex.dim(k))
 
-    def scaled(self, factor) -> "DegreeChainMap":
-        return DegreeChainMap(self.complex, self.shift, [m.scaled(factor) for m in self.matrices])
-
     def __repr__(self) -> str:
         return f"DegreeChainMap(shift={self.shift}, dims={self.complex.dims})"
 
@@ -156,12 +161,15 @@ class DegreeChainMap:
 def validate_chain_map(phi: DegreeChainMap) -> Optional[ComplexViolation]:
     """Check d_{k+shift} phi_k = phi_{k+1} d_k; None means the identity holds."""
     c = phi.complex
+    top = len(c.dims) - 1
     for k in c.degrees():
-        lhs = c.d(k + phi.shift) @ phi.matrix(k)
-        rhs = phi.matrix(k + 1) @ c.d(k)
-        diff = lhs - rhs
-        if not diff.is_zero():
-            return ComplexViolation(k, *next(diff.nonzero()))
+        if not c.dim(k) or k + phi.shift + 1 > top:
+            # no generators, or both sides land above the top degree
+            continue
+        diff = c.d(k + phi.shift) @ phi.matrix(k) - phi.matrix(k + 1) @ c.d(k)
+        violation = _witness(k, diff)
+        if violation is not None:
+            return violation
     return None
 
 
@@ -296,8 +304,9 @@ def mapping_cone(phi: DegreeChainMap) -> CochainComplex:
 
     The second summand carries the odd degree shift - 1, so d^2 = 0 follows
     from d^2 = 0 on C plus the (signless, even-shift) chain-map identity; the
-    result is validated before being returned.
+    result is validated before being returned, and a failure is a bug.
     """
+    _require_complex(phi.complex)
     _require_chain_map(phi)
     c = phi.complex
     theta = phi.shift - 1
@@ -315,7 +324,7 @@ def mapping_cone(phi: DegreeChainMap) -> CochainComplex:
     cone = CochainComplex(dims, diffs)
     check = validate_complex(cone)
     if check is not None:
-        raise ChainMapError(f"cone differential does not square to zero: {check}")
+        raise ConsistencyError(f"cone differential does not square to zero: {check}")
     cone.checked = True
     return cone
 

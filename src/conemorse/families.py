@@ -8,35 +8,11 @@ any Betti vector with prescribed wedge-map matrices as a perfect datum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import DegreeError, NotPerfectError, ShapeError, UsageError
 from .morse import CriticalPoint, MorseDatum, morse_complex
 from .ratlinalg import RationalMatrix
-
-
-@dataclass(frozen=True)
-class TorusConvention:
-    """Which coordinates the symplectic form pairs on T^{2n}.
-
-    "adjacent" pairs (1,2), (3,4), ...; "split" pairs (i, i+n).  The two are
-    related by relabeling coordinates, so all cone cohomology dimensions agree.
-    """
-
-    n: int
-    pairing: str = "adjacent"
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise DegreeError(f"torus needs n >= 1, got {self.n}")
-        if self.pairing not in ("adjacent", "split"):
-            raise ValueError(f"unknown pairing {self.pairing!r}")
-
-    def pairs(self) -> tuple:
-        if self.pairing == "adjacent":
-            return tuple((2 * i + 1, 2 * i + 2) for i in range(self.n))
-        return tuple((i + 1, i + 1 + self.n) for i in range(self.n))
 
 
 def sort_sign(sequence) -> int:
@@ -57,25 +33,34 @@ def _subset_id(subset, width: int) -> str:
     return "q" + sep.join(str(i) for i in subset)
 
 
-def torus(conv, pairing: str = "adjacent") -> MorseDatum:
+def torus(n: int, pairing: str = "adjacent") -> MorseDatum:
     """Morse datum of T^{2n} with the product cosine Morse function.
 
     Generators q_I for I a subset of {1..2n}, index |I|, zero boundary.  The
     cone map takes q_I to the signed sum of q_{I u P} over pairing pairs P
     disjoint from I, with the sorting-permutation sign on (P, I); this is the
     unique convention matching the wedge action of the symplectic form on
-    coordinate monomials.
+    coordinate monomials.  The symplectic form pairs coordinates "adjacent"
+    (1,2), (3,4), ... or "split" (i, i+n); the two are related by relabeling
+    coordinates, so all cone cohomology dimensions agree.
     """
-    if not isinstance(conv, TorusConvention):
-        conv = TorusConvention(int(conv), pairing)
-    n = conv.n
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"torus needs an integer n, got {n!r}")
+    if n < 1:
+        raise DegreeError(f"torus needs n >= 1, got {n}")
+    if pairing == "adjacent":
+        pairs = [(2 * i + 1, 2 * i + 2) for i in range(n)]
+    elif pairing == "split":
+        pairs = [(i + 1, i + 1 + n) for i in range(n)]
+    else:
+        raise ValueError(f"unknown pairing {pairing!r}")
     coords = range(1, 2 * n + 1)
     points = []
     cone = []
     for size in range(2 * n + 1):
         for subset in combinations(coords, size):
             points.append(CriticalPoint(_subset_id(subset, 2 * n), size))
-            for pair in conv.pairs():
+            for pair in pairs:
                 if pair[0] in subset or pair[1] in subset:
                     continue
                 sign = sort_sign(list(pair) + list(subset))
@@ -89,8 +74,8 @@ def torus(conv, pairing: str = "adjacent") -> MorseDatum:
         boundary=(),
         cone_map=tuple(cone),
         p=0,
-        name=f"torus-n{n}-{conv.pairing}",
-        metadata={"family": "torus", "n": n, "pairing": conv.pairing},
+        name=f"torus-n{n}-{pairing}",
+        metadata={"family": "torus", "n": n, "pairing": pairing},
     )
 
 

@@ -145,15 +145,6 @@ def _machon_violations(n: int, p: int, m, b_omega) -> list:
     return []
 
 
-def machon_check(d: MorseDatum) -> list:
-    """Literature bound dim at degree n+p+1 <= m_{n-p}; returns violating degrees.
-
-    The bound fails precisely on non-hard-Lefschetz data, which is the point
-    of checking it.  Evaluated for the datum's own p.
-    """
-    return cone_report(d).machon_violations
-
-
 def cone_report(d: MorseDatum) -> InequalityReport:
     """Full inequality report for a validated datum.
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Optional
 
-from .complexes import CochainComplex, DegreeChainMap, cohomology_dims, mapping_cone
+from .complexes import CochainComplex, DegreeChainMap, validate_chain_map, validate_complex
 from .errors import DegreeError, InvalidDatumError, UnknownIdError
-from .ratlinalg import Rational, RationalMatrix, _matrix, rat
+from .ratlinalg import Rational, _matrix, rat
 
 
 @dataclass(frozen=True)
@@ -164,40 +164,36 @@ def _assemble(coeffs, jump: int, index: dict, pos: dict, by_index: list) -> list
     return [_matrix(len(r), len(ids), tuple(r)) for r, ids in zip(rows, by_index)]
 
 
-def _violation(identity: str, degree: int, m: RationalMatrix, ids: list) -> DatumViolation:
-    """Witness: the lowest nonzero column of m, read at the lowest row holding it."""
-    _, col, value = min(m.nonzero(), key=lambda e: (e[1], e[0]))
-    return DatumViolation(identity, degree, ids[col], value)
+def _check_identities(d: MorseDatum) -> tuple:
+    """(violation or None, complex, chain map): d∘d = 0, then dc = cd if that holds.
+
+    The carriers are fresh on each call and share the datum's matrices; the
+    complex validators check them, and a carrier that passes is marked checked.
+    """
+    by_index, boundary, cone = d._matrices
+    complex_ = CochainComplex([len(ids) for ids in by_index], boundary)
+    chain_map = DegreeChainMap(complex_, d.cone_shift, cone)
+    for identity, carrier, check in (
+        ("d_squared", complex_, validate_complex),
+        ("commute", chain_map, validate_chain_map),
+    ):
+        found = check(carrier)
+        if found is not None:
+            k = found.degree
+            violation = DatumViolation(identity, k, by_index[k][found.col], found.value)
+            return violation, complex_, chain_map
+        carrier.checked = True
+    return None, complex_, chain_map
 
 
 def validate_datum(d: MorseDatum) -> Optional[DatumViolation]:
     """Check the two algebraic identities exactly.
 
     Structural problems (unknown ids, bad degrees) raise; a failing identity is
-    returned as a report with the first failing degree and a witness generator.
+    returned as a report with the first failing degree and a witness generator:
+    the lowest nonzero column of the failing composite, named by its id.
     """
-    by_index, boundary, cone = d._matrices
-    for k in range(d.manifold_dim):
-        if not by_index[k]:  # no generators: nothing to check at this degree
-            continue
-        comp = boundary[k + 1] @ boundary[k]
-        if not comp.is_zero():
-            return _violation("d_squared", k, comp, by_index[k])
-    shift = d.cone_shift
-    for k in range(d.manifold_dim + 1):
-        if not by_index[k] or k + shift + 1 > d.manifold_dim:
-            # no generators, or both sides land above the top index; nothing to check
-            continue
-        diff = boundary[k + shift] @ cone[k] - cone[k + 1] @ boundary[k]
-        if not diff.is_zero():
-            return _violation("commute", k, diff, by_index[k])
-    return None
-
-
-def _require_valid(d: MorseDatum) -> None:
-    violation = validate_datum(d)
-    if violation is not None:
-        raise InvalidDatumError(violation)
+    return _check_identities(d)[0]
 
 
 def morse_complex(d: MorseDatum) -> tuple:
@@ -206,27 +202,13 @@ def morse_complex(d: MorseDatum) -> tuple:
     Degree-k dimension is m_k; the differential comes from the boundary
     coefficients and the returned DegreeChainMap (shift 2p+2) from the cone
     coefficients.  Generator ordering is lexicographic by id within each index,
-    so matrices are reproducible.
+    so matrices are reproducible.  Both carriers come back checked; a failing
+    identity raises InvalidDatumError.
     """
-    _require_valid(d)
-    by_index, boundary, cone = d._matrices
-    complex_ = CochainComplex([len(ids) for ids in by_index], boundary)
-    chain_map = DegreeChainMap(complex_, d.cone_shift, cone)
-    # validate_datum has checked d∘d = 0 and dc = cd on these very matrices
-    complex_.checked = chain_map.checked = True
+    violation, complex_, chain_map = _check_identities(d)
+    if violation is not None:
+        raise InvalidDatumError(violation)
     return complex_, chain_map
-
-
-def cone_morse_complex(d: MorseDatum) -> CochainComplex:
-    """Mapping cone of the datum's cone map; degree k has dimension m_k + m_{k-2p-1}."""
-    complex_, chain_map = morse_complex(d)
-    return mapping_cone(chain_map)
-
-
-def betti(d: MorseDatum) -> list:
-    """Cohomology dimensions of the Morse complex (b_k over k = 0 .. 2n)."""
-    complex_, _ = morse_complex(d)
-    return cohomology_dims(complex_)
 
 
 def stabilize(d: MorseDatum, k: int, label: str) -> MorseDatum:
@@ -252,7 +234,7 @@ def stabilize(d: MorseDatum, k: int, label: str) -> MorseDatum:
         name=f"{d.name}+stab{k}" if d.name else f"stab{k}",
         metadata=dict(d.metadata),
     )
-    _require_valid(out)
+    morse_complex(out)  # raises InvalidDatumError if an identity fails
     return out
 
 
@@ -265,8 +247,8 @@ def product(d1: MorseDatum, d2: MorseDatum) -> MorseDatum:
     """
     if d1.p != d2.p:
         raise DegreeError(f"factors must share p ({d1.p} != {d2.p})")
-    _require_valid(d1)
-    _require_valid(d2)
+    morse_complex(d1)
+    morse_complex(d2)
 
     def pid(x: str, y: str) -> str:
         return f"{x}|{y}"
@@ -300,7 +282,7 @@ def product(d1: MorseDatum, d2: MorseDatum) -> MorseDatum:
         name=f"{d1.name}x{d2.name}" if d1.name and d2.name else "product",
         metadata={"factors": [d1.name, d2.name]},
     )
-    _require_valid(out)
+    morse_complex(out)  # raises InvalidDatumError if an identity fails
     return out
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import ShapeError
 
@@ -133,26 +133,6 @@ class RationalMatrix:
         if any(len(r) != ncols for r in rows):
             raise ShapeError("ragged rows")
         return cls(nrows, ncols, [x for r in rows for x in r])
-
-    @classmethod
-    def from_sparse(cls, rows: int, cols: int, sparse_rows: Sequence[Mapping]) -> "RationalMatrix":
-        """A rows x cols matrix from one ``{column: value}`` mapping per row.
-
-        Values are coerced like the dense constructor's entries; zeros are dropped.
-        """
-        if rows < 0 or cols < 0 or len(sparse_rows) != rows:
-            raise ShapeError(f"{rows}x{cols} matrix needs {rows} sparse rows, got {len(sparse_rows)}")
-        data = []
-        for r in sparse_rows:
-            row = {}
-            for j, x in r.items():
-                if not 0 <= j < cols:
-                    raise ShapeError(f"column {j} outside 0..{cols - 1}")
-                q = rat(x)
-                if q:
-                    row[j] = q
-            data.append(row)
-        return _matrix(rows, cols, tuple(data))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":

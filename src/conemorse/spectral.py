@@ -352,11 +352,6 @@ def _apply(blocks, grad, out_components: int, grids: np.ndarray) -> np.ndarray:
     return out
 
 
-def cone_differential_matrix(degree: int, cutoff: int, deform: float) -> sp.csr_matrix:
-    """Matrix of d_C from cone degree `degree` in band N to degree+1 in band N+1."""
-    return _kron_matrix(*_differential(degree, _grad_1d(cutoff, deform)), COMPONENTS[degree])
-
-
 def assemble_quadratic_form(prob: SpectralProblem) -> sp.csr_matrix:
     """Sparse Galerkin matrix of |d_C s|^2 + |d_C* s|^2 on band-N cone forms.
 
@@ -619,16 +614,6 @@ def spectral_reports(
     Each dual pair of DUAL_PAIR is solved once, at its first requested degree.
     """
     return _solve_reports(_problems(t, cutoff, degrees, morse_scale))
-
-
-def cluster_counts(
-    t: float,
-    cutoff: Optional[int] = None,
-    degrees: Sequence[int] = (0, 1, 2, 3),
-    morse_scale: float = 1.0,
-) -> list:
-    """Per-degree counts of eigenvalues <= 1: the list view of spectral_reports."""
-    return [rep.low_count for rep in spectral_reports(t, cutoff, degrees, morse_scale).values()]
 
 
 @dataclass

@@ -17,6 +17,7 @@ from conemorse.cli import (
 )
 from conemorse.families import projective_space, torus
 from conemorse.morse import product, stabilize
+from conemorse.ratlinalg import RationalMatrix, block
 
 
 def run(capsys, *argv):
@@ -171,6 +172,21 @@ class TestAnalyze:
         assert code == EXIT_USAGE
         assert "invalid rational" in err
 
+    @pytest.mark.parametrize(
+        "value, reason",
+        [(0.5, "floats are not exact"), (1.0, "floats are not exact"),
+         (True, "booleans are not numbers"), (False, "booleans are not numbers")],
+    )
+    def test_inexact_coefficient_exits_two(self, tmp_path, capsys, value, reason):
+        # rat() would read True as 1 and False as 0
+        doc = datum_to_dict(torus(1))
+        doc["cone_map"][0]["coeff"] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: invalid rational {value!r}: {reason}\n"
+
     def test_exponent_rational_exits_two(self, tmp_path, capsys):
         doc = datum_to_dict(torus(1))
         doc["cone_map"][0]["coeff"] = "1e5"
@@ -321,6 +337,17 @@ class TestInternalErrors:
         code, out, err = run(capsys, "analyze", t4)
         assert code == EXIT_INTERNAL and out == ""
         assert err == "internal error: cannot multiply (2, 3) by (2, 3)\n"
+
+    def test_cone_that_does_not_square_to_zero_is_internal(self, t4, capsys, monkeypatch):
+        # both inputs of mapping_cone are checked, so a bad cone is a bug in its assembly
+        def ones(grid):
+            m = block(grid)
+            return RationalMatrix(m.rows, m.cols, [1] * (m.rows * m.cols))
+
+        monkeypatch.setattr(complexes, "block", ones)
+        code, out, err = run(capsys, "analyze", t4)
+        assert code == EXIT_INTERNAL and out == ""
+        assert err.startswith("internal error: cone differential does not square to zero: ")
 
     def test_bad_betti_stays_a_usage_error(self, capsys):
         code, out, err = run(capsys, "example", "synthetic", "--betti", "1,0,1", "--ranks", "5")

@@ -46,16 +46,16 @@ class TestValidateComplex:
         assert violation.degree == 0
         assert violation.value == 1
 
-    def test_witness_is_first_entry_in_row_order(self):
-        # d1 d0 = [[0, 5], [6, 0]]: the row-major first entry, not the lowest column
+    def test_witness_is_lowest_column_then_lowest_row(self):
+        # d1 d0 = [[0, 5], [6, 0]]: the lowest nonzero column, not the row-major first entry
         c = CochainComplex((2, 2, 2), [M([[2, 0], [0, 1]]), M([[0, 5], [3, 0]])])
-        assert validate_complex(c) == ComplexViolation(0, 0, 1, Fraction(5))
+        assert validate_complex(c) == ComplexViolation(0, 1, 0, Fraction(6))
 
-    def test_chain_map_witness_is_first_entry_in_row_order(self):
+    def test_chain_map_witness_is_lowest_column_then_lowest_row(self):
         # d2 phi0 - phi1 d0 = [[0, 5], [6, 0]] at degree 0
         c = CochainComplex((2, 2, 2, 2), [M([[0, 0], [0, 0]])] * 2 + [M([[0, 5], [3, 0]])])
         phi = DegreeChainMap(c, 2, [M([[2, 0], [0, 1]])])
-        assert validate_chain_map(phi) == ComplexViolation(0, 0, 1, Fraction(5))
+        assert validate_chain_map(phi) == ComplexViolation(0, 1, 0, Fraction(6))
 
     def test_torus_morse_complex_ok(self):
         complex_, _ = exterior_torus_model(2)
@@ -136,6 +136,13 @@ class TestMappingCone:
         _, phi = exterior_torus_model(2)
         assert cohomology(mapping_cone(phi)).dims == (1, 4, 5, 5, 4, 1)
 
+    def test_cone_of_a_non_complex_rejected(self):
+        # d1 d0 = [1] != 0: the complex is checked before the chain-map identity
+        c = CochainComplex((1, 1, 1, 1), [M([[1]]), M([[1]])])
+        phi = DegreeChainMap(c, 2, [M([[0]])])
+        with pytest.raises(ShapeError, match="not a complex"):
+            mapping_cone(phi)
+
     def test_cone_passes_validation(self):
         _, phi = exterior_torus_model(2)
         assert validate_complex(mapping_cone(phi)) is None
@@ -170,7 +177,8 @@ class TestDecomposition:
 
     def test_scaling_invariance(self):
         _, phi = exterior_torus_model(2)
-        scaled = phi.scaled(Fraction(-7, 3))
+        factor = Fraction(-7, 3)
+        scaled = DegreeChainMap(phi.complex, phi.shift, [m.scaled(factor) for m in phi.matrices])
         assert induced_map_ranks(scaled) == induced_map_ranks(phi)
         assert cone_cohomology_by_decomposition(scaled) == cone_cohomology_by_decomposition(phi)
         assert cohomology(mapping_cone(scaled)).dims == cohomology(mapping_cone(phi)).dims

@@ -2,10 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from conemorse.complexes import chain_ranks, cohomology
+from conemorse.complexes import chain_ranks, cohomology, mapping_cone
 from conemorse.errors import DegreeError, NotPerfectError, ShapeError, UsageError
 from conemorse.families import (
-    TorusConvention,
     canonical_rank_matrix,
     hard_lefschetz_ranks,
     minimal_model,
@@ -17,7 +16,6 @@ from conemorse.families import (
     torus,
 )
 from conemorse.morse import (
-    cone_morse_complex,
     morse_complex,
     product,
     stabilize,
@@ -76,9 +74,25 @@ class TestTorus:
         assert torus(3).boundary == ()
 
     def test_pairing_convention_transport(self):
-        adj = cohomology(cone_morse_complex(torus(TorusConvention(2, "adjacent")))).dims
-        spl = cohomology(cone_morse_complex(torus(TorusConvention(2, "split")))).dims
+        adj = cohomology(mapping_cone(morse_complex(torus(2, "adjacent"))[1])).dims
+        spl = cohomology(mapping_cone(morse_complex(torus(2, "split"))[1])).dims
         assert adj == spl
+
+    def test_pairing_is_named_and_checked(self):
+        split = torus(2, "split")
+        assert split.name == "torus-n2-split" and split.metadata["pairing"] == "split"
+        with pytest.raises(ValueError, match="unknown pairing 'diagonal'"):
+            torus(2, "diagonal")
+
+    @pytest.mark.parametrize("n", [2.9, 2.0, True, "2", None])
+    def test_n_must_be_an_int(self, n):
+        # int() would build T^4 from 2.9 and T^2 from True
+        with pytest.raises(TypeError, match="torus needs an integer n"):
+            torus(n)
+
+    def test_n_below_one_refused(self):
+        with pytest.raises(DegreeError, match="torus needs n >= 1, got 0"):
+            torus(0)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_product_of_circles_pairs_matches_direct(self, n):
@@ -91,15 +105,15 @@ class TestTorus:
         assert pieces.counts() == direct.counts()
         assert chain_ranks(phi_p) == chain_ranks(phi_d)
         assert (
-            cohomology(cone_morse_complex(pieces)).dims
-            == cohomology(cone_morse_complex(direct)).dims
+            cohomology(mapping_cone(morse_complex(pieces)[1])).dims
+            == cohomology(mapping_cone(morse_complex(direct)[1])).dims
         )
 
     def test_matches_wedge_oracle(self):
         # the cone map of the torus must be the matrix of wedging the
         # symplectic form onto coordinate monomials, computed independently
-        for conv in (TorusConvention(2, "adjacent"), TorusConvention(2, "split")):
-            datum = torus(conv)
+        for pairing, pairs in (("adjacent", ((1, 2), (3, 4))), ("split", ((1, 3), (2, 4)))):
+            datum = torus(2, pairing)
             cmap = cone_map_of(datum)
             subsets = {}
             for q in datum.points:
@@ -107,7 +121,7 @@ class TestTorus:
                 subset = () if label == "q0" else tuple(int(ch) for ch in label[1:])
                 subsets[label] = subset
             for label, subset in subsets.items():
-                expected = wedge_monomials(conv.pairs(), subset)
+                expected = wedge_monomials(pairs, subset)
                 got = {}
                 for (src, dst), value in cmap.items():
                     if src == label:
@@ -122,10 +136,11 @@ class TestTorus:
 
 class TestProjectiveSpace:
     def test_cone_cohomology_n2(self):
-        assert cohomology(cone_morse_complex(projective_space(2))).dims == (1, 0, 0, 0, 0, 1)
+        cone = mapping_cone(morse_complex(projective_space(2))[1])
+        assert cohomology(cone).dims == (1, 0, 0, 0, 0, 1)
 
     def test_cone_cohomology_n1(self):
-        assert cohomology(cone_morse_complex(projective_space(1))).dims == (1, 0, 0, 1)
+        assert cohomology(mapping_cone(morse_complex(projective_space(1))[1])).dims == (1, 0, 0, 1)
 
     def test_power_out_of_range(self):
         with pytest.raises(DegreeError):
@@ -167,11 +182,11 @@ class TestSynthetic:
     def test_k3_bundle_cone_cohomology(self):
         datum = s2_bundle_over_k3()
         assert validate_datum(datum) is None
-        assert cohomology(cone_morse_complex(datum)).dims == (1, 0, 22, 1, 1, 22, 0, 1)
+        assert cohomology(mapping_cone(morse_complex(datum)[1])).dims == (1, 0, 22, 1, 1, 22, 0, 1)
 
     def test_point(self):
         datum = synthetic_from_ranks([1], [], p=0, name="point")
-        assert cohomology(cone_morse_complex(datum)).dims == (1, 1)
+        assert cohomology(mapping_cone(morse_complex(datum)[1])).dims == (1, 1)
 
     def test_hard_lefschetz_profile(self):
         betti_vec = [1, 0, 2, 0, 1]
@@ -179,7 +194,7 @@ class TestSynthetic:
             betti_vec, hard_lefschetz_ranks(betti_vec), name="hl"
         )
         # full-rank wedge maps reproduce the b_k - b_{k-2} pattern
-        assert cohomology(cone_morse_complex(datum)).dims == (1, 0, 1, 1, 0, 1)
+        assert cohomology(mapping_cone(morse_complex(datum)[1])).dims == (1, 0, 1, 1, 0, 1)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):

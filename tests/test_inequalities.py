@@ -21,7 +21,6 @@ from conemorse.inequalities import (
     _strong_slacks,
     cone_report,
     format_polynomial,
-    machon_check,
     morse_bott_bounds,
     q_polynomial,
     report_to_csv,
@@ -202,7 +201,7 @@ class TestMorseBott:
 
 class TestMachon:
     def test_torus_two_satisfied(self):
-        assert machon_check(torus(2)) == []
+        assert cone_report(torus(2)).machon_violations == []
 
     def test_k3_bundle_violated(self):
         rep = cone_report(s2_bundle_over_k3())
@@ -212,12 +211,7 @@ class TestMachon:
         assert min(rep.weak_slack) >= 0 and min(rep.strong_slack) >= 0
 
     def test_cp3_satisfied(self):
-        assert machon_check(projective_space(3)) == []
         assert cone_report(projective_space(3)).machon_violations == []
-
-    def test_datum_api_matches_report(self):
-        datum = s2_bundle_over_k3()
-        assert machon_check(datum) == cone_report(datum).machon_violations == [4]
 
 
 def family_data():

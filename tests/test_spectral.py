@@ -29,12 +29,11 @@ from conemorse.spectral import (
     _factor,
     _form_value,
     _grad_1d,
+    _kron_matrix,
     _sector_indices,
     _sector_spectrum,
     assemble_quadratic_form,
     basis_size,
-    cluster_counts,
-    cone_differential_matrix,
     eigenvalues_to_csv,
     gap_growth,
     gap_growth_to_csv,
@@ -45,6 +44,16 @@ from conemorse.spectral import (
     spectral_reports,
     suggested_cutoff,
 )
+
+
+def d_c_matrix(degree, cutoff, deform):
+    """Matrix of d_C from cone degree `degree` in band N to degree+1 in band N+1."""
+    return _kron_matrix(*_differential(degree, _grad_1d(cutoff, deform)), COMPONENTS[degree])
+
+
+def low_counts(t, cutoff=None, degrees=(0, 1, 2, 3)):
+    """Per-degree counts of eigenvalues <= 1, read from spectral_reports."""
+    return [rep.low_count for rep in spectral_reports(t, cutoff, degrees).values()]
 
 
 class TestAssembly:
@@ -83,7 +92,7 @@ class TestAssembly:
         # at degree 1 the theta coefficient feeds the two-form component
         # through the band embedding, the matrix realization of the wedge map
         n = 5
-        mat = cone_differential_matrix(1, n, 0.0).toarray()
+        mat = d_c_matrix(1, n, 0.0).toarray()
         n0 = basis_size(n) ** 2
         n1 = basis_size(n + 1) ** 2
         wedge_block = mat[:n1, 2 * n0 :]
@@ -99,7 +108,7 @@ class TestAssembly:
         # product from the two-form field to the theta coefficient; built via
         # transposition it must be exactly the transpose of the wedge block
         n = 5
-        lower = cone_differential_matrix(1, n + 1, 0.0)
+        lower = d_c_matrix(1, n + 1, 0.0)
         n_small = basis_size(n) ** 2
         n_mid = basis_size(n + 1) ** 2
         n_big = basis_size(n + 2) ** 2
@@ -226,10 +235,10 @@ class TestSharedTable:
     def test_apply_matches_matrix_columns(self, degree):
         n, deform = 5, 3.7 * math.pi
         size, big = basis_size(n), basis_size(n + 2)
-        up = cone_differential_matrix(degree, n, deform)
+        up = d_c_matrix(degree, n, deform)
         # the adjoint built without the transposed table: the transpose of d_C
         # one degree lower and one band higher, on forms padded to band N+2
-        lower = cone_differential_matrix(degree - 1, n + 1, deform) if degree else None
+        lower = d_c_matrix(degree - 1, n + 1, deform) if degree else None
         for j in (0, 7, matrix_size(degree, n) // 2, matrix_size(degree, n) - 1):
             unit = np.zeros(matrix_size(degree, n))
             unit[j] = 1.0
@@ -391,7 +400,7 @@ class TestTables:
         with pytest.raises(ValueError, match=f"band limit must be at most {MAX_CUTOFF + 1}"):
             _grad_1d(MAX_CUTOFF + 2, 1.0)
         with pytest.raises(ValueError, match=f"band limit must be at most {MAX_CUTOFF + 1}"):
-            cone_differential_matrix(0, MAX_CUTOFF + 2, 1.0)
+            d_c_matrix(0, MAX_CUTOFF + 2, 1.0)
 
     def test_second_quasimode_at_a_band_builds_no_table(self, monkeypatch):
         built = []
@@ -550,7 +559,7 @@ def test_spectral_names_load_through_the_package():
 class TestClusters:
     def test_counts_match_critical_point_sums(self, cached_low_spectrum):
         # m = (1, 2, 1) on the torus: cone degree k holds m_k + m_{k-1}
-        counts = cluster_counts(10, 10)
+        counts = low_counts(10, 10)
         assert counts == [1, 3, 3, 1]
 
     def test_report_fields(self):
@@ -566,11 +575,11 @@ class TestClusters:
         assert np.all(fine <= coarse + 1e-9)
 
     def test_count_stability_across_refinement(self):
-        assert cluster_counts(8, 8) == cluster_counts(8, 10)
+        assert low_counts(8, 8) == low_counts(8, 10)
 
     def test_adequacy_error_when_unresolvable(self):
         with pytest.raises(AdequacyError) as info:
-            cluster_counts(80, 6)
+            low_counts(80, 6)
         assert info.value.suggested_cutoff >= suggested_cutoff(80)
 
     def test_duality(self, cached_low_spectrum):
@@ -593,12 +602,12 @@ class TestClusters:
         assert np.array_equal(reports[3].eigenvalues, reports[0].eigenvalues)
         # a lone degree is solved as itself
         solved.clear()
-        assert cluster_counts(10, 10, degrees=(3,)) == [1]
+        assert low_counts(10, 10, degrees=(3,)) == [1]
         assert solved == [3]
 
     def test_inadequate_lone_partner_is_named(self):
         with pytest.raises(AdequacyError, match="at degree 3 "):
-            cluster_counts(80, 6, degrees=(3,))
+            low_counts(80, 6, degrees=(3,))
 
     def test_suggested_cutoff_above_cap_builds_nothing(self, monkeypatch):
         def fail(cutoff, deform):
@@ -615,7 +624,7 @@ class TestClusters:
         monkeypatch.setattr(spectral, "low_spectrum", fail)
         for solve in (
             lambda: spectral_reports(10, 10, degrees=(0, 1, 1)),
-            lambda: cluster_counts(10, 10, degrees=(3, 3)),
+            lambda: low_counts(10, 10, degrees=(3, 3)),
             lambda: gap_growth([2, 3, 4], 6, degrees=(2, 2)),
         ):
             with pytest.raises(ValueError, match="repeat a degree"):
@@ -1288,7 +1297,7 @@ class TestInertia:
                     calls.append((_name, kwargs.get("k"))) or _solve(*args, **kwargs)
                 ),
             )
-        assert cluster_counts(10, 10) == [1, 3, 3, 1]
+        assert low_counts(10, 10) == [1, 3, 3, 1]
         # only the pair (1, 2) is solved sparse, one sector at a time: (0, 1)
         # (weight 2) and (1, 1) hold one cluster value each and the gap, so
         # the clusterless (0, 0) is settled by its inertia at the fourth value
@@ -1301,7 +1310,7 @@ class TestInertia:
             spectral, "assemble_quadratic_form",
             lambda prob: calls.append(("assemble", None)) or assemble_quadratic_form(prob),
         )
-        assert cluster_counts(10, 10, degrees=(0, 3)) == [1, 1]
+        assert low_counts(10, 10, degrees=(0, 3)) == [1, 1]
         assert calls == []
 
 
