@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import DegreeError, NotPerfectError, ShapeError, UsageError
+from .errors import NotPerfectError, ShapeError, UsageError
 from .morse import CriticalPoint, MorseDatum, morse_complex
 from .ratlinalg import RationalMatrix
 
@@ -47,7 +47,7 @@ def torus(n: int, pairing: str = "adjacent") -> MorseDatum:
     if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError(f"torus needs an integer n, got {n!r}")
     if n < 1:
-        raise DegreeError(f"torus needs n >= 1, got {n}")
+        raise UsageError(f"torus needs n >= 1, got {n}")
     if pairing == "adjacent":
         pairs = [(2 * i + 1, 2 * i + 2) for i in range(n)]
     elif pairing == "split":
@@ -88,9 +88,9 @@ def projective_space(n: int, p: int = 0) -> MorseDatum:
     that common rescaling, so the pi is dropped and recorded in metadata.
     """
     if n < 1:
-        raise DegreeError(f"projective space needs n >= 1, got {n}")
+        raise UsageError(f"projective space needs n >= 1, got {n}")
     if not 0 <= p <= n - 1:
-        raise DegreeError(f"p must satisfy 0 <= p <= n-1 = {n - 1}, got {p}")
+        raise UsageError(f"p must satisfy 0 <= p <= n-1 = {n - 1}, got {p}")
     points = tuple(CriticalPoint(f"p{2 * j}", 2 * j) for j in range(n + 1))
     shift = 2 * p + 2
     cone = tuple(

@@ -284,8 +284,24 @@ def report_to_dict(rep: InequalityReport) -> dict:
     }
 
 
+# a list's item separator at indent 2, depth 1: no indent keeps the C encoder
+_FIELD_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "))
+
+
 def report_to_json(rep: InequalityReport) -> str:
-    return json.dumps(report_to_dict(rep), indent=2) + "\n"
+    """``json.dumps(report_to_dict(rep), indent=2) + "\\n"``, from the C encoder.
+
+    ``indent`` selects the pure-Python encoder, so each field is encoded on
+    its own: every field is a scalar or a flat list of ints, and a nonempty
+    list puts one element per line through its item separator.
+    """
+    fields = []
+    for key, value in report_to_dict(rep).items():
+        text = _FIELD_ENCODER.encode(value)
+        if isinstance(value, list) and value:
+            text = "[\n    " + text[1:-1] + "\n  ]"
+        fields.append(f"  {_FIELD_ENCODER.encode(key)}: {text}")
+    return "{\n" + ",\n".join(fields) + "\n}\n"
 
 
 def report_to_csv(rep: InequalityReport) -> str:

@@ -154,14 +154,14 @@ def _ordered_generators(d: MorseDatum) -> list:
 def _assemble(coeffs, jump: int, index: dict, pos: dict, by_index: list) -> list:
     """Per-degree matrices of one coefficient family, rows and columns in `by_index` order."""
     top = len(by_index) - 1
-    rows = [
-        [{} for _ in range(len(by_index[k + jump]) if k + jump <= top else 0)]
-        for k in range(top + 1)
-    ]
+    data = [{} for _ in range(top + 1)]  # per degree: {row: {column: value}}
     for src, dst, value in coeffs:  # one nonzero entry per (src, dst), merged by MorseDatum
-        rows[index[src]][pos[dst]][pos[src]] = value
+        data[index[src]].setdefault(pos[dst], {})[pos[src]] = value
     # the values were coerced once, by MorseDatum, so the rows go in as they are
-    return [_matrix(len(r), len(ids), tuple(r)) for r, ids in zip(rows, by_index)]
+    return [
+        _matrix(len(by_index[k + jump]) if k + jump <= top else 0, len(ids), rows)
+        for k, (rows, ids) in enumerate(zip(data, by_index))
+    ]
 
 
 def _check_identities(d: MorseDatum) -> tuple:

@@ -2,18 +2,23 @@
 
 Every cohomology computation in this package reduces to ranks, kernels and
 linear solves of matrices that are mostly zeros (Morse and cone
-differentials are ±1 on a few entries per row).  A matrix stores one dict of
-nonzero entries per row.  An integral entry is a Python ``int`` and any other
-entry a ``fractions.Fraction`` whose denominator is not 1: integer data stays
-in fast int arithmetic, and a Fraction appears only where a division leaves a
-remainder.  ``int == Fraction`` and their hashes agree, so this is a storage
-choice, not a change of value.  Nothing is ever rounded.
+differentials are ±1 on a few entries per row, and most rows and blocks are
+empty).  A matrix stores only its nonempty rows, as ``{row: {column:
+nonzero}}``: no empty row dict and no stored zero, so every kernel costs in
+proportion to the nonzeros, not to the shape.  An integral entry is a Python
+``int`` and any other entry a ``fractions.Fraction`` whose denominator is not
+1: integer data stays in fast int arithmetic, and a Fraction appears only
+where a division leaves a remainder.  ``int == Fraction`` and their hashes
+agree, so this is a storage choice, not a change of value.  Nothing is ever
+rounded.
 
-Elimination walks the columns in increasing order and, for each, takes as
-pivot the shortest row holding that column that is not a pivot row yet
-(lowest row index on ties); only rows holding the pivot column are updated.
-The pivot columns and the reduced row echelon form do not depend on which row
-is chosen, so results are deterministic.
+Elimination takes the stored rows in ascending row order and walks the held
+columns (those some row holds) in increasing order; fill-in only adds rows to
+columns the pivot row already holds, so that set never grows.  For each
+column it takes as pivot the shortest row holding it that is not a pivot row
+yet (lowest row index on ties); only rows holding the pivot column are
+updated.  The pivot columns and the reduced row echelon form do not depend on
+which row is chosen, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -56,21 +61,24 @@ def rat(value) -> Rational:
     """
     if type(value) is int:
         return value
-    if isinstance(value, Fraction):
+    if type(value) is Fraction:
+        return _integral(value)
+    if isinstance(value, str):  # before other types: isinstance(x, Fraction) is an ABC check
+        # neither check below can match a plain integer, so it skips them
+        integer = _INTEGER.fullmatch(value)
+        if not integer:
+            if "e" in value or "E" in value:
+                raise ValueError(f"invalid rational {value!r}: exponents are not accepted")
+            if _LATER_GRAMMAR.search(value):
+                raise ValueError(f"invalid rational {value!r}")
+        try:  # int() too may raise: its limit on the number of digits
+            return int(value) if integer else _integral(Fraction(value))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"invalid rational {value!r}") from exc
+    if isinstance(value, Fraction):  # a subclass
         return _integral(value)
     if isinstance(value, int):  # bool and other int subclasses
         return int(value)
-    if isinstance(value, str):
-        if "e" in value or "E" in value:
-            raise ValueError(f"invalid rational {value!r}: exponents are not accepted")
-        if _LATER_GRAMMAR.search(value):
-            raise ValueError(f"invalid rational {value!r}")
-        try:  # int() too may raise: its limit on the number of digits
-            if _INTEGER.fullmatch(value):
-                return int(value)
-            return _integral(Fraction(value))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"invalid rational {value!r}") from exc
     raise TypeError(f"cannot interpret {type(value).__name__} as an exact rational")
 
 
@@ -94,8 +102,8 @@ def format_rat(q: Rational) -> str:
     return str(Fraction(q))
 
 
-def _matrix(rows: int, cols: int, data) -> "RationalMatrix":
-    """A matrix on trusted sparse rows: a tuple of dicts of nonzero exact rationals."""
+def _matrix(rows: int, cols: int, data: dict) -> "RationalMatrix":
+    """A matrix on trusted sparse rows: ``{row: {column: nonzero}}``, no empty row."""
     m = object.__new__(RationalMatrix)
     m.rows = rows
     m.cols = cols
@@ -106,9 +114,12 @@ def _matrix(rows: int, cols: int, data) -> "RationalMatrix":
 class RationalMatrix:
     """Sparse matrix of exact rationals; treat instances as immutable values.
 
-    ``_data`` holds one dict ``{column: nonzero value}`` per row, each value an
-    int or a Fraction with denominator other than 1 (see ``rat``).  No zero is
-    ever stored, so equal matrices have equal rows and equal hashes.
+    ``_data`` maps the index of each nonempty row to its dict ``{column:
+    nonzero value}``, each value an int or a Fraction with denominator other
+    than 1 (see ``rat``).  No empty row and no zero is ever stored, so a zero
+    matrix of any shape stores nothing, and equal matrices have equal
+    ``_data`` and equal hashes, whatever order their rows were stored in.
+    Rows may be shared between matrices: no operation changes a stored row.
     """
 
     __slots__ = ("rows", "cols", "_data")
@@ -121,10 +132,12 @@ class RationalMatrix:
             )
         self.rows = rows
         self.cols = cols
-        self._data = tuple(
-            {j: x for j, x in enumerate(values[i * cols : (i + 1) * cols]) if x}
-            for i in range(rows)
-        )
+        data = {}
+        for i in range(rows):
+            row = {j: x for j, x in enumerate(values[i * cols : (i + 1) * cols]) if x}
+            if row:
+                data[i] = row
+        self._data = data
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RationalMatrix":
@@ -138,46 +151,51 @@ class RationalMatrix:
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
         if rows < 0 or cols < 0:
             raise ShapeError(f"negative shape {rows}x{cols}")
-        return _matrix(rows, cols, tuple({} for _ in range(rows)))
+        return _matrix(rows, cols, {})
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
         if n < 0:
             raise ShapeError(f"negative size {n}")
-        return _matrix(n, n, tuple({i: _ONE} for i in range(n)))
+        return _matrix(n, n, {i: {i: _ONE} for i in range(n)})
+
+    def _stored(self, i: int) -> dict:
+        """Row i (IndexError out of range), empty when nothing is stored there."""
+        return self._data.get(range(self.rows)[i], {})
 
     def entry(self, i: int, j: int) -> Rational:
-        return self._data[i].get(j, _ZERO)
+        return self._stored(i).get(j, _ZERO)
 
     def nonzero(self):
-        """Yield (i, j, value) for every nonzero entry, row by row, columns ascending."""
-        for i, r in enumerate(self._data):
+        """Yield (i, j, value) for every nonzero entry, rows ascending, columns ascending."""
+        for i in sorted(self._data):
+            r = self._data[i]
             for j in sorted(r):
                 yield i, j, r[j]
 
     def row(self, i: int) -> tuple:
-        r = self._data[i]
+        r = self._stored(i)
         return tuple(r.get(j, _ZERO) for j in range(self.cols))
 
     def to_rows(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "RationalMatrix":
-        data = tuple({} for _ in range(self.cols))
-        for i, r in enumerate(self._data):
+        data = {}
+        for i, r in self._data.items():
             for j, x in r.items():
-                data[j][i] = x
+                data.setdefault(j, {})[i] = x
         return _matrix(self.cols, self.rows, data)
 
     def is_zero(self) -> bool:
-        return not any(self._data)
+        return not self._data
 
     def scaled(self, factor) -> "RationalMatrix":
         f = rat(factor)
         if not f:
             return RationalMatrix.zeros(self.rows, self.cols)
-        data = tuple({j: f * x for j, x in r.items()} for r in self._data)
-        for row in data:
+        data = {i: {j: f * x for j, x in r.items()} for i, r in self._data.items()}
+        for row in data.values():
             _normalize(row)
         return _matrix(self.rows, self.cols, data)
 
@@ -189,31 +207,35 @@ class RationalMatrix:
     def select_columns(self, indices: Sequence[int]) -> "RationalMatrix":
         return self._pick(range(self.rows), indices)
 
-    def _pick(self, rows: Sequence[int], cols: Sequence[int]) -> "RationalMatrix":
-        """Rows and columns by index, in the given order (repeats allowed)."""
+    def _pick(self, rows: range, cols: Sequence[int]) -> "RationalMatrix":
+        """A range of rows, and columns by index in the given order (repeats allowed)."""
         where = defaultdict(list)
         for k, j in enumerate(cols):
             where[range(self.cols)[j]].append(k)
-        data = tuple(
-            {k: x for j, x in self._data[i].items() if j in where for k in where[j]}
-            for i in rows
-        )
+        data = {}
+        for i, r in self._data.items():
+            if i in rows:
+                row = {k: x for j, x in r.items() if j in where for k in where[j]}
+                if row:
+                    data[rows.index(i)] = row
         return _matrix(len(rows), len(cols), data)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
         orows = other._data
-        data = []
-        for srow in self._data:
+        data = {}
+        for i, srow in self._data.items():
             acc = {}
             for k, s in srow.items():
-                for j, o in orows[k].items():
-                    acc[j] = acc.get(j, _ZERO) + s * o
-            data.append(
-                {j: x if type(x) is int else _integral(x) for j, x in acc.items() if x}
-            )
-        return _matrix(self.rows, other.cols, tuple(data))
+                orow = orows.get(k)
+                if orow is not None:
+                    for j, o in orow.items():
+                        acc[j] = acc.get(j, _ZERO) + s * o
+            row = {j: x if type(x) is int else _integral(x) for j, x in acc.items() if x}
+            if row:
+                data[i] = row
+        return _matrix(self.rows, other.cols, data)
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         return self._combine(other, 1)
@@ -224,22 +246,24 @@ class RationalMatrix:
     def _combine(self, other: "RationalMatrix", sign: int) -> "RationalMatrix":
         if self.shape != other.shape:
             raise ShapeError(f"cannot add {self.shape} and {other.shape}")
-        data = []
-        for a, b in zip(self._data, other._data):
-            row = dict(a)
+        data = dict(self._data)
+        for i, b in other._data.items():
+            row = dict(data.get(i, ()))
             for j, x in b.items():
                 y = row.get(j, _ZERO) + sign * x
                 if y:
                     row[j] = y if type(y) is int else _integral(y)
                 else:
                     del row[j]
-            data.append(row)
-        return _matrix(self.rows, self.cols, tuple(data))
+            if row:
+                data[i] = row
+            else:
+                del data[i]
+        return _matrix(self.rows, self.cols, data)
 
     def __neg__(self) -> "RationalMatrix":
-        return _matrix(
-            self.rows, self.cols, tuple({j: -x for j, x in r.items()} for r in self._data)
-        )
+        data = {i: {j: -x for j, x in r.items()} for i, r in self._data.items()}
+        return _matrix(self.rows, self.cols, data)
 
     @property
     def shape(self) -> tuple:
@@ -253,7 +277,8 @@ class RationalMatrix:
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self._data)))
+        rows = frozenset((i, frozenset(r.items())) for i, r in self._data.items())
+        return hash((self.rows, self.cols, rows))
 
     def __repr__(self) -> str:
         if self.rows * self.cols <= 16:
@@ -267,10 +292,13 @@ def hstack(*mats: RationalMatrix) -> RationalMatrix:
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise ShapeError("hstack row mismatch")
-    data = tuple({} for _ in range(rows))
+    data = {}
     offset = 0
     for m in mats:
-        for row, r in zip(data, m._data):
+        for i, r in m._data.items():
+            row = data.get(i)
+            if row is None:
+                row = data[i] = {}
             for j, x in r.items():
                 row[offset + j] = x
         offset += m.cols
@@ -283,8 +311,13 @@ def vstack(*mats: RationalMatrix) -> RationalMatrix:
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise ShapeError("vstack column mismatch")
-    data = tuple(dict(r) for m in mats for r in m._data)
-    return _matrix(len(data), cols, data)
+    data = {}
+    offset = 0
+    for m in mats:
+        for i, r in m._data.items():
+            data[offset + i] = r
+        offset += m.rows
+    return _matrix(offset, cols, data)
 
 
 def block(grid: Sequence[Sequence[RationalMatrix]]) -> RationalMatrix:
@@ -298,7 +331,9 @@ def _eliminate(rows: list, ncols: int, reduce: bool) -> tuple[list, list]:
     Returns (pivot rows, pivot columns), both in pivot-column order.  With
     ``reduce`` the pivot rows are the nonzero rows of the reduced row echelon
     form; without it only non-pivot rows are cleared (forward elimination),
-    which settles the pivot columns and the rank.
+    which settles the pivot columns and the rank.  The list order is the tie
+    order, so callers list rows by ascending row index.  Only the held columns
+    below ``ncols`` are visited.
     """
     holders = defaultdict(set)  # column -> indices of the rows holding it
     for i, row in enumerate(rows):
@@ -308,14 +343,20 @@ def _eliminate(rows: list, ncols: int, reduce: bool) -> tuple[list, list]:
         return [], []
     free = set(range(len(rows)))  # rows not chosen as pivot yet
     pivot_rows, pivots = [], []
-    for c in range(ncols):
-        held = holders.get(c)
+    # fill-in only reaches columns the pivot row holds, so no column joins later
+    for c in sorted(holders):
+        if c >= ncols:
+            break
+        held = holders[c]
         if not held:
             continue
         candidates = held & free
         if not candidates:
             continue
-        p = min(candidates, key=lambda i: (len(rows[i]), i))
+        if len(candidates) == 1:
+            (p,) = candidates
+        else:
+            p = min(candidates, key=lambda i: (len(rows[i]), i))
         free.discard(p)
         prow = rows[p]
         pivot = prow[c]
@@ -323,9 +364,14 @@ def _eliminate(rows: list, ncols: int, reduce: bool) -> tuple[list, list]:
             if pivot != 1:
                 prow = rows[p] = {j: _div(x, pivot) for j, x in prow.items()}
                 pivot = 1
-            targets = list(held)
+            targets = held
         else:
-            targets = list(candidates)
+            targets = candidates
+        pivot_rows.append(prow)
+        pivots.append(c)
+        if len(targets) == 1:  # no other row holds c: nothing to clear
+            continue
+        targets = list(targets)  # clearing c changes holders[c]
         unit = pivot == 1
         # int arithmetic is closed: only a Fraction factor or entry can leave an
         # integral Fraction behind, which _normalize turns back into an int
@@ -349,14 +395,17 @@ def _eliminate(rows: list, ncols: int, reduce: bool) -> tuple[list, list]:
                         holders[j].discard(i)
             if not integral or type(f) is not int:
                 _normalize(row)
-        pivot_rows.append(prow)
-        pivots.append(c)
     return pivot_rows, pivots
+
+
+def _rows(data: dict) -> list:
+    """Copies of the stored rows, by ascending row index: the elimination tie order."""
+    return [dict(data[i]) for i in sorted(data)]
 
 
 def _pivots(m: RationalMatrix) -> list:
     """Pivot columns of m: the columns independent of the columns before them."""
-    return _eliminate([dict(r) for r in m._data], m.cols, reduce=False)[1]
+    return _eliminate(_rows(m._data), m.cols, reduce=False)[1]
 
 
 def rank(m: RationalMatrix) -> int:
@@ -370,14 +419,16 @@ def nullspace_basis(m: RationalMatrix) -> RationalMatrix:
     The result has shape cols(m) x (cols(m) - rank(m)); multiplying by m
     gives the exact zero matrix.
     """
-    rref, pivots = _eliminate([dict(r) for r in m._data], m.cols, reduce=True)
+    rref, pivots = _eliminate(_rows(m._data), m.cols, reduce=True)
     pivot_set = set(pivots)
     free = {j: k for k, j in enumerate(j for j in range(m.cols) if j not in pivot_set)}
-    data = [{free[j]: _ONE} if j in free else None for j in range(m.cols)]
+    data = {j: {k: _ONE} for j, k in free.items()}
     for row, pc in zip(rref, pivots):
         # every other entry of a reduced pivot row sits in a free column
-        data[pc] = {free[j]: -x for j, x in row.items() if j != pc}
-    return _matrix(m.cols, len(free), tuple(data))
+        basis_row = {free[j]: -x for j, x in row.items() if j != pc}
+        if basis_row:
+            data[pc] = basis_row
+    return _matrix(m.cols, len(free), data)
 
 
 def column_space_basis(m: RationalMatrix) -> RationalMatrix:
@@ -390,11 +441,17 @@ def solve(m: RationalMatrix, rhs: RationalMatrix) -> Optional[RationalMatrix]:
     if m.rows != rhs.rows:
         raise ShapeError("solve: row mismatch")
     n = m.cols
-    aug = [{**a, **{n + j: x for j, x in b.items()}} for a, b in zip(m._data, rhs._data)]
-    rref, pivots = _eliminate(aug, n + rhs.cols, reduce=True)
+    aug = {i: dict(a) for i, a in m._data.items()}
+    for i, b in rhs._data.items():
+        row = aug.setdefault(i, {})
+        for j, x in b.items():
+            row[n + j] = x
+    rref, pivots = _eliminate([aug[i] for i in sorted(aug)], n + rhs.cols, reduce=True)
     if pivots and pivots[-1] >= n:
         return None
-    data = [{} for _ in range(n)]
+    data = {}
     for row, pc in zip(rref, pivots):
-        data[pc] = {j - n: x for j, x in row.items() if j >= n}
-    return _matrix(n, rhs.cols, tuple(data))
+        solution_row = {j - n: x for j, x in row.items() if j >= n}
+        if solution_row:
+            data[pc] = solution_row
+    return _matrix(n, rhs.cols, data)

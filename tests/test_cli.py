@@ -366,6 +366,20 @@ class TestInternalErrors:
         assert code == EXIT_USAGE and out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["torus", "--n", "0"], "torus needs n >= 1, got 0"),
+            (["cpn", "--n", "0"], "projective space needs n >= 1, got 0"),
+            (["cpn", "--n", "2", "--p", "5"], "p must satisfy 0 <= p <= n-1 = 1, got 5"),
+        ],
+    )
+    def test_bad_family_parameter_is_a_usage_error(self, capsys, argv, message):
+        # the same refusal as synthetic's: a parameter no datum realizes
+        code, out, err = run(capsys, "example", *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestSpectralCommand:
     def test_counts_and_csv(self, tmp_path, capsys):

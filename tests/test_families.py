@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conemorse.complexes import chain_ranks, cohomology, mapping_cone
-from conemorse.errors import DegreeError, NotPerfectError, ShapeError, UsageError
+from conemorse.errors import NotPerfectError, ShapeError, UsageError
 from conemorse.families import (
     canonical_rank_matrix,
     hard_lefschetz_ranks,
@@ -91,7 +91,7 @@ class TestTorus:
             torus(n)
 
     def test_n_below_one_refused(self):
-        with pytest.raises(DegreeError, match="torus needs n >= 1, got 0"):
+        with pytest.raises(UsageError, match="torus needs n >= 1, got 0"):
             torus(0)
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -143,7 +143,7 @@ class TestProjectiveSpace:
         assert cohomology(mapping_cone(morse_complex(projective_space(1))[1])).dims == (1, 0, 0, 1)
 
     def test_power_out_of_range(self):
-        with pytest.raises(DegreeError):
+        with pytest.raises(UsageError, match="p must satisfy 0 <= p <= n-1 = 2, got 3"):
             projective_space(3, p=3)
 
     def test_hard_lefschetz_at_datum_level(self):

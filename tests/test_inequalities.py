@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from fractions import Fraction
@@ -25,6 +26,7 @@ from conemorse.inequalities import (
     q_polynomial,
     report_to_csv,
     report_to_dict,
+    report_to_json,
     report_to_text,
 )
 from conemorse.morse import (
@@ -231,6 +233,22 @@ def test_certificate_nonnegative_on_families(datum):
     if rep.perfect:
         assert rep.q_coeffs == []
         assert all(s == 0 for s in rep.weak_slack + rep.strong_slack)
+
+
+def test_json_report_is_the_indented_encoding():
+    rng = random.Random(24)
+    data = family_data() + [projective_space(3, 1), s2_bundle_over_k3(0), s2_bundle_over_k3(22)]
+    for i in range(200):
+        _, phi = random_complex_with_chain_map(rng, max_degrees=5, max_dim=5, shift=rng.choice((2, 4)))
+        data.append(datum_from_chain_map(phi, name=f"fuzz{i}"))
+    data.append(MorseDatum(manifold_dim=3000, points=(CriticalPoint("a", 0),)))
+    for name in ['say "hi" \\ /', "Kähler ∂ω 😀", "", "line\u2028tab\t"]:
+        data.append(MorseDatum(manifold_dim=2, points=(CriticalPoint("a", 0),), name=name))
+    reports = [cone_report(d) for d in data]
+    assert any(r.q_coeffs for r in reports) and any(r.machon_violations for r in reports)
+    assert any(r.p for r in reports)
+    for rep in reports:
+        assert report_to_json(rep) == json.dumps(report_to_dict(rep), indent=2) + "\n"
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])

@@ -9,6 +9,8 @@ from conemorse.errors import ShapeError
 from conemorse.ratlinalg import (
     RationalMatrix,
     _eliminate,
+    _pivots,
+    _rows,
     block,
     column_space_basis,
     format_rat,
@@ -280,12 +282,12 @@ def test_elimination_matches_dense_oracle(shape_and_grid):
     m = build(rows, cols, grid)
     assert m.to_rows() == grid
     rref, pivots = dense_rref(grid)
-    sparse_rref, sparse_pivots = _eliminate([dict(r) for r in m._data], cols, reduce=True)
+    sparse_rref, sparse_pivots = _eliminate([dict(r) for r in m._data.values()], cols, reduce=True)
     assert sparse_pivots == pivots
     assert [tuple(r.get(j, 0) for j in range(cols)) for r in sparse_rref] == [
         tuple(r) for r in rref[: len(pivots)]
     ]
-    assert _eliminate([dict(r) for r in m._data], cols, reduce=False)[1] == pivots
+    assert _eliminate([dict(r) for r in m._data.values()], cols, reduce=False)[1] == pivots
     assert rank(m) == len(pivots)
     assert nullspace_basis(m) == build(cols, cols - len(pivots), dense_nullspace(grid, cols))
     assert column_space_basis(m) == build(rows, len(pivots), [[r[j] for j in pivots] for r in grid])
@@ -342,6 +344,56 @@ def test_value_semantics(shape_and_grid):
         assert other == m and hash(other) == hash(m)
     assert (m.scaled(0) == zero) and m.scaled(0).is_zero()
     assert m.is_zero() == all(x == 0 for r in grid for x in r)
+    for other in reached + [m, zero, m - m, m.scaled(0), m.transpose(), m @ m.transpose()]:
+        assert_stores_nonzeros_only(other)
+
+
+def assert_stores_nonzeros_only(m):
+    """The storage invariant: only nonempty rows, in range, and no stored zero."""
+    assert all(m._data.values())
+    assert all(x for r in m._data.values() for x in r.values())
+    assert all(0 <= i < m.rows for i in m._data)
+    assert all(0 <= j < m.cols for r in m._data.values() for j in r)
+
+
+def test_zero_blocks_store_nothing():
+    huge = RationalMatrix.zeros(10**6, 10**6)
+    grid = block([[huge, huge], [huge, huge]])
+    assert grid.shape == (2 * 10**6, 2 * 10**6)
+    for m in (huge, grid):
+        assert m._data == {} and m.is_zero() and rank(m) == 0
+    assert len(RationalMatrix.identity(5)._data) == 5
+
+
+def test_row_and_entry_check_the_row_index():
+    m = M([[1, 0], [0, 0]])
+    assert m.row(1) == (0, 0) and m.entry(1, 0) == 0
+    assert m.row(-2) == (1, 0) and m.entry(-2, 0) == 1
+    for i in (2, -3):
+        with pytest.raises(IndexError):
+            m.row(i)
+        with pytest.raises(IndexError):
+            m.entry(i, 0)
+
+
+@given(grids(max_side=6), st.data())
+@settings(max_examples=100, deadline=None)
+def test_row_storage_order_does_not_matter(shape_and_grid, data):
+    # a transpose stores its rows in the order their columns first appear,
+    # and elimination must still break ties by the matrix row index
+    assert list(M([[0, 1], [1, 0]]).transpose()._data) == [1, 0]
+    rows, cols, grid = shape_and_grid
+    columns = [[grid[i][j] for i in range(rows)] for j in range(cols)]
+    shuffled = build(cols, rows, columns).transpose()
+    twin = build(rows, cols, grid)
+    assert shuffled == twin and hash(shuffled) == hash(twin)
+    assert _rows(shuffled._data) == _rows(twin._data)  # the tie order is the row order
+    assert _pivots(shuffled) == _pivots(twin)
+    assert nullspace_basis(shuffled) == nullspace_basis(twin)
+    pairs = st.lists(small_entries, min_size=2, max_size=2)
+    rhs = build(rows, 2, data.draw(st.lists(pairs, min_size=rows, max_size=rows)))
+    assert solve(shuffled, rhs) == solve(twin, rhs)
+    assert solve(shuffled, rhs.transpose().transpose()) == solve(twin, rhs)
 
 
 def test_constructor_coerces_and_checks():
@@ -382,7 +434,7 @@ def assert_exact(values):
 
 
 def stored(m):
-    return [x for r in m._data for x in r.values()]
+    return [x for r in m._data.values() for x in r.values()]
 
 
 # integer matrices whose pivots are mostly not units, and mixed rational ones
@@ -397,7 +449,7 @@ def test_exact_entries_are_ints_or_proper_fractions(shape_and_grid, data):
     grid = [[Fraction(x) for x in r] for r in grid]  # the dense oracle divides with /
     assert_exact(stored(m))
     for reduce in (True, False):
-        assert_exact(x for r in _eliminate([dict(r) for r in m._data], cols, reduce)[0] for x in r.values())
+        assert_exact(x for r in _eliminate([dict(r) for r in m._data.values()], cols, reduce)[0] for x in r.values())
     rref, pivots = dense_rref(grid)
     assert rank(m) == len(pivots)
     basis = nullspace_basis(m)
