@@ -13,14 +13,12 @@ from .complexes import (
     DegreeChainMap,
     chain_ranks,
     cohomology,
-    cone_cohomology_by_decomposition,
     induced_map_ranks,
     mapping_cone,
     validate_chain_map,
     validate_complex,
 )
 from .families import (
-    minimal_model,
     projective_space,
     s2_bundle_over_k3,
     synthetic_from_rank_profile,

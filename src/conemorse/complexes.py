@@ -195,9 +195,8 @@ _EMPTY = RationalMatrix.zeros(0, 0)  # the cocycles of an empty degree
 class CohomologyData:
     """One cocycle basis Z_k = ker d_k per degree; ranks and Betti numbers follow.
 
-    rank d_k = dim_k - cols Z_k and b_k = cols Z_k - rank d_{k-1}.  Class
-    representatives are built only where an induced map needs them
-    (induced_cohomology_maps).
+    rank d_k = dim_k - cols Z_k.  Class representatives are built only where
+    an induced map needs them (induced_cohomology_maps).
     """
 
     def __init__(self, complex_: CochainComplex) -> None:
@@ -205,10 +204,7 @@ class CohomologyData:
             k: nullspace_basis(complex_.d(k)) for k in complex_.degrees() if complex_.dim(k)
         }
         self._ranks = {k: complex_.dim(k) - z.cols for k, z in self._cocycles.items()}
-        self.dims = tuple(self.b(k) for k in complex_.degrees())
-
-    def b(self, k: int) -> int:
-        return self.cocycles(k).cols - self.rank_d(k - 1)
+        self.dims = tuple(_betti(complex_, self._ranks))
 
     def rank_d(self, k: int) -> int:
         return self._ranks.get(k, 0)
@@ -233,27 +229,25 @@ def cohomology(c: CochainComplex) -> CohomologyData:
     return CohomologyData(c)
 
 
-def cohomology_dims(c: CochainComplex) -> list:
-    """Cohomology dimensions from ranks alone: dim_k - rank d_k - rank d_{k-1}."""
-    _require_complex(c)
-    ranks = {k: rank(c.d(k)) for k in c.degrees() if c.dim(k)}
+def _betti(c: CochainComplex, ranks: dict) -> list:
+    """b_k = dim_k - rank d_k - rank d_{k-1}, from ranks keyed by degree (absent means 0)."""
     return [c.dim(k) - ranks.get(k, 0) - ranks.get(k - 1, 0) for k in c.degrees()]
 
 
-def _cohomology(phi: DegreeChainMap, h: Optional[CohomologyData] = None) -> CohomologyData:
-    """Check phi and return h, computing cohomology(phi.complex) when it is not given."""
-    _require_chain_map(phi)
-    return cohomology(phi.complex) if h is None else h
+def cohomology_dims(c: CochainComplex) -> list:
+    """Cohomology dimensions from the ranks of the differentials alone."""
+    _require_complex(c)
+    return _betti(c, {k: rank(c.d(k)) for k in c.degrees() if c.dim(k)})
 
 
-def induced_cohomology_maps(phi: DegreeChainMap, h: Optional[CohomologyData] = None) -> dict:
+def induced_cohomology_maps(phi: DegreeChainMap, h: CohomologyData) -> dict:
     """Matrices of [phi] : H^k -> H^{k+shift}, keyed by degree k.
 
-    ``h``, when given, is cohomology(phi.complex), already computed by the
-    caller.  Classes are represented by the cocycles that extend the
-    coboundaries to a basis of Z_k.  A foreign ``h`` can raise ValueError.
+    ``h`` is cohomology(phi.complex).  Classes are represented by the
+    cocycles that extend the coboundaries to a basis of Z_k.  A foreign ``h``
+    can raise ValueError.
     """
-    h = _cohomology(phi, h)
+    _require_chain_map(phi)
     c = phi.complex
     out = {}
     for k in c.degrees():
@@ -268,14 +262,14 @@ def induced_cohomology_maps(phi: DegreeChainMap, h: Optional[CohomologyData] = N
     return out
 
 
-def induced_map_ranks(phi: DegreeChainMap, h: Optional[CohomologyData] = None) -> list:
+def induced_map_ranks(phi: DegreeChainMap, h: CohomologyData) -> list:
     """r_k = rank of the induced map on cohomology, listed over the degrees.
 
     The image of H^k is (phi_k Z_k + B)/B, and the columns of d_{k+shift-1}
     span B, so r_k = rank [phi_k Z_k | d_{k+shift-1}] - rank d_{k+shift-1}.
-    ``h`` is as for induced_cohomology_maps.
+    ``h`` is cohomology(phi.complex).
     """
-    h = _cohomology(phi, h)
+    _require_chain_map(phi)
     c = phi.complex
     out = []
     for k in c.degrees():
@@ -283,7 +277,8 @@ def induced_map_ranks(phi: DegreeChainMap, h: Optional[CohomologyData] = None) -
             out.append(0)
             continue
         j = k + phi.shift - 1
-        images = phi.matrix(k) @ h.cocycles(k)
+        # a zero d_k has the identity, in column order, as its cocycle basis
+        images = phi.matrix(k) if c.d(k).is_zero() else phi.matrix(k) @ h.cocycles(k)
         out.append(rank(hstack(images, c.d(j))) - h.rank_d(j))
     return out
 
@@ -329,16 +324,6 @@ def mapping_cone(phi: DegreeChainMap) -> CochainComplex:
     return cone
 
 
-def cone_cohomology_by_decomposition(phi: DegreeChainMap) -> list:
-    """Cone cohomology dimensions from the cokernel + kernel splitting.
-
-    Listed over the same degree range as mapping_cone(phi); see
-    decomposition_dims for the formula.
-    """
-    h = _cohomology(phi)
-    return decomposition_dims(phi, h, induced_map_ranks(phi, h))
-
-
 def decomposition_dims(phi: DegreeChainMap, h: CohomologyData, r: Sequence[int]) -> list:
     """dim_k = (b_k - r_{k-shift}) + (b_{k-shift+1} - r_{k-shift+1}) over cone_degree_range(phi).
 
@@ -347,7 +332,7 @@ def decomposition_dims(phi: DegreeChainMap, h: CohomologyData, r: Sequence[int])
     """
     dims = []
     for k in cone_degree_range(phi):
-        coker = h.b(k) - _at(r, k - phi.shift)
-        kernel = h.b(k - phi.shift + 1) - _at(r, k - phi.shift + 1)
+        coker = _at(h.dims, k) - _at(r, k - phi.shift)
+        kernel = _at(h.dims, k - phi.shift + 1) - _at(r, k - phi.shift + 1)
         dims.append(coker + kernel)
     return dims

@@ -41,10 +41,6 @@ class InvalidDatumError(ValueError):
         super().__init__(str(violation))
 
 
-class NotPerfectError(ValueError):
-    """A perfect Morse datum was required but the differential is nonzero."""
-
-
 class SolverError(RuntimeError):
     """The sparse factorization or the symmetric eigensolver failed."""
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import NotPerfectError, ShapeError, UsageError
-from .morse import CriticalPoint, MorseDatum, morse_complex
+from .errors import ShapeError, UsageError
+from .morse import CriticalPoint, MorseDatum
 from .ratlinalg import RationalMatrix
 
 
@@ -107,20 +107,6 @@ def projective_space(n: int, p: int = 0) -> MorseDatum:
         name=f"cp{n}" + (f"-p{p}" if p else ""),
         metadata={"family": "cpn", "n": n, "normalization": "pi dropped from cone coefficients"},
     )
-
-
-def minimal_model(d: MorseDatum) -> tuple:
-    """The finite complex/chain-map pair standing in for the de Rham side.
-
-    For a perfect datum the Morse complex has zero differential and *is* the
-    cohomology-ring carrier, so the pair coincides with morse_complex(d).
-    Raises NotPerfectError when the boundary is nonzero.
-    """
-    if d.boundary:
-        raise NotPerfectError(
-            f"datum {d.name or '<unnamed>'} has a nonzero boundary; no minimal model"
-        )
-    return morse_complex(d)
 
 
 def _betti_profile(betti, p: int) -> list:

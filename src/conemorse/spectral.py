@@ -622,7 +622,6 @@ class GapGrowthResult:
     cutoffs: list
     gaps: list
     slope: float
-    intercept: float
     degenerate: bool  # zero spread in t: the fit means nothing
 
 
@@ -653,7 +652,7 @@ def gap_growth(
         gbar = sum(gaps) / len(gaps)
         slope = sum((t - tbar) * (g - gbar) for t, g in zip(ts, gaps)) / spread if spread else 0.0
         cutoffs = [run[k].cutoff for run in runs]
-        fits[k] = GapGrowthResult(list(ts), cutoffs, gaps, slope, gbar - slope * tbar, not spread)
+        fits[k] = GapGrowthResult(list(ts), cutoffs, gaps, slope, not spread)
     return fits
 
 

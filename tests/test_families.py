@@ -3,11 +3,10 @@ from fractions import Fraction
 import pytest
 
 from conemorse.complexes import chain_ranks, cohomology, mapping_cone
-from conemorse.errors import NotPerfectError, ShapeError, UsageError
+from conemorse.errors import ShapeError, UsageError
 from conemorse.families import (
     canonical_rank_matrix,
     hard_lefschetz_ranks,
-    minimal_model,
     projective_space,
     s2_bundle_over_k3,
     sort_sign,
@@ -18,7 +17,6 @@ from conemorse.families import (
 from conemorse.morse import (
     morse_complex,
     product,
-    stabilize,
     validate_datum,
 )
 from conemorse.ratlinalg import RationalMatrix
@@ -165,17 +163,13 @@ class TestProjectiveSpace:
 
 class TestMinimalModel:
     def test_torus(self):
-        complex_, phi = minimal_model(torus(2))
+        complex_, phi = morse_complex(torus(2))
         assert complex_.dims == (1, 4, 6, 4, 1)
         assert chain_ranks(phi) == [1, 4, 1, 0, 0]
 
     def test_cp2(self):
-        complex_, _ = minimal_model(projective_space(2))
+        complex_, _ = morse_complex(projective_space(2))
         assert complex_.dims == (1, 0, 1, 0, 1)
-
-    def test_not_perfect(self):
-        with pytest.raises(NotPerfectError):
-            minimal_model(stabilize(torus(2), 0, "s"))
 
 
 class TestSynthetic:

@@ -138,6 +138,23 @@ def test_cone_report_takes_ranks_not_class_bases(monkeypatch, n, eliminations):
     assert len(calls) == eliminations
 
 
+def test_cone_report_multiplies_by_no_identity(monkeypatch):
+    # T^8 has d = 0, so each cocycle basis Z_k is an identity: the 9 products
+    # phi_k Z_k among the report's 40 would only copy phi_k
+    expected = cone_report(torus(4))
+    assert expected.r == [min(comb(8, k), comb(8, k + 2)) for k in range(9)]  # hard Lefschetz
+    calls = []
+    real = ratlinalg.RationalMatrix.__matmul__
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(ratlinalg.RationalMatrix, "__matmul__", counted)
+    assert cone_report(torus(4)) == expected
+    assert len(calls) == 31
+
+
 def test_empty_degrees_cost_no_elimination(monkeypatch):
     # one generator at index 0: every other degree is empty, and adding empty
     # degrees must add no elimination and at most one matrix each
