@@ -91,6 +91,8 @@ def datum_from_dict(doc: dict) -> MorseDatum:
                 index = _integer(index, f"index of {g['id']!r}")
             points.append(CriticalPoint(ident, index))
 
+        parsed = {}  # coefficient string -> exact rational, each coerced once
+
         def coeffs(key):
             out = []
             for entry in doc.get(key, []):
@@ -101,7 +103,12 @@ def datum_from_dict(doc: dict) -> MorseDatum:
                     )
                 if isinstance(value, bool):
                     raise DatumParseError(f"invalid rational {value!r}: booleans are not numbers")
-                out.append((str(entry["from"]), str(entry["to"]), rat(value)))
+                src, dst = str(entry["from"]), str(entry["to"])
+                if type(value) is not str:
+                    q = rat(value)
+                elif (q := parsed.get(value)) is None:
+                    q = parsed[value] = rat(value)
+                out.append((src, dst, q))
             return tuple(out)
 
         return MorseDatum(

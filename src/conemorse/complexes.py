@@ -189,19 +189,21 @@ def _require_chain_map(phi: DegreeChainMap) -> None:
         phi.checked = True
 
 
-_EMPTY = RationalMatrix.zeros(0, 0)  # the cocycles of an empty degree
-
-
 class CohomologyData:
     """One cocycle basis Z_k = ker d_k per degree; ranks and Betti numbers follow.
 
-    rank d_k = dim_k - cols Z_k.  Class representatives are built only where
-    an induced map needs them (induced_cohomology_maps).
+    rank d_k = dim_k - cols Z_k.  A zero d_k has rank 0 and Z_k is the whole
+    degree, so no basis is built for it: ``cocycles(k)`` makes the identity
+    only when asked.  Class representatives are built only where an induced
+    map needs them (induced_cohomology_maps).
     """
 
     def __init__(self, complex_: CochainComplex) -> None:
+        self._dims = complex_.dims
         self._cocycles = {
-            k: nullspace_basis(complex_.d(k)) for k in complex_.degrees() if complex_.dim(k)
+            k: nullspace_basis(d)
+            for k in complex_.degrees()
+            if complex_.dim(k) and not (d := complex_.d(k)).is_zero()
         }
         self._ranks = {k: complex_.dim(k) - z.cols for k, z in self._cocycles.items()}
         self.dims = tuple(_betti(complex_, self._ranks))
@@ -210,7 +212,8 @@ class CohomologyData:
         return self._ranks.get(k, 0)
 
     def cocycles(self, k: int) -> RationalMatrix:
-        return self._cocycles.get(k, _EMPTY)
+        z = self._cocycles.get(k)
+        return RationalMatrix.identity(_at(self._dims, k)) if z is None else z
 
 
 def _extend_to_basis(inner: RationalMatrix, spanning: RationalMatrix) -> RationalMatrix:
@@ -224,7 +227,11 @@ def _extend_to_basis(inner: RationalMatrix, spanning: RationalMatrix) -> Rationa
 
 
 def cohomology(c: CochainComplex) -> CohomologyData:
-    """Exact cohomology dimensions and cocycle bases of a validated complex."""
+    """Exact cohomology dimensions and cocycle bases of a validated complex.
+
+    Only a nonzero differential is eliminated: a zero d_k has rank 0 and no
+    stored basis.
+    """
     _require_complex(c)
     return CohomologyData(c)
 
@@ -267,6 +274,8 @@ def induced_map_ranks(phi: DegreeChainMap, h: CohomologyData) -> list:
 
     The image of H^k is (phi_k Z_k + B)/B, and the columns of d_{k+shift-1}
     span B, so r_k = rank [phi_k Z_k | d_{k+shift-1}] - rank d_{k+shift-1}.
+    Where d_{k+shift-1} is zero, r_k = rank phi_k Z_k; where d_k is zero too,
+    that is phi_k itself, whose pivots chain_ranks has already stored.
     ``h`` is cohomology(phi.complex).
     """
     _require_chain_map(phi)
@@ -279,7 +288,11 @@ def induced_map_ranks(phi: DegreeChainMap, h: CohomologyData) -> list:
         j = k + phi.shift - 1
         # a zero d_k has the identity, in column order, as its cocycle basis
         images = phi.matrix(k) if c.d(k).is_zero() else phi.matrix(k) @ h.cocycles(k)
-        out.append(rank(hstack(images, c.d(j))) - h.rank_d(j))
+        coboundary = c.d(j)
+        if coboundary.is_zero():
+            out.append(rank(images))
+        else:
+            out.append(rank(hstack(images, coboundary)) - h.rank_d(j))
     return out
 
 

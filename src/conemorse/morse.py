@@ -9,6 +9,7 @@ and user files supply them explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Optional
 
@@ -33,8 +34,10 @@ MAX_MANIFOLD_DIM = 10_000
 def _canon_coeffs(entries) -> tuple:
     merged = {}
     for src, dst, value in entries:
-        key = (str(src), str(dst))
-        q = rat(value)
+        # ids and values that are already canonical skip str() and rat()
+        key = (src if type(src) is str else str(src), dst if type(dst) is str else str(dst))
+        canonical = type(value) is int or (type(value) is Fraction and value.denominator != 1)
+        q = value if canonical else rat(value)
         if key in merged:
             q = rat(merged[key] + q)  # a sum of Fractions may be integral
         merged[key] = q

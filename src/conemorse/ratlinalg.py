@@ -14,11 +14,16 @@ rounded.
 
 Elimination takes the stored rows in ascending row order and walks the held
 columns (those some row holds) in increasing order; fill-in only adds rows to
-columns the pivot row already holds, so that set never grows.  For each
-column it takes as pivot the shortest row holding it that is not a pivot row
-yet (lowest row index on ties); only rows holding the pivot column are
-updated.  The pivot columns and the reduced row echelon form do not depend on
-which row is chosen, so results are deterministic.
+columns the pivot row already holds, so that set never grows.  Each column
+keeps the set of rows holding it that are not pivot rows yet, and the pivot is
+the shortest of them (lowest row index on ties: Markowitz's rule on rows);
+only those rows are updated, and the pass stops once every row is a pivot
+row.  The reduced row echelon form comes from the same forward pass, followed
+by scaling each pivot row and back-substituting.  The pivot columns and the
+reduced row echelon form do not depend on which row is chosen, so results are
+deterministic.  A matrix is an immutable value, so it keeps the pivot columns
+found by its first rank: another rank, column space basis or basis extension
+of the same object eliminates nothing.
 """
 
 from __future__ import annotations
@@ -108,6 +113,7 @@ def _matrix(rows: int, cols: int, data: dict) -> "RationalMatrix":
     m.rows = rows
     m.cols = cols
     m._data = data
+    m._pivot_cols = None
     return m
 
 
@@ -120,9 +126,10 @@ class RationalMatrix:
     matrix of any shape stores nothing, and equal matrices have equal
     ``_data`` and equal hashes, whatever order their rows were stored in.
     Rows may be shared between matrices: no operation changes a stored row.
+    ``_pivot_cols`` is None until ``_pivots`` stores the pivot columns there.
     """
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_data", "_pivot_cols")
 
     def __init__(self, rows: int, cols: int, entries: Iterable) -> None:
         values = [rat(x) for x in entries]
@@ -138,6 +145,7 @@ class RationalMatrix:
             if row:
                 data[i] = row
         self._data = data
+        self._pivot_cols = None
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RationalMatrix":
@@ -224,6 +232,8 @@ class RationalMatrix:
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
         orows = other._data
+        if not orows:  # a zero right factor: every product row is empty
+            return _matrix(self.rows, other.cols, {})
         data = {}
         for i, srow in self._data.items():
             acc = {}
@@ -328,74 +338,96 @@ def block(grid: Sequence[Sequence[RationalMatrix]]) -> RationalMatrix:
 def _eliminate(rows: list, ncols: int, reduce: bool) -> tuple[list, list]:
     """Gaussian elimination on sparse rows, which it consumes.
 
-    Returns (pivot rows, pivot columns), both in pivot-column order.  With
-    ``reduce`` the pivot rows are the nonzero rows of the reduced row echelon
-    form; without it only non-pivot rows are cleared (forward elimination),
-    which settles the pivot columns and the rank.  The list order is the tie
-    order, so callers list rows by ascending row index.  Only the held columns
-    below ``ncols`` are visited.
+    Returns (pivot rows, pivot columns), both in pivot-column order.  The
+    forward pass clears each pivot column from the rows that are not pivot rows
+    yet, which settles the pivot columns and the rank.  With ``reduce`` the
+    pivot rows are then scaled to a leading 1 and back-substituted, last
+    first, into the nonzero rows of the reduced row echelon form.  The list
+    order is the tie order, so callers list rows by ascending row index.  Only
+    the held columns below ``ncols`` are visited.
     """
-    holders = defaultdict(set)  # column -> indices of the rows holding it
+    holders = defaultdict(set)  # column -> indices of the non-pivot rows holding it
     for i, row in enumerate(rows):
         for j in row:
             holders[j].add(i)
-    if not holders:  # the zero matrix, empty ones included
-        return [], []
-    free = set(range(len(rows)))  # rows not chosen as pivot yet
     pivot_rows, pivots = [], []
     # fill-in only reaches columns the pivot row holds, so no column joins later
     for c in sorted(holders):
-        if c >= ncols:
+        if c >= ncols or len(pivots) == len(rows):  # past the columns, or no row left
             break
-        held = holders[c]
-        if not held:
-            continue
-        candidates = held & free
+        candidates = holders[c]
         if not candidates:
             continue
         if len(candidates) == 1:
             (p,) = candidates
         else:
             p = min(candidates, key=lambda i: (len(rows[i]), i))
-        free.discard(p)
         prow = rows[p]
-        pivot = prow[c]
-        if reduce:
-            if pivot != 1:
-                prow = rows[p] = {j: _div(x, pivot) for j, x in prow.items()}
-                pivot = 1
-            targets = held
-        else:
-            targets = candidates
+        for j in prow:
+            holders[j].discard(p)
         pivot_rows.append(prow)
         pivots.append(c)
-        if len(targets) == 1:  # no other row holds c: nothing to clear
-            continue
-        targets = list(targets)  # clearing c changes holders[c]
-        unit = pivot == 1
-        # int arithmetic is closed: only a Fraction factor or entry can leave an
-        # integral Fraction behind, which _normalize turns back into an int
-        integral = all(type(x) is int for x in prow.values())
-        for i in targets:
-            if i == p:
-                continue
-            row = rows[i]
-            f = row[c] if unit else _div(row[c], pivot)
-            for j, x in prow.items():
-                y = row.get(j)
-                if y is None:
-                    row[j] = -f * x
-                    holders[j].add(i)
-                else:
-                    y -= f * x
-                    if y:
-                        row[j] = y
-                    else:
-                        del row[j]
-                        holders[j].discard(i)
-            if not integral or type(f) is not int:
-                _normalize(row)
+        if candidates:  # other rows hold c; clearing it changes holders[c]
+            _clear(rows, list(candidates), c, prow, holders)
+    if reduce:
+        _back_substitute(pivot_rows, pivots)
     return pivot_rows, pivots
+
+
+def _clear(rows: list, targets: list, c: int, prow: dict, holders) -> None:
+    """Subtract multiples of the pivot row ``prow`` that clear column c from the target rows.
+
+    ``holders`` (column -> rows holding it), when given, follows the fill-in
+    and the cancellations.
+    """
+    pivot = prow[c]
+    unit = pivot == 1
+    # int arithmetic is closed: only a Fraction factor or entry can leave an
+    # integral Fraction behind, which _normalize turns back into an int
+    integral = all(type(x) is int for x in prow.values())
+    for i in targets:
+        row = rows[i]
+        f = row[c] if unit else _div(row[c], pivot)
+        for j, x in prow.items():
+            y = row.get(j)
+            if y is None:
+                row[j] = -f * x
+                if holders is not None:
+                    holders[j].add(i)
+            else:
+                y -= f * x
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+                    if holders is not None:
+                        holders[j].discard(i)
+        if not integral or type(f) is not int:
+            _normalize(row)
+
+
+def _back_substitute(pivot_rows: list, pivots: list) -> None:
+    """Turn echelon pivot rows into the reduced row echelon form, in place.
+
+    Each forward pivot row holds its pivot column and later columns only.
+    Taken last first, a row is scaled to a leading 1 and then holds no other
+    pivot column, so clearing its column from the rows above brings them free
+    columns only: the rows holding each pivot column are known up front.
+    """
+    position = {c: k for k, c in enumerate(pivots)}
+    above = defaultdict(list)  # pivot column -> earlier pivot rows holding it
+    for k, row in enumerate(pivot_rows):
+        for j in row:
+            if position.get(j, k) > k:
+                above[j].append(k)
+    for k in range(len(pivots) - 1, -1, -1):
+        c = pivots[k]
+        prow = pivot_rows[k]
+        pivot = prow[c]
+        if pivot != 1:
+            prow = pivot_rows[k] = {j: _div(x, pivot) for j, x in prow.items()}
+        if c in above:
+            _clear(pivot_rows, above[c], c, prow, None)
 
 
 def _rows(data: dict) -> list:
@@ -403,9 +435,15 @@ def _rows(data: dict) -> list:
     return [dict(data[i]) for i in sorted(data)]
 
 
-def _pivots(m: RationalMatrix) -> list:
-    """Pivot columns of m: the columns independent of the columns before them."""
-    return _eliminate(_rows(m._data), m.cols, reduce=False)[1]
+def _pivots(m: RationalMatrix) -> tuple:
+    """Pivot columns of m: the columns independent of the columns before them.
+
+    The first call stores them on m, and later calls read them from there.
+    """
+    pivots = m._pivot_cols
+    if pivots is None:
+        pivots = m._pivot_cols = tuple(_eliminate(_rows(m._data), m.cols, reduce=False)[1])
+    return pivots
 
 
 def rank(m: RationalMatrix) -> int:

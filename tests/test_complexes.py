@@ -22,7 +22,8 @@ from conemorse.errors import ChainMapError, ShapeError
 from conemorse.families import projective_space, torus
 from conemorse.fuzz import random_complex_with_chain_map
 from conemorse.morse import morse_complex
-from conemorse.ratlinalg import RationalMatrix, rank
+from conemorse import complexes
+from conemorse.ratlinalg import RationalMatrix, nullspace_basis, rank
 
 
 def M(rows):
@@ -218,6 +219,32 @@ def test_rank_formula_matches_the_induced_maps(seed, shift):
     h = cohomology(phi.complex)
     maps = induced_cohomology_maps(phi, h)
     assert induced_map_ranks(phi, h) == [rank(m) for m in maps.values()]
+
+
+def test_zero_differentials_get_their_cocycles_only_when_asked(monkeypatch):
+    # every T^4 differential is zero: cohomology stores no basis, and the
+    # identity Z_k = C^k is built by cocycles(k) alone
+    c, phi = morse_complex(torus(2))
+    real = RationalMatrix.identity
+    with monkeypatch.context() as patched:
+        patched.setattr(RationalMatrix, "identity", forbidden("identity"))
+        patched.setattr(complexes, "nullspace_basis", forbidden("nullspace_basis"))
+        h = cohomology(c)
+    assert h.dims == (1, 4, 6, 4, 1)
+    assert [h.cocycles(k) for k in range(-1, 6)] == [real(c.dim(k)) for k in range(-1, 6)]
+    # the induced maps read the same bases as a cohomology with every one stored
+    stored = cohomology(c)
+    stored._cocycles = {k: nullspace_basis(c.d(k)) for k in c.degrees()}
+    maps = induced_cohomology_maps(phi, h)
+    assert maps == induced_cohomology_maps(phi, stored)
+    assert [rank(m) for m in maps.values()] == [1, 4, 1, 0, 0]
+
+
+def forbidden(name):
+    def call(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    return call
 
 
 def test_induced_maps_refuse_a_foreign_cohomology():

@@ -1,4 +1,5 @@
 import re
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 from conemorse.errors import ShapeError
 from conemorse.ratlinalg import (
     RationalMatrix,
+    _div,
     _eliminate,
+    _normalize,
     _pivots,
     _rows,
     block,
@@ -251,6 +254,81 @@ def dense_solve(rows, rhs_rows, ncols, rhs_cols):
     return sol
 
 
+def reference_eliminate(rows: list, ncols: int, reduce: bool) -> tuple[list, list]:
+    """The eliminator before the forward pass kept only non-pivot holders, kept as the pivot-rule reference.
+
+    Gaussian elimination on sparse rows, which it consumes.
+
+    Returns (pivot rows, pivot columns), both in pivot-column order.  With
+    ``reduce`` the pivot rows are the nonzero rows of the reduced row echelon
+    form; without it only non-pivot rows are cleared (forward elimination),
+    which settles the pivot columns and the rank.  The list order is the tie
+    order, so callers list rows by ascending row index.  Only the held columns
+    below ``ncols`` are visited.
+    """
+    holders = defaultdict(set)  # column -> indices of the rows holding it
+    for i, row in enumerate(rows):
+        for j in row:
+            holders[j].add(i)
+    if not holders:  # the zero matrix, empty ones included
+        return [], []
+    free = set(range(len(rows)))  # rows not chosen as pivot yet
+    pivot_rows, pivots = [], []
+    # fill-in only reaches columns the pivot row holds, so no column joins later
+    for c in sorted(holders):
+        if c >= ncols:
+            break
+        held = holders[c]
+        if not held:
+            continue
+        candidates = held & free
+        if not candidates:
+            continue
+        if len(candidates) == 1:
+            (p,) = candidates
+        else:
+            p = min(candidates, key=lambda i: (len(rows[i]), i))
+        free.discard(p)
+        prow = rows[p]
+        pivot = prow[c]
+        if reduce:
+            if pivot != 1:
+                prow = rows[p] = {j: _div(x, pivot) for j, x in prow.items()}
+                pivot = 1
+            targets = held
+        else:
+            targets = candidates
+        pivot_rows.append(prow)
+        pivots.append(c)
+        if len(targets) == 1:  # no other row holds c: nothing to clear
+            continue
+        targets = list(targets)  # clearing c changes holders[c]
+        unit = pivot == 1
+        # int arithmetic is closed: only a Fraction factor or entry can leave an
+        # integral Fraction behind, which _normalize turns back into an int
+        integral = all(type(x) is int for x in prow.values())
+        for i in targets:
+            if i == p:
+                continue
+            row = rows[i]
+            f = row[c] if unit else _div(row[c], pivot)
+            for j, x in prow.items():
+                y = row.get(j)
+                if y is None:
+                    row[j] = -f * x
+                    holders[j].add(i)
+                else:
+                    y -= f * x
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
+                        holders[j].discard(i)
+            if not integral or type(f) is not int:
+                _normalize(row)
+    return pivot_rows, pivots
+
+
 # mostly zeros, like the Morse and cone differentials, plus non-unit rationals
 rational_entries = st.one_of(
     st.just(Fraction(0)),
@@ -288,9 +366,31 @@ def test_elimination_matches_dense_oracle(shape_and_grid):
         tuple(r) for r in rref[: len(pivots)]
     ]
     assert _eliminate([dict(r) for r in m._data.values()], cols, reduce=False)[1] == pivots
+    assert_same_pivot_rule(m)
     assert rank(m) == len(pivots)
     assert nullspace_basis(m) == build(cols, cols - len(pivots), dense_nullspace(grid, cols))
     assert column_space_basis(m) == build(rows, len(pivots), [[r[j] for j in pivots] for r in grid])
+
+
+def assert_same_pivot_rule(m):
+    """Both passes choose the pivot rows of the reference: equal rows, equal columns."""
+    for reduce in (False, True):
+        got = _eliminate(_rows(m._data), m.cols, reduce)
+        assert got == reference_eliminate(_rows(m._data), m.cols, reduce)
+
+
+def arrow(n):
+    """One dense first row, then rows {0, i}: eliminating column 0 with row 0 fills everything."""
+    return RationalMatrix(n, n, [int(i == 0 or j in (0, i)) for i in range(n) for j in range(n)])
+
+
+def test_arrow_matrices_keep_the_shortest_row_rule():
+    # a pivot order blind to fill-in takes row 0 for column 0 and does n^2
+    # work per column after it; the shortest row keeps the whole pass O(n^2)
+    m = arrow(300)
+    for a in (m, m.transpose()):
+        assert_same_pivot_rule(a)
+        assert rank(a) == 300
 
 
 @given(grids(), st.data())
@@ -450,6 +550,7 @@ def test_exact_entries_are_ints_or_proper_fractions(shape_and_grid, data):
     assert_exact(stored(m))
     for reduce in (True, False):
         assert_exact(x for r in _eliminate([dict(r) for r in m._data.values()], cols, reduce)[0] for x in r.values())
+    assert_same_pivot_rule(m)
     rref, pivots = dense_rref(grid)
     assert rank(m) == len(pivots)
     basis = nullspace_basis(m)
