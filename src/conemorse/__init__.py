@@ -9,7 +9,6 @@ spectra of the Witten-deformed cone Laplacian on the flat two-torus, in
 
 from .complexes import (
     CochainComplex,
-    CohomologyData,
     DegreeChainMap,
     chain_ranks,
     cohomology,

@@ -189,33 +189,6 @@ def _require_chain_map(phi: DegreeChainMap) -> None:
         phi.checked = True
 
 
-class CohomologyData:
-    """One cocycle basis Z_k = ker d_k per degree; ranks and Betti numbers follow.
-
-    rank d_k = dim_k - cols Z_k.  A zero d_k has rank 0 and Z_k is the whole
-    degree, so no basis is built for it: ``cocycles(k)`` makes the identity
-    only when asked.  Class representatives are built only where an induced
-    map needs them (induced_cohomology_maps).
-    """
-
-    def __init__(self, complex_: CochainComplex) -> None:
-        self._dims = complex_.dims
-        self._cocycles = {
-            k: nullspace_basis(d)
-            for k in complex_.degrees()
-            if complex_.dim(k) and not (d := complex_.d(k)).is_zero()
-        }
-        self._ranks = {k: complex_.dim(k) - z.cols for k, z in self._cocycles.items()}
-        self.dims = tuple(_betti(complex_, self._ranks))
-
-    def rank_d(self, k: int) -> int:
-        return self._ranks.get(k, 0)
-
-    def cocycles(self, k: int) -> RationalMatrix:
-        z = self._cocycles.get(k)
-        return RationalMatrix.identity(_at(self._dims, k)) if z is None else z
-
-
 def _extend_to_basis(inner: RationalMatrix, spanning: RationalMatrix) -> RationalMatrix:
     """Columns of `spanning` that extend the independent columns of `inner` to a basis."""
     if spanning.cols == 0:
@@ -226,58 +199,49 @@ def _extend_to_basis(inner: RationalMatrix, spanning: RationalMatrix) -> Rationa
     return spanning.select_columns(chosen)
 
 
-def cohomology(c: CochainComplex) -> CohomologyData:
-    """Exact cohomology dimensions and cocycle bases of a validated complex.
+def cohomology(c: CochainComplex) -> tuple:
+    """Betti numbers b_k = dim_k - rank d_k - rank d_{k-1} of a validated complex.
 
-    Only a nonzero differential is eliminated: a zero d_k has rank 0 and no
-    stored basis.
+    This is the one formula for every Betti number the package computes.
     """
     _require_complex(c)
-    return CohomologyData(c)
+    ranks = [rank(d) for d in c.differentials]
+    return tuple(c.dim(k) - ranks[k] - _at(ranks, k - 1) for k in c.degrees())
 
 
-def _betti(c: CochainComplex, ranks: dict) -> list:
-    """b_k = dim_k - rank d_k - rank d_{k-1}, from ranks keyed by degree (absent means 0)."""
-    return [c.dim(k) - ranks.get(k, 0) - ranks.get(k - 1, 0) for k in c.degrees()]
-
-
-def cohomology_dims(c: CochainComplex) -> list:
-    """Cohomology dimensions from the ranks of the differentials alone."""
-    _require_complex(c)
-    return _betti(c, {k: rank(c.d(k)) for k in c.degrees() if c.dim(k)})
-
-
-def induced_cohomology_maps(phi: DegreeChainMap, h: CohomologyData) -> dict:
+def induced_cohomology_maps(phi: DegreeChainMap) -> dict:
     """Matrices of [phi] : H^k -> H^{k+shift}, keyed by degree k.
 
-    ``h`` is cohomology(phi.complex).  Classes are represented by the
-    cocycles that extend the coboundaries to a basis of Z_k.  A foreign ``h``
-    can raise ValueError.
+    Classes are represented by the cocycles that extend the coboundaries to a
+    basis of Z_k = ker d_k.  This is the only code that builds such bases; no
+    report needs them, and the tests check induced_map_ranks against it.
     """
+    _require_complex(phi.complex)
     _require_chain_map(phi)
     c = phi.complex
     out = {}
     for k in c.degrees():
         j = k + phi.shift
-        reps = _extend_to_basis(c.d(k - 1), h.cocycles(k))
+        reps = _extend_to_basis(c.d(k - 1), nullspace_basis(c.d(k)))
         coboundary = c.d(j - 1)
-        target_reps = _extend_to_basis(coboundary, h.cocycles(j))
+        target_reps = _extend_to_basis(coboundary, nullspace_basis(c.d(j)))
         coords = solve(hstack(target_reps, coboundary), phi.matrix(k) @ reps)
-        if coords is None:
-            raise ValueError(f"h is not cohomology(phi.complex) at degree {k}")
+        if coords is None:  # a chain map sends cocycles to cocycles
+            raise ConsistencyError(f"the image of H^{k} does not lie in the cocycles of degree {j}")
         out[k] = coords.submatrix(slice(0, target_reps.cols), slice(None))
     return out
 
 
-def induced_map_ranks(phi: DegreeChainMap, h: CohomologyData) -> list:
+def induced_map_ranks(phi: DegreeChainMap) -> list:
     """r_k = rank of the induced map on cohomology, listed over the degrees.
 
-    The image of H^k is (phi_k Z_k + B)/B, and the columns of d_{k+shift-1}
-    span B, so r_k = rank [phi_k Z_k | d_{k+shift-1}] - rank d_{k+shift-1}.
-    Where d_{k+shift-1} is zero, r_k = rank phi_k Z_k; where d_k is zero too,
-    that is phi_k itself, whose pivots chain_ranks has already stored.
-    ``h`` is cohomology(phi.complex).
+    With j = k + shift - 1, the kernel of M = [[d_k, 0], [phi_k, d_j]] is
+    {(x, y) : d_k x = 0, phi_k x = -d_j y}.  Its x are the cocycles that phi_k
+    sends to coboundaries, which is Z_k less r_k dimensions, and its y with
+    x = 0 are Z_j; so r_k = rank M - rank d_k - rank d_j.  Where d_k and d_j
+    are both zero, that is rank phi_k, whose pivots chain_ranks has stored.
     """
+    _require_complex(phi.complex)
     _require_chain_map(phi)
     c = phi.complex
     out = []
@@ -286,20 +250,18 @@ def induced_map_ranks(phi: DegreeChainMap, h: CohomologyData) -> list:
             out.append(0)
             continue
         j = k + phi.shift - 1
-        # a zero d_k has the identity, in column order, as its cocycle basis
-        images = phi.matrix(k) if c.d(k).is_zero() else phi.matrix(k) @ h.cocycles(k)
-        coboundary = c.d(j)
-        if coboundary.is_zero():
-            out.append(rank(images))
-        else:
-            out.append(rank(hstack(images, coboundary)) - h.rank_d(j))
+        d_k, d_j = c.d(k), c.d(j)
+        if d_k.is_zero() and d_j.is_zero():
+            out.append(rank(phi.matrix(k)))
+            continue
+        m = block([[d_k, RationalMatrix.zeros(d_k.rows, d_j.cols)], [phi.matrix(k), d_j]])
+        out.append(rank(m) - rank(d_k) - rank(d_j))
     return out
 
 
 def chain_ranks(phi: DegreeChainMap) -> list:
     """v_k = rank of phi_k on cochains, listed over the degrees."""
-    c = phi.complex
-    return [rank(phi.matrix(k)) if c.dim(k) else 0 for k in c.degrees()]
+    return [rank(m) for m in phi.matrices]
 
 
 def cone_degree_range(phi: DegreeChainMap) -> range:
@@ -337,15 +299,15 @@ def mapping_cone(phi: DegreeChainMap) -> CochainComplex:
     return cone
 
 
-def decomposition_dims(phi: DegreeChainMap, h: CohomologyData, r: Sequence[int]) -> list:
+def decomposition_dims(phi: DegreeChainMap, b: Sequence[int], r: Sequence[int]) -> list:
     """dim_k = (b_k - r_{k-shift}) + (b_{k-shift+1} - r_{k-shift+1}) over cone_degree_range(phi).
 
-    b is read from ``h`` = cohomology(phi.complex); ``r`` lists the
-    induced-map ranks over the degrees, as induced_map_ranks returns them.
+    ``b`` lists the Betti numbers of phi.complex, as cohomology returns them,
+    and ``r`` the induced-map ranks, as induced_map_ranks returns them.
     """
     dims = []
     for k in cone_degree_range(phi):
-        coker = _at(h.dims, k) - _at(r, k - phi.shift)
-        kernel = _at(h.dims, k - phi.shift + 1) - _at(r, k - phi.shift + 1)
+        coker = _at(b, k) - _at(r, k - phi.shift)
+        kernel = _at(b, k - phi.shift + 1) - _at(r, k - phi.shift + 1)
         dims.append(coker + kernel)
     return dims

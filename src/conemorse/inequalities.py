@@ -18,7 +18,6 @@ from .complexes import (
     _at,
     chain_ranks,
     cohomology,
-    cohomology_dims,
     decomposition_dims,
     induced_map_ranks,
     mapping_cone,
@@ -151,17 +150,17 @@ def cone_report(d: MorseDatum) -> InequalityReport:
     b^w is computed both from the rank formula b_k - r_{k-2p-2} + b_{k-2p-1} -
     r_{k-2p-1} and from the ranks of the cone differentials; disagreement
     raises ConsistencyError (it would mean an internal bug, never bad data).
-    The Morse cohomology bases are computed once and serve both b and r.
+    Every number comes from ranks.  The direct cone is assembled from new
+    blocks and eliminated on its own, so it reads no pivots stored by b, v or r.
     """
     complex_, phi = morse_complex(d)
     m = d.counts()
-    h = cohomology(complex_)
-    b = list(h.dims)
+    b = list(cohomology(complex_))
     v = chain_ranks(phi)
-    r = induced_map_ranks(phi, h)
+    r = induced_map_ranks(phi)
 
-    direct = cohomology_dims(mapping_cone(phi))
-    by_formula = decomposition_dims(phi, h, r)
+    direct = list(cohomology(mapping_cone(phi)))
+    by_formula = decomposition_dims(phi, b, r)
     if by_formula != direct:
         raise ConsistencyError(
             f"rank formula gives {by_formula} but the cone complex gives {direct}"

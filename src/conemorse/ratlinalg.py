@@ -1,16 +1,16 @@
 """Exact sparse linear algebra over the rationals.
 
-Every cohomology computation in this package reduces to ranks, kernels and
-linear solves of matrices that are mostly zeros (Morse and cone
-differentials are ±1 on a few entries per row, and most rows and blocks are
-empty).  A matrix stores only its nonempty rows, as ``{row: {column:
-nonzero}}``: no empty row dict and no stored zero, so every kernel costs in
-proportion to the nonzeros, not to the shape.  An integral entry is a Python
-``int`` and any other entry a ``fractions.Fraction`` whose denominator is not
-1: integer data stays in fast int arithmetic, and a Fraction appears only
-where a division leaves a remainder.  ``int == Fraction`` and their hashes
-agree, so this is a storage choice, not a change of value.  Nothing is ever
-rounded.
+Every cohomology computation in this package reduces to ranks of matrices
+that are mostly zeros (Morse and cone differentials are ±1 on a few entries
+per row, and most rows and blocks are empty); kernels and linear solves serve
+only the reference induced maps and the fuzzer.  A matrix stores only its
+nonempty rows, as ``{row: {column: nonzero}}``: no empty row dict and no
+stored zero, so every kernel costs in proportion to the nonzeros, not to the
+shape.  An integral entry is a Python ``int`` and any other entry a
+``fractions.Fraction`` whose denominator is not 1: integer data stays in fast
+int arithmetic, and a Fraction appears only where a division leaves a
+remainder.  ``int == Fraction`` and their hashes agree, so this is a storage
+choice, not a change of value.  Nothing is ever rounded.
 
 Elimination takes the stored rows in ascending row order and walks the held
 columns (those some row holds) in increasing order; fill-in only adds rows to
@@ -438,8 +438,12 @@ def _rows(data: dict) -> list:
 def _pivots(m: RationalMatrix) -> tuple:
     """Pivot columns of m: the columns independent of the columns before them.
 
-    The first call stores them on m, and later calls read them from there.
+    A matrix that stores no row has none, and is not eliminated.  The first
+    call on any other matrix stores them on m, and later calls read them from
+    there.
     """
+    if not m._data:
+        return ()
     pivots = m._pivot_cols
     if pivots is None:
         pivots = m._pivot_cols = tuple(_eliminate(_rows(m._data), m.cols, reduce=False)[1])

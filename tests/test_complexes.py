@@ -22,8 +22,7 @@ from conemorse.errors import ChainMapError, ShapeError
 from conemorse.families import projective_space, torus
 from conemorse.fuzz import random_complex_with_chain_map
 from conemorse.morse import morse_complex
-from conemorse import complexes
-from conemorse.ratlinalg import RationalMatrix, nullspace_basis, rank
+from conemorse.ratlinalg import RationalMatrix, rank
 
 
 def M(rows):
@@ -70,23 +69,23 @@ class TestValidateComplex:
 class TestCohomology:
     def test_zero_differential_gives_dims(self):
         c = CochainComplex((1, 2, 1))
-        assert cohomology(c).dims == (1, 2, 1)
+        assert cohomology(c) == (1, 2, 1)
 
     def test_one_cancelling_pair(self):
         # dims (2, 3, 1): a single boundary pair at degrees 0-1
         d0 = M([[0, 1], [0, 0], [0, 0]])
         c = CochainComplex((2, 3, 1), [d0])
-        assert cohomology(c).dims == (1, 2, 1)
+        assert cohomology(c) == (1, 2, 1)
 
     def test_four_torus_model(self):
         complex_, _ = exterior_torus_model(2)
-        assert cohomology(complex_).dims == (1, 4, 6, 4, 1)
+        assert cohomology(complex_) == (1, 4, 6, 4, 1)
 
     def test_euler_characteristic_matches(self):
         complex_, _ = exterior_torus_model(2)
         data = cohomology(complex_)
         chi_dims = sum((-1) ** k * d for k, d in enumerate(complex_.dims))
-        chi_betti = sum((-1) ** k * b for k, b in enumerate(data.dims))
+        chi_betti = sum((-1) ** k * b for k, b in enumerate(data))
         assert chi_dims == chi_betti
 
 
@@ -94,15 +93,15 @@ class TestInducedRanks:
     def test_zero_map(self):
         c = CochainComplex((1, 2, 1))
         phi = DegreeChainMap(c, 2)
-        assert induced_map_ranks(phi, cohomology(c)) == [0, 0, 0]
+        assert induced_map_ranks(phi) == [0, 0, 0]
 
     def test_four_torus_wedge(self):
         _, phi = exterior_torus_model(2)
-        assert induced_map_ranks(phi, cohomology(phi.complex)) == [1, 4, 1, 0, 0]
+        assert induced_map_ranks(phi) == [1, 4, 1, 0, 0]
 
     def test_cp2_wedge(self):
         _, phi = morse_complex(projective_space(2))
-        assert induced_map_ranks(phi, cohomology(phi.complex)) == [1, 0, 1, 0, 0]
+        assert induced_map_ranks(phi) == [1, 0, 1, 0, 0]
 
     def test_broken_chain_map_rejected(self):
         zero = RationalMatrix.zeros(1, 1)
@@ -110,7 +109,7 @@ class TestInducedRanks:
         phi = DegreeChainMap(c, 2, [M([[1]])])  # d phi != phi d at degree 0
         assert validate_chain_map(phi) is not None
         with pytest.raises(ChainMapError):
-            induced_map_ranks(phi, cohomology(c))
+            induced_map_ranks(phi)
         with pytest.raises(ChainMapError):
             mapping_cone(phi)
 
@@ -125,17 +124,17 @@ class TestMappingCone:
         for k in cone.degrees():
             b_k = b[k] if 0 <= k < 3 else 0
             b_prev = b[k - 1] if 0 <= k - 1 < 3 else 0
-            assert data.dims[k] == b_k + b_prev
+            assert data[k] == b_k + b_prev
 
     def test_two_torus_cone(self):
         _, phi = exterior_torus_model(1)
         cone = mapping_cone(phi)
         assert cone.dims == (1, 3, 3, 1)
-        assert cohomology(cone).dims == (1, 2, 2, 1)
+        assert cohomology(cone) == (1, 2, 2, 1)
 
     def test_four_torus_cone(self):
         _, phi = exterior_torus_model(2)
-        assert cohomology(mapping_cone(phi)).dims == (1, 4, 5, 5, 4, 1)
+        assert cohomology(mapping_cone(phi)) == (1, 4, 5, 5, 4, 1)
 
     def test_cone_of_a_non_complex_rejected(self):
         # d1 d0 = [1] != 0: the complex is checked before the chain-map identity
@@ -157,7 +156,7 @@ class TestMappingCone:
             for k in cone.degrees()
         )
         assert sum((-1) ** k * d for k, d in enumerate(cone.dims)) == expected
-        chi_coh = sum((-1) ** k * b for k, b in zip(cone.degrees(), cohomology(cone).dims))
+        chi_coh = sum((-1) ** k * b for k, b in zip(cone.degrees(), cohomology(cone)))
         assert chi_coh == expected
 
 
@@ -165,30 +164,30 @@ class TestDecomposition:
     def test_zero_map(self):
         c = CochainComplex((1, 2, 1))
         phi = DegreeChainMap(c, 2)
-        h = cohomology(c)
-        assert decomposition_dims(phi, h, induced_map_ranks(phi, h)) == [1, 3, 3, 1]
+        b = cohomology(c)
+        assert decomposition_dims(phi, b, induced_map_ranks(phi)) == [1, 3, 3, 1]
 
     def test_four_torus(self):
         _, phi = exterior_torus_model(2)
-        h = cohomology(phi.complex)
-        assert decomposition_dims(phi, h, induced_map_ranks(phi, h)) == [1, 4, 5, 5, 4, 1]
+        b = cohomology(phi.complex)
+        assert decomposition_dims(phi, b, induced_map_ranks(phi)) == [1, 4, 5, 5, 4, 1]
 
     def test_cp3_power_two_shift_four(self):
         _, phi = morse_complex(projective_space(3, p=1))
-        direct = list(cohomology(mapping_cone(phi)).dims)
-        h = cohomology(phi.complex)
-        assert decomposition_dims(phi, h, induced_map_ranks(phi, h)) == direct
+        direct = list(cohomology(mapping_cone(phi)))
+        b = cohomology(phi.complex)
+        assert decomposition_dims(phi, b, induced_map_ranks(phi)) == direct
 
     def test_scaling_invariance(self):
         _, phi = exterior_torus_model(2)
         factor = Fraction(-7, 3)
         scaled = DegreeChainMap(phi.complex, phi.shift, [m.scaled(factor) for m in phi.matrices])
-        h = cohomology(phi.complex)
-        assert induced_map_ranks(scaled, h) == induced_map_ranks(phi, h)
-        assert decomposition_dims(scaled, h, induced_map_ranks(scaled, h)) == decomposition_dims(
-            phi, h, induced_map_ranks(phi, h)
+        b = cohomology(phi.complex)
+        assert induced_map_ranks(scaled) == induced_map_ranks(phi)
+        assert decomposition_dims(scaled, b, induced_map_ranks(scaled)) == decomposition_dims(
+            phi, b, induced_map_ranks(phi)
         )
-        assert cohomology(mapping_cone(scaled)).dims == cohomology(mapping_cone(phi)).dims
+        assert cohomology(mapping_cone(scaled)) == cohomology(mapping_cone(phi))
 
 
 @given(st.integers(min_value=0, max_value=10**9), st.sampled_from([2, 4]))
@@ -196,9 +195,9 @@ class TestDecomposition:
 def test_decomposition_identity_on_fuzzed_pairs(seed, shift):
     rng = random.Random(seed)
     _, phi = random_complex_with_chain_map(rng, max_degrees=6, max_dim=8, shift=shift)
-    direct = list(cohomology(mapping_cone(phi)).dims)
-    h = cohomology(phi.complex)
-    assert decomposition_dims(phi, h, induced_map_ranks(phi, h)) == direct
+    direct = list(cohomology(mapping_cone(phi)))
+    b = cohomology(phi.complex)
+    assert decomposition_dims(phi, b, induced_map_ranks(phi)) == direct
 
 
 @given(st.integers(min_value=0, max_value=10**9))
@@ -206,52 +205,35 @@ def test_decomposition_identity_on_fuzzed_pairs(seed, shift):
 def test_chain_rank_dominates_induced_rank(seed):
     rng = random.Random(seed)
     _, phi = random_complex_with_chain_map(rng, max_degrees=5, max_dim=6)
-    for r, v in zip(induced_map_ranks(phi, cohomology(phi.complex)), chain_ranks(phi)):
+    for r, v in zip(induced_map_ranks(phi), chain_ranks(phi)):
         assert r <= v
 
 
 @given(st.integers(min_value=0, max_value=10**9), st.sampled_from([2, 4]))
 @settings(max_examples=40, deadline=None)
 def test_rank_formula_matches_the_induced_maps(seed, shift):
-    # r_k = rank [phi_k Z_k | d] - rank d against the rank of the matrix of [phi_k]
+    # r_k = rank [[d_k, 0], [phi_k, d_j]] - rank d_k - rank d_j against the
+    # rank of the matrix of [phi_k], whose class bases induced_cohomology_maps builds
     rng = random.Random(seed)
     _, phi = random_complex_with_chain_map(rng, max_degrees=6, max_dim=8, shift=shift)
-    h = cohomology(phi.complex)
-    maps = induced_cohomology_maps(phi, h)
-    assert induced_map_ranks(phi, h) == [rank(m) for m in maps.values()]
+    maps = induced_cohomology_maps(phi)
+    assert induced_map_ranks(phi) == [rank(m) for m in maps.values()]
 
 
-def test_zero_differentials_get_their_cocycles_only_when_asked(monkeypatch):
-    # every T^4 differential is zero: cohomology stores no basis, and the
-    # identity Z_k = C^k is built by cocycles(k) alone
-    c, phi = morse_complex(torus(2))
-    real = RationalMatrix.identity
-    with monkeypatch.context() as patched:
-        patched.setattr(RationalMatrix, "identity", forbidden("identity"))
-        patched.setattr(complexes, "nullspace_basis", forbidden("nullspace_basis"))
-        h = cohomology(c)
-    assert h.dims == (1, 4, 6, 4, 1)
-    assert [h.cocycles(k) for k in range(-1, 6)] == [real(c.dim(k)) for k in range(-1, 6)]
-    # the induced maps read the same bases as a cohomology with every one stored
-    stored = cohomology(c)
-    stored._cocycles = {k: nullspace_basis(c.d(k)) for k in c.degrees()}
-    maps = induced_cohomology_maps(phi, h)
-    assert maps == induced_cohomology_maps(phi, stored)
-    assert [rank(m) for m in maps.values()] == [1, 4, 1, 0, 0]
-
-
-def forbidden(name):
-    def call(*args, **kwargs):
-        raise AssertionError(f"{name} was called")
-
-    return call
-
-
-def test_induced_maps_refuse_a_foreign_cohomology():
-    # h from another complex on the same dims: the image of H^0 misses its classes
-    zero = RationalMatrix.zeros(1, 1)
-    phi = DegreeChainMap(CochainComplex((1, 1, 1, 1)), 2, [M([[1]])])
-    foreign = cohomology(CochainComplex((1, 1, 1, 1), [zero, zero, M([[1]])]))
-    with pytest.raises(ValueError, match="h is not cohomology") as exc:
-        induced_cohomology_maps(phi, foreign)
-    assert exc.type is ValueError
+def test_rank_formula_matches_the_induced_maps_on_a_seed_sweep():
+    # the hypothesis draws above may miss the block rank; this fixed sweep
+    # must reach it often, where d_k and d_{k+shift-1} are both nonzero
+    both_nonzero = 0
+    for seed in range(200):
+        for shift in (2, 4):
+            rng = random.Random(seed)
+            _, phi = random_complex_with_chain_map(rng, max_degrees=6, max_dim=8, shift=shift)
+            maps = induced_cohomology_maps(phi)
+            assert induced_map_ranks(phi) == [rank(m) for m in maps.values()], (seed, shift)
+            c = phi.complex
+            both_nonzero += sum(
+                1
+                for k in c.degrees()
+                if c.dim(k) and not c.d(k).is_zero() and not c.d(k + shift - 1).is_zero()
+            )
+    assert both_nonzero >= 100

@@ -116,13 +116,25 @@ def forbid(monkeypatch, original):
                     monkeypatch.setattr(module, attr, forbidden)
 
 
-@pytest.mark.parametrize("n, eliminations", [(2, 11), (4, 19)])
-def test_cone_report_takes_ranks_not_class_bases(monkeypatch, n, eliminations):
-    # every differential of a torus is zero: no cocycle basis is built, r_k
-    # reads the pivots v_k stored on phi_k, and only v and the cone's ranks
-    # (one degree more) eliminate
-    expected = cone_report(torus(n))
+@pytest.mark.parametrize(
+    "make, eliminations",
+    [
+        (lambda: torus(2), 6),
+        (lambda: torus(4), 14),
+        (lambda: stabilize(stabilize(torus(2), 1, "stab"), 2, "st2"), 11),
+    ],
+    ids=["t4", "t8", "t4-stab1-stab2"],
+)
+def test_cone_report_takes_ranks_not_class_bases(monkeypatch, make, eliminations):
+    # every differential of a torus is zero: r_k reads the pivots v_k stored
+    # on phi_k, a zero matrix eliminates nothing, and only v and the cone's
+    # ranks eliminate.  The stabilized T^4 has d_1 and d_2 nonzero, so its
+    # r_1 is the rank of the block [[d_1, 0], [phi_1, d_2]]: no basis either
+    # way.  A datum keeps the pivots found on its matrices, so each report
+    # reads a new one
+    expected = cone_report(make())
     for original in (
+        ratlinalg.nullspace_basis,
         ratlinalg.solve,
         ratlinalg.column_space_basis,
         complexes._extend_to_basis,
@@ -136,7 +148,7 @@ def test_cone_report_takes_ranks_not_class_bases(monkeypatch, n, eliminations):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(ratlinalg, "_eliminate", counted)
-    assert cone_report(torus(n)) == expected
+    assert cone_report(make()) == expected
     assert len(calls) == eliminations
 
 

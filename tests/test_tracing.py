@@ -60,7 +60,8 @@ def test_traced_cone_report_runs(tracing):
     assert tracer.entries > 0
     # the complex validators check the datum's d∘d = 0 and dc = cd once each
     # (morse_complex calls them, not validate_datum) and the cone's d∘d = 0
-    # once, and the Morse cohomology bases serve both b and r
+    # once, and cohomology gives the Betti numbers of the Morse complex and
+    # of the cone
     assert tracer.calls["morse.validate_datum"] == 0
     assert tracer.calls["complexes.validate"] == 3
-    assert tracer.calls["complexes.cohomology"] == 1
+    assert tracer.calls["complexes.cohomology"] == 2
