@@ -85,7 +85,8 @@ def datum_from_dict(doc: dict) -> MorseDatum:
     try:
         points = []
         for g in doc["generators"]:
-            ident, index = str(g["id"]), g["index"]
+            ident, index = g["id"], g["index"]
+            ident = ident if type(ident) is str else str(ident)
             # the label is formatted only for a non-int index; _integer refuses a bool
             if type(index) is not int:
                 index = _integer(index, f"index of {g['id']!r}")
@@ -97,14 +98,14 @@ def datum_from_dict(doc: dict) -> MorseDatum:
             out = []
             for entry in doc.get(key, []):
                 value = entry["coeff"]
-                if isinstance(value, float):
-                    raise DatumParseError(
-                        f"invalid rational {value!r}: floats are not exact"
-                    )
-                if isinstance(value, bool):
-                    raise DatumParseError(f"invalid rational {value!r}: booleans are not numbers")
-                src, dst = str(entry["from"]), str(entry["to"])
-                if type(value) is not str:
+                text = type(value) is str
+                if not text and isinstance(value, (float, bool)):
+                    why = "floats are not exact" if isinstance(value, float) else "booleans are not numbers"
+                    raise DatumParseError(f"invalid rational {value!r}: {why}")
+                src, dst = entry["from"], entry["to"]
+                if type(src) is not str or type(dst) is not str:
+                    src, dst = str(src), str(dst)
+                if not text:
                     q = rat(value)
                 elif (q := parsed.get(value)) is None:
                     q = parsed[value] = rat(value)

@@ -19,6 +19,7 @@ from .ratlinalg import (
     nullspace_basis,
     rank,
     solve,
+    _matrix,
     _pivots,
 )
 
@@ -238,23 +239,25 @@ def induced_map_ranks(phi: DegreeChainMap) -> list:
     With j = k + shift - 1, the kernel of M = [[d_k, 0], [phi_k, d_j]] is
     {(x, y) : d_k x = 0, phi_k x = -d_j y}.  Its x are the cocycles that phi_k
     sends to coboundaries, which is Z_k less r_k dimensions, and its y with
-    x = 0 are Z_j; so r_k = rank M - rank d_k - rank d_j.  Where d_k and d_j
-    are both zero, that is rank phi_k, whose pivots chain_ranks has stored.
+    x = 0 are Z_j; so r_k = rank M - rank d_k - rank d_j.  A zero phi_k maps
+    no class, and where d_k and d_j are both zero r_k is rank phi_k, which
+    chain_ranks has stored on phi_k.
     """
     _require_complex(phi.complex)
     _require_chain_map(phi)
     c = phi.complex
     out = []
     for k in c.degrees():
-        if not c.dim(k):  # an empty degree has no classes to map
+        phi_k = phi.matrix(k)
+        if phi_k.is_zero():  # a zero phi_k, as at an empty degree, maps no class
             out.append(0)
             continue
         j = k + phi.shift - 1
         d_k, d_j = c.d(k), c.d(j)
         if d_k.is_zero() and d_j.is_zero():
-            out.append(rank(phi.matrix(k)))
+            out.append(rank(phi_k))
             continue
-        m = block([[d_k, RationalMatrix.zeros(d_k.rows, d_j.cols)], [phi.matrix(k), d_j]])
+        m = block([[d_k, RationalMatrix.zeros(d_k.rows, d_j.cols)], [phi_k, d_j]])
         out.append(rank(m) - rank(d_k) - rank(d_j))
     return out
 
@@ -266,6 +269,21 @@ def chain_ranks(phi: DegreeChainMap) -> list:
 
 def cone_degree_range(phi: DegreeChainMap) -> range:
     return range(len(phi.complex.dims) + phi.shift - 1)
+
+
+def _cone_differential(
+    d: RationalMatrix, phi: RationalMatrix, d_low: RationalMatrix
+) -> RationalMatrix:
+    """[[d, phi], [0, -d_low]], written row by row into new dicts: no zero block, no stacking."""
+    offset = d.cols
+    data = {i: dict(row) for i, row in d._data.items()}
+    for i, row in phi._data.items():
+        out = data.setdefault(i, {})
+        for j, x in row.items():
+            out[offset + j] = x
+    for i, row in d_low._data.items():
+        data[d.rows + i] = {offset + j: -x for j, x in row.items()}
+    return _matrix(d.rows + d_low.rows, offset + d_low.cols, data)
 
 
 def mapping_cone(phi: DegreeChainMap) -> CochainComplex:
@@ -283,14 +301,10 @@ def mapping_cone(phi: DegreeChainMap) -> CochainComplex:
     dims = [c.dim(k) + c.dim(k - theta) for k in cone_degree_range(phi)]
     diffs = []
     for k, (dim, next_dim) in enumerate(zip(dims, dims[1:] + [0])):
-        if not dim or not next_dim:  # an empty differential: no blocks to place
+        if not dim or not next_dim:  # an empty differential: no rows to write
             diffs.append(RationalMatrix.zeros(next_dim, dim))
             continue
-        top_left = c.d(k)
-        top_right = phi.matrix(k - theta)
-        bottom_left = RationalMatrix.zeros(c.dim(k + 1 - theta), c.dim(k))
-        bottom_right = -c.d(k - theta)
-        diffs.append(block([[top_left, top_right], [bottom_left, bottom_right]]))
+        diffs.append(_cone_differential(c.d(k), phi.matrix(k - theta), c.d(k - theta)))
     cone = CochainComplex(dims, diffs)
     check = validate_complex(cone)
     if check is not None:

@@ -150,8 +150,8 @@ def cone_report(d: MorseDatum) -> InequalityReport:
     b^w is computed both from the rank formula b_k - r_{k-2p-2} + b_{k-2p-1} -
     r_{k-2p-1} and from the ranks of the cone differentials; disagreement
     raises ConsistencyError (it would mean an internal bug, never bad data).
-    Every number comes from ranks.  The direct cone is assembled from new
-    blocks and eliminated on its own, so it reads no pivots stored by b, v or r.
+    Every number comes from ranks.  The direct cone is written into new rows
+    and eliminated on its own, so it reads no rank stored by b, v or r.
     """
     complex_, phi = morse_complex(d)
     m = d.counts()

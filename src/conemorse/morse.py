@@ -11,15 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Optional
+from operator import attrgetter
+from typing import Mapping, NamedTuple, Optional
 
 from .complexes import CochainComplex, DegreeChainMap, validate_chain_map, validate_complex
 from .errors import DegreeError, InvalidDatumError, UnknownIdError
 from .ratlinalg import Rational, _matrix, rat
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
+class CriticalPoint(NamedTuple):
     id: str
     index: int
 
@@ -35,12 +35,13 @@ def _canon_coeffs(entries) -> tuple:
     merged = {}
     for src, dst, value in entries:
         # ids and values that are already canonical skip str() and rat()
-        key = (src if type(src) is str else str(src), dst if type(dst) is str else str(dst))
-        canonical = type(value) is int or (type(value) is Fraction and value.denominator != 1)
-        q = value if canonical else rat(value)
-        if key in merged:
-            q = rat(merged[key] + q)  # a sum of Fractions may be integral
-        merged[key] = q
+        if type(src) is not str or type(dst) is not str:
+            src, dst = str(src), str(dst)
+        if type(value) is not int and (type(value) is not Fraction or value.denominator == 1):
+            value = rat(value)
+        key = (src, dst)
+        q = merged.get(key)
+        merged[key] = value if q is None else rat(q + value)  # a sum of Fractions may be integral
     return tuple(
         (src, dst, value) for (src, dst), value in sorted(merged.items()) if value != 0
     )
@@ -60,7 +61,7 @@ class MorseDatum:
         object.__setattr__(
             self,
             "points",
-            tuple(sorted(self.points, key=lambda q: (q.index, q.id))),
+            tuple(sorted(self.points, key=attrgetter("index", "id"))),
         )
         object.__setattr__(self, "boundary", _canon_coeffs(self.boundary))
         object.__setattr__(self, "cone_map", _canon_coeffs(self.cone_map))
@@ -75,19 +76,61 @@ class MorseDatum:
 
     @cached_property
     def _matrices(self) -> tuple:
-        """(generator ids per index, boundary matrices, cone matrices), built once.
+        """(generator ids per index, boundary matrices, cone matrices), built in one pass.
 
-        Raises on structural problems, and then caches nothing.  The datum is
+        manifold_dim and p are checked before anything sized by them is
+        allocated; each id is resolved once, and each coefficient is checked
+        (known ids, index jump) and written into its row in the same loop.
+        Raises on a structural problem, and then caches nothing.  The datum is
         immutable, so validation and the Morse complex share these matrices.
         """
-        index = _check_structure(self)
-        by_index = _ordered_generators(self)
-        pos = {gid: i for ids in by_index for i, gid in enumerate(ids)}
-        return (
-            by_index,
-            _assemble(self.boundary, 1, index, pos, by_index),
-            _assemble(self.cone_map, self.cone_shift, index, pos, by_index),
-        )
+        top = self.manifold_dim
+        if top < 0 or top % 2 != 0:
+            raise DegreeError(f"manifold_dim must be a nonnegative even integer, got {top}")
+        if top > MAX_MANIFOLD_DIM:
+            raise DegreeError(f"manifold_dim must be at most {MAX_MANIFOLD_DIM}, got {top}")
+        if self.p < 0:
+            raise DegreeError(f"p must be nonnegative, got {self.p}")
+        # ids lexicographic within each index: the points are sorted that way
+        by_index = [[] for _ in range(top + 1)]
+        where = {}  # id -> (index, position within its index)
+        for gid, k in self.points:
+            if gid in where:
+                raise UnknownIdError(f"duplicate generator id {gid!r}")
+            if not 0 <= k <= top:
+                raise DegreeError(f"index of {gid!r} is {k}, outside 0..{top}")
+            ids = by_index[k]
+            where[gid] = (k, len(ids))
+            ids.append(gid)
+        families = []
+        for label, coeffs, jump in (
+            ("boundary", self.boundary, 1),
+            ("cone_map", self.cone_map, self.cone_shift),
+        ):
+            data = [{} for _ in range(top + 1)]  # per degree: {row: {column: value}}
+            # one nonzero entry per (src, dst), merged and coerced by __post_init__
+            for src, dst, value in coeffs:
+                source = where.get(src)
+                if source is None:
+                    raise UnknownIdError(f"{label} refers to unknown id {src!r}")
+                target = where.get(dst)
+                if target is None:
+                    raise UnknownIdError(f"{label} refers to unknown id {dst!r}")
+                if target[0] != source[0] + jump:
+                    raise DegreeError(
+                        f"{label} coefficient {src!r} -> {dst!r} must raise the index "
+                        f"by {jump} ({source[0]} -> {target[0]})"
+                    )
+                rows = data[source[0]]
+                row = rows.get(target[1])
+                if row is None:
+                    row = rows[target[1]] = {}
+                row[source[1]] = value
+            families.append([
+                _matrix(len(by_index[k + jump]) if k + jump <= top else 0, len(ids), rows)
+                for k, (rows, ids) in enumerate(zip(data, by_index))
+            ])
+        return by_index, families[0], families[1]
 
     def counts(self) -> list:
         """m_k over k = 0 .. manifold_dim."""
@@ -110,61 +153,6 @@ class DatumViolation:
             f"{what} != 0 at degree {self.degree}, witnessed on generator "
             f"{self.witness!r} (coefficient {self.value})"
         )
-
-
-def _check_structure(d: MorseDatum) -> dict:
-    """Ids resolve, indices in range, coefficient degree jumps correct."""
-    if d.manifold_dim < 0 or d.manifold_dim % 2 != 0:
-        raise DegreeError(f"manifold_dim must be a nonnegative even integer, got {d.manifold_dim}")
-    if d.manifold_dim > MAX_MANIFOLD_DIM:
-        raise DegreeError(f"manifold_dim must be at most {MAX_MANIFOLD_DIM}, got {d.manifold_dim}")
-    if d.p < 0:
-        raise DegreeError(f"p must be nonnegative, got {d.p}")
-    index = {}
-    for q in d.points:
-        if q.id in index:
-            raise UnknownIdError(f"duplicate generator id {q.id!r}")
-        if not 0 <= q.index <= d.manifold_dim:
-            raise DegreeError(
-                f"index of {q.id!r} is {q.index}, outside 0..{d.manifold_dim}"
-            )
-        index[q.id] = q.index
-    for label, coeffs, jump in (
-        ("boundary", d.boundary, 1),
-        ("cone_map", d.cone_map, d.cone_shift),
-    ):
-        for src, dst, _ in coeffs:
-            if src not in index:
-                raise UnknownIdError(f"{label} refers to unknown id {src!r}")
-            if dst not in index:
-                raise UnknownIdError(f"{label} refers to unknown id {dst!r}")
-            if index[dst] != index[src] + jump:
-                raise DegreeError(
-                    f"{label} coefficient {src!r} -> {dst!r} must raise the index "
-                    f"by {jump} ({index[src]} -> {index[dst]})"
-                )
-    return index
-
-
-def _ordered_generators(d: MorseDatum) -> list:
-    """Generator ids per index, lexicographic within each class: MorseDatum sorts its points."""
-    by_index = [[] for _ in range(d.manifold_dim + 1)]
-    for q in d.points:
-        by_index[q.index].append(q.id)
-    return by_index
-
-
-def _assemble(coeffs, jump: int, index: dict, pos: dict, by_index: list) -> list:
-    """Per-degree matrices of one coefficient family, rows and columns in `by_index` order."""
-    top = len(by_index) - 1
-    data = [{} for _ in range(top + 1)]  # per degree: {row: {column: value}}
-    for src, dst, value in coeffs:  # one nonzero entry per (src, dst), merged by MorseDatum
-        data[index[src]].setdefault(pos[dst], {})[pos[src]] = value
-    # the values were coerced once, by MorseDatum, so the rows go in as they are
-    return [
-        _matrix(len(by_index[k + jump]) if k + jump <= top else 0, len(ids), rows)
-        for k, (rows, ids) in enumerate(zip(data, by_index))
-    ]
 
 
 def _check_identities(d: MorseDatum) -> tuple:

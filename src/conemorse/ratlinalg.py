@@ -21,9 +21,10 @@ only those rows are updated, and the pass stops once every row is a pivot
 row.  The reduced row echelon form comes from the same forward pass, followed
 by scaling each pivot row and back-substituting.  The pivot columns and the
 reduced row echelon form do not depend on which row is chosen, so results are
-deterministic.  A matrix is an immutable value, so it keeps the pivot columns
-found by its first rank: another rank, column space basis or basis extension
-of the same object eliminates nothing.
+deterministic.  Rank does not depend on orientation, so a matrix that stores
+more rows than it holds columns is ranked on its transposed rows, built in the
+copy that elimination consumes anyway.  A matrix is an immutable value, so it
+keeps its rank once found: another rank of the same object eliminates nothing.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def _matrix(rows: int, cols: int, data: dict) -> "RationalMatrix":
     m.rows = rows
     m.cols = cols
     m._data = data
-    m._pivot_cols = None
+    m._rank = None
     return m
 
 
@@ -126,10 +127,10 @@ class RationalMatrix:
     matrix of any shape stores nothing, and equal matrices have equal
     ``_data`` and equal hashes, whatever order their rows were stored in.
     Rows may be shared between matrices: no operation changes a stored row.
-    ``_pivot_cols`` is None until ``_pivots`` stores the pivot columns there.
+    ``_rank`` is None until ``rank`` stores the rank there.
     """
 
-    __slots__ = ("rows", "cols", "_data", "_pivot_cols")
+    __slots__ = ("rows", "cols", "_data", "_rank")
 
     def __init__(self, rows: int, cols: int, entries: Iterable) -> None:
         values = [rat(x) for x in entries]
@@ -145,7 +146,7 @@ class RationalMatrix:
             if row:
                 data[i] = row
         self._data = data
-        self._pivot_cols = None
+        self._rank = None
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RationalMatrix":
@@ -436,23 +437,29 @@ def _rows(data: dict) -> list:
 
 
 def _pivots(m: RationalMatrix) -> tuple:
-    """Pivot columns of m: the columns independent of the columns before them.
-
-    A matrix that stores no row has none, and is not eliminated.  The first
-    call on any other matrix stores them on m, and later calls read them from
-    there.
-    """
-    if not m._data:
-        return ()
-    pivots = m._pivot_cols
-    if pivots is None:
-        pivots = m._pivot_cols = tuple(_eliminate(_rows(m._data), m.cols, reduce=False)[1])
-    return pivots
+    """Pivot columns of m: the columns independent of the columns before them."""
+    return tuple(_eliminate(_rows(m._data), m.cols, reduce=False)[1]) if m._data else ()
 
 
 def rank(m: RationalMatrix) -> int:
-    """Dimension of the column space, by exact forward elimination."""
-    return len(_pivots(m))
+    """Dimension of the column space, by exact forward elimination of the shorter side.
+
+    A matrix that stores no row has rank 0 and is not eliminated.  The first
+    call on any other matrix stores the rank on m, and later calls read it.
+    """
+    if m._rank is None:
+        data = m._data
+        held = set().union(*data.values())
+        if len(data) > len(held):  # the transposed rows, by ascending column index
+            columns = {j: {} for j in sorted(held)}
+            for i, row in data.items():
+                for j, x in row.items():
+                    columns[j][i] = x
+            rows, ncols = list(columns.values()), m.rows
+        else:
+            rows, ncols = _rows(data), m.cols
+        m._rank = len(_eliminate(rows, ncols, reduce=False)[1]) if rows else 0
+    return m._rank
 
 
 def nullspace_basis(m: RationalMatrix) -> RationalMatrix:

@@ -17,7 +17,7 @@ from conemorse.cli import (
 )
 from conemorse.families import projective_space, torus
 from conemorse.morse import product, stabilize
-from conemorse.ratlinalg import RationalMatrix, block
+from conemorse.ratlinalg import RationalMatrix
 
 
 def run(capsys, *argv):
@@ -242,10 +242,11 @@ class TestAnalyze:
         assert code == EXIT_VALIDATION
 
     def test_oversized_manifold_dim_exits_one(self, tmp_path, capsys, monkeypatch):
-        def reached(d):
+        # the first range morse builds sizes the generator lists by manifold_dim
+        def reached(*args):
             raise AssertionError("generator lists sized by manifold_dim were built")
 
-        monkeypatch.setattr(morse, "_ordered_generators", reached)
+        monkeypatch.setattr(morse, "range", reached, raising=False)
         doc = datum_to_dict(torus(1))
         doc["manifold_dim"] = 10**12
         path = tmp_path / "huge.json"
@@ -345,11 +346,13 @@ class TestInternalErrors:
 
     def test_cone_that_does_not_square_to_zero_is_internal(self, t4, capsys, monkeypatch):
         # both inputs of mapping_cone are checked, so a bad cone is a bug in its assembly
-        def ones(grid):
-            m = block(grid)
+        real = complexes._cone_differential
+
+        def ones(*blocks):
+            m = real(*blocks)
             return RationalMatrix(m.rows, m.cols, [1] * (m.rows * m.cols))
 
-        monkeypatch.setattr(complexes, "block", ones)
+        monkeypatch.setattr(complexes, "_cone_differential", ones)
         code, out, err = run(capsys, "analyze", t4)
         assert code == EXIT_INTERNAL and out == ""
         assert err.startswith("internal error: cone differential does not square to zero: ")

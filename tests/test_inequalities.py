@@ -126,11 +126,11 @@ def forbid(monkeypatch, original):
     ids=["t4", "t8", "t4-stab1-stab2"],
 )
 def test_cone_report_takes_ranks_not_class_bases(monkeypatch, make, eliminations):
-    # every differential of a torus is zero: r_k reads the pivots v_k stored
+    # every differential of a torus is zero: r_k reads the rank v_k stored
     # on phi_k, a zero matrix eliminates nothing, and only v and the cone's
     # ranks eliminate.  The stabilized T^4 has d_1 and d_2 nonzero, so its
     # r_1 is the rank of the block [[d_1, 0], [phi_1, d_2]]: no basis either
-    # way.  A datum keeps the pivots found on its matrices, so each report
+    # way.  A datum keeps the ranks found on its matrices, so each report
     # reads a new one
     expected = cone_report(make())
     for original in (
@@ -152,13 +152,13 @@ def test_cone_report_takes_ranks_not_class_bases(monkeypatch, make, eliminations
     assert len(calls) == eliminations
 
 
-def test_a_wrong_stored_pivot_list_fails_the_cross_check():
-    # r reuses the pivots that v stored on phi_k, but the direct cone is
-    # eliminated on its own blocks: a wrong stored list cannot pass unseen
+def test_a_wrong_stored_rank_fails_the_cross_check():
+    # r reuses the rank that v stored on phi_k, but the direct cone is written
+    # into new rows and eliminated on its own: a wrong stored rank cannot pass unseen
     datum = torus(4)
     _, phi = morse_complex(datum)  # the datum keeps these matrices
     phi_3 = phi.matrix(3)
-    phi_3._pivot_cols = ratlinalg._pivots(phi_3)[:-1]
+    phi_3._rank = ratlinalg.rank(phi_3) - 1
     with pytest.raises(ConsistencyError) as caught:
         cone_report(datum)
     assert str(caught.value) == (
@@ -176,12 +176,16 @@ def test_rank_eliminates_once_per_matrix(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(ratlinalg, "_eliminate", counted)
-    m = ratlinalg.RationalMatrix.from_rows([[1, 2, 0], [2, 4, 1]])
-    assert ratlinalg.rank(m) == ratlinalg.rank(m) == 2
-    assert ratlinalg.column_space_basis(m) == m.select_columns([0, 2])
-    assert len(calls) == 1
-    # an equal matrix is another object, with pivots of its own to find
-    assert ratlinalg.rank(m.transpose().transpose()) == 2 and len(calls) == 2
+    wide = ratlinalg.RationalMatrix.from_rows([[1, 2, 0], [2, 4, 1]])
+    tall = wide.transpose()  # eliminated as its transposed rows
+    for m in (wide, tall, wide, tall):
+        assert ratlinalg.rank(m) == 2
+    assert len(calls) == 2
+    # an equal matrix is another object, with a rank of its own to find
+    assert ratlinalg.rank(wide.transpose().transpose()) == 2 and len(calls) == 3
+    # the rank is the one memo: pivot columns are found afresh each time
+    assert ratlinalg.column_space_basis(wide) == wide.select_columns([0, 2])
+    assert len(calls) == 4
 
 
 def test_cone_report_multiplies_by_no_identity(monkeypatch):

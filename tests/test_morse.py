@@ -146,12 +146,16 @@ class Reached(Exception):
 
 
 def forbid_generator_lists(monkeypatch):
-    """Make building the per-index generator lists, sized by manifold_dim, raise Reached."""
+    """Make every range morse builds raise Reached with its arguments.
 
-    def reached(d):
-        raise Reached(d.manifold_dim)
+    The first one MorseDatum._matrices builds sizes the per-index generator
+    lists by manifold_dim.
+    """
 
-    monkeypatch.setattr(morse, "_ordered_generators", reached)
+    def reached(*args):
+        raise Reached(*args)
+
+    monkeypatch.setattr(morse, "range", reached, raising=False)
 
 
 class TestManifoldDimCap:
@@ -165,8 +169,9 @@ class TestManifoldDimCap:
     def test_cap_itself_is_accepted(self, monkeypatch):
         forbid_generator_lists(monkeypatch)
         at_cap = MorseDatum(manifold_dim=morse.MAX_MANIFOLD_DIM, points=(CriticalPoint("a", 0),))
-        with pytest.raises(Reached):
+        with pytest.raises(Reached) as caught:
             validate_datum(at_cap)
+        assert caught.value.args == (morse.MAX_MANIFOLD_DIM + 1,)
 
 
 def count_calls(monkeypatch, name):
@@ -182,21 +187,21 @@ def count_calls(monkeypatch, name):
 
 
 class TestAssembleOnce:
+    # MorseDatum._matrices checks and writes both families in one pass, one
+    # matrix per degree each: torus(2) has degrees 0..4, so 10 per assembly
     def test_cone_report_assembles_each_family_once(self, monkeypatch):
-        assembled = count_calls(monkeypatch, "_assemble")
-        ordered = count_calls(monkeypatch, "_ordered_generators")
+        assembled = count_calls(monkeypatch, "_matrix")
         cone_report(torus(2))
-        assert len(assembled) == 2  # boundary and cone map
-        assert len(ordered) == 1
+        assert len(assembled) == 2 * 5  # boundary and cone map
 
     def test_validation_and_complex_share_the_matrices(self, monkeypatch):
-        assembled = count_calls(monkeypatch, "_assemble")
+        assembled = count_calls(monkeypatch, "_matrix")
         datum = torus(2)
         assert validate_datum(datum) is None
-        assert len(assembled) == 2
+        assert len(assembled) == 2 * 5
         first, phi = morse_complex(datum)
         second, _ = morse_complex(datum)
-        assert len(assembled) == 2
+        assert len(assembled) == 2 * 5
         # the checked-flag carriers are fresh per call, their matrices shared
         assert first is not second and first.differentials == second.differentials
         assert phi.matrices[0] is datum._matrices[2][0]

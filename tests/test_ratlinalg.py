@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conemorse import ratlinalg
 from conemorse.errors import ShapeError
 from conemorse.ratlinalg import (
     RationalMatrix,
@@ -367,7 +368,9 @@ def test_elimination_matches_dense_oracle(shape_and_grid):
     ]
     assert _eliminate([dict(r) for r in m._data.values()], cols, reduce=False)[1] == pivots
     assert_same_pivot_rule(m)
-    assert rank(m) == len(pivots)
+    # rank eliminates the shorter side: either orientation gives the reference rank
+    reference = reference_eliminate(_rows(m._data), cols, reduce=False)[1]
+    assert rank(m) == rank(m.transpose()) == len(reference) == len(pivots)
     assert nullspace_basis(m) == build(cols, cols - len(pivots), dense_nullspace(grid, cols))
     assert column_space_basis(m) == build(rows, len(pivots), [[r[j] for j in pivots] for r in grid])
 
@@ -377,6 +380,26 @@ def assert_same_pivot_rule(m):
     for reduce in (False, True):
         got = _eliminate(_rows(m._data), m.cols, reduce)
         assert got == reference_eliminate(_rows(m._data), m.cols, reduce)
+
+
+def test_rank_eliminates_the_side_with_fewer_rows(monkeypatch):
+    seen = []
+
+    def recorded(rows, ncols, reduce):
+        seen.append(([dict(r) for r in rows], ncols))
+        return _eliminate(rows, ncols, reduce)
+
+    monkeypatch.setattr(ratlinalg, "_eliminate", recorded)
+    tall = M([[1, 0], [2, 0], [0, 3], [4, Fraction(1, 2)]])
+    # more stored rows than held columns: the transposed rows, by column
+    thin = M([[1, 0, 0, 0], [0, 0, 0, 0], [2, 0, 0, 0], [3, 0, 0, 0]])
+    wide = M([[1, 2, 0], [2, 4, 1]])
+    assert [rank(m) for m in (tall, thin, wide)] == [2, 1, 2]
+    assert seen == [
+        (_rows(tall.transpose()._data), 4),
+        ([{0: 1, 2: 2, 3: 3}], 4),
+        (_rows(wide._data), 3),
+    ]
 
 
 def arrow(n):
