@@ -15,11 +15,9 @@ from .ratlinalg import (
     Rational,
     RationalMatrix,
     block,
-    hstack,
     nullspace_basis,
     rank,
     solve,
-    _matrix,
     _pivots,
 )
 
@@ -194,7 +192,7 @@ def _extend_to_basis(inner: RationalMatrix, spanning: RationalMatrix) -> Rationa
     """Columns of `spanning` that extend the independent columns of `inner` to a basis."""
     if spanning.cols == 0:
         return RationalMatrix.zeros(spanning.rows, 0)
-    merged = hstack(inner, spanning) if inner.cols else spanning
+    merged = block([[inner, spanning]]) if inner.cols else spanning
     pivots = _pivots(merged)
     chosen = [p - inner.cols for p in pivots if p >= inner.cols]
     return spanning.select_columns(chosen)
@@ -226,7 +224,7 @@ def induced_cohomology_maps(phi: DegreeChainMap) -> dict:
         reps = _extend_to_basis(c.d(k - 1), nullspace_basis(c.d(k)))
         coboundary = c.d(j - 1)
         target_reps = _extend_to_basis(coboundary, nullspace_basis(c.d(j)))
-        coords = solve(hstack(target_reps, coboundary), phi.matrix(k) @ reps)
+        coords = solve(block([[target_reps, coboundary]]), phi.matrix(k) @ reps)
         if coords is None:  # a chain map sends cocycles to cocycles
             raise ConsistencyError(f"the image of H^{k} does not lie in the cocycles of degree {j}")
         out[k] = coords.submatrix(slice(0, target_reps.cols), slice(None))
@@ -242,6 +240,13 @@ def induced_map_ranks(phi: DegreeChainMap) -> list:
     x = 0 are Z_j; so r_k = rank M - rank d_k - rank d_j.  A zero phi_k maps
     no class, and where d_k and d_j are both zero r_k is rank phi_k, which
     chain_ranks has stored on phi_k.
+
+    M is mapping_cone's differential D_j = [[d_j, phi_k], [0, -d_k]] with its
+    block rows and block columns swapped and its d_k block negated, so rank M
+    = rank D_j always.  The order is kept on purpose: cone_report checks the
+    b^w these ranks give against the cone's own ranks, and the two orders
+    eliminate differently.  In the cone's order M would repeat D_j's
+    elimination step for step, and that check could never fire.
     """
     _require_complex(phi.complex)
     _require_chain_map(phi)
@@ -257,7 +262,7 @@ def induced_map_ranks(phi: DegreeChainMap) -> list:
         if d_k.is_zero() and d_j.is_zero():
             out.append(rank(phi_k))
             continue
-        m = block([[d_k, RationalMatrix.zeros(d_k.rows, d_j.cols)], [phi_k, d_j]])
+        m = block([[d_k, None], [phi_k, d_j]])
         out.append(rank(m) - rank(d_k) - rank(d_j))
     return out
 
@@ -269,21 +274,6 @@ def chain_ranks(phi: DegreeChainMap) -> list:
 
 def cone_degree_range(phi: DegreeChainMap) -> range:
     return range(len(phi.complex.dims) + phi.shift - 1)
-
-
-def _cone_differential(
-    d: RationalMatrix, phi: RationalMatrix, d_low: RationalMatrix
-) -> RationalMatrix:
-    """[[d, phi], [0, -d_low]], written row by row into new dicts: no zero block, no stacking."""
-    offset = d.cols
-    data = {i: dict(row) for i, row in d._data.items()}
-    for i, row in phi._data.items():
-        out = data.setdefault(i, {})
-        for j, x in row.items():
-            out[offset + j] = x
-    for i, row in d_low._data.items():
-        data[d.rows + i] = {offset + j: -x for j, x in row.items()}
-    return _matrix(d.rows + d_low.rows, offset + d_low.cols, data)
 
 
 def mapping_cone(phi: DegreeChainMap) -> CochainComplex:
@@ -301,10 +291,12 @@ def mapping_cone(phi: DegreeChainMap) -> CochainComplex:
     dims = [c.dim(k) + c.dim(k - theta) for k in cone_degree_range(phi)]
     diffs = []
     for k, (dim, next_dim) in enumerate(zip(dims, dims[1:] + [0])):
-        if not dim or not next_dim:  # an empty differential: no rows to write
-            diffs.append(RationalMatrix.zeros(next_dim, dim))
-            continue
-        diffs.append(_cone_differential(c.d(k), phi.matrix(k - theta), c.d(k - theta)))
+        if dim and next_dim:
+            d_k, phi_low, d_low = c.d(k), phi.matrix(k - theta), c.d(k - theta)
+            if not (phi_low.is_zero() and d_k.is_zero() and d_low.is_zero()):
+                diffs.append(block([[d_k, phi_low], [None, -d_low]]))
+                continue
+        diffs.append(RationalMatrix.zeros(next_dim, dim))  # an empty or zero differential
     cone = CochainComplex(dims, diffs)
     check = validate_complex(cone)
     if check is not None:

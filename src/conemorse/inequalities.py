@@ -46,7 +46,7 @@ class InequalityReport:
 
     @property
     def cone_degrees(self) -> range:
-        return range(0, self.manifold_dim + 2 * self.p + 2)
+        return range(len(self.b_omega))
 
     @property
     def anomalous(self) -> bool:
@@ -90,15 +90,6 @@ def q_polynomial(m, v, b_omega, p: int = 0) -> list:
     while quotient and quotient[-1] == 0:
         quotient.pop()
     return quotient
-
-
-def _weak_slacks(m, v, b_omega, p: int) -> list:
-    shift = 2 * p + 2
-    out = []
-    for k in range(len(b_omega)):
-        bound = _at(m, k) - _at(v, k - shift) + _at(m, k - shift + 1) - _at(v, k - shift + 1)
-        out.append(bound - b_omega[k])
-    return out
 
 
 def _alternating_sums(values, length: int) -> list:
@@ -167,7 +158,9 @@ def cone_report(d: MorseDatum) -> InequalityReport:
         )
     b_omega = direct
 
-    weak = _weak_slacks(m, v, b_omega, d.p)
+    # the weak bound m_k - v_{k-2p-2} + m_{k-2p-1} - v_{k-2p-1} is the rank
+    # formula with m in place of b and v in place of r
+    weak = [bound - bw for bound, bw in zip(decomposition_dims(phi, m, v), b_omega)]
     strong = _strong_slacks(m, v, b_omega, d.p)
     perfect = b == m
 

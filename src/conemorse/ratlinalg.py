@@ -273,6 +273,8 @@ class RationalMatrix:
         return _matrix(self.rows, self.cols, data)
 
     def __neg__(self) -> "RationalMatrix":
+        if not self._data:  # a zero matrix is its own negative
+            return self
         data = {i: {j: -x for j, x in r.items()} for i, r in self._data.items()}
         return _matrix(self.rows, self.cols, data)
 
@@ -297,46 +299,57 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols})"
 
 
-def hstack(*mats: RationalMatrix) -> RationalMatrix:
-    if not mats:
-        raise ShapeError("hstack of nothing")
-    rows = mats[0].rows
-    if any(m.rows != rows for m in mats):
-        raise ShapeError("hstack row mismatch")
+def block(grid: Sequence[Sequence[Optional[RationalMatrix]]]) -> RationalMatrix:
+    """The block matrix of a rectangular grid of matrices, None for a zero block.
+
+    Each block row and each block column must hold a matrix, which fixes its
+    height or width, and every matrix in it must agree (else ShapeError).
+    Each output row is written once, into a new dict, with no zero block and
+    no intermediate stack.
+    """
+    widths = [None] * (len(grid[0]) if grid else 0)
+    placed = []  # (stored rows, first row, block column) of each block that stores a row
+    nrows = 0
+    for r, blocks in enumerate(grid):
+        if len(blocks) != len(widths):
+            raise ShapeError("block grid is not rectangular")
+        height = None
+        c = 0
+        for m in blocks:
+            if m is not None:
+                if height is None:
+                    height = m.rows
+                elif m.rows != height:
+                    raise ShapeError(f"block row {r} mixes {height} and {m.rows} rows")
+                width = widths[c]
+                if width is None:
+                    widths[c] = m.cols
+                elif m.cols != width:
+                    raise ShapeError(f"block column {c} mixes {width} and {m.cols} columns")
+                if m._data:
+                    placed.append((m._data, nrows, c))
+            c += 1
+        if height is None:
+            raise ShapeError(f"block row {r} holds no matrix")
+        nrows += height
+    if None in widths:
+        raise ShapeError(f"block column {widths.index(None)} holds no matrix")
+    lefts = []  # the first column of each block column
+    ncols = 0
+    for width in widths:
+        lefts.append(ncols)
+        ncols += width
     data = {}
-    offset = 0
-    for m in mats:
-        for i, r in m._data.items():
-            row = data.get(i)
-            if row is None:
-                row = data[i] = {}
-            for j, x in r.items():
-                row[offset + j] = x
-        offset += m.cols
-    return _matrix(rows, offset, data)
+    for rows, top, c in placed:
+        left = lefts[c]
+        for i, row in rows.items():
+            out = data.setdefault(top + i, {})
+            for j, x in row.items():
+                out[left + j] = x
+    return _matrix(nrows, ncols, data)
 
 
-def vstack(*mats: RationalMatrix) -> RationalMatrix:
-    if not mats:
-        raise ShapeError("vstack of nothing")
-    cols = mats[0].cols
-    if any(m.cols != cols for m in mats):
-        raise ShapeError("vstack column mismatch")
-    data = {}
-    offset = 0
-    for m in mats:
-        for i, r in m._data.items():
-            data[offset + i] = r
-        offset += m.rows
-    return _matrix(offset, cols, data)
-
-
-def block(grid: Sequence[Sequence[RationalMatrix]]) -> RationalMatrix:
-    """Assemble a block matrix from a rectangular grid of blocks."""
-    return vstack(*[hstack(*row) for row in grid])
-
-
-def _eliminate(rows: list, ncols: int, reduce: bool) -> tuple[list, list]:
+def _eliminate(rows: list, reduce: bool) -> tuple[list, list]:
     """Gaussian elimination on sparse rows, which it consumes.
 
     Returns (pivot rows, pivot columns), both in pivot-column order.  The
@@ -344,8 +357,7 @@ def _eliminate(rows: list, ncols: int, reduce: bool) -> tuple[list, list]:
     yet, which settles the pivot columns and the rank.  With ``reduce`` the
     pivot rows are then scaled to a leading 1 and back-substituted, last
     first, into the nonzero rows of the reduced row echelon form.  The list
-    order is the tie order, so callers list rows by ascending row index.  Only
-    the held columns below ``ncols`` are visited.
+    order is the tie order, so callers list rows by ascending row index.
     """
     holders = defaultdict(set)  # column -> indices of the non-pivot rows holding it
     for i, row in enumerate(rows):
@@ -354,7 +366,7 @@ def _eliminate(rows: list, ncols: int, reduce: bool) -> tuple[list, list]:
     pivot_rows, pivots = [], []
     # fill-in only reaches columns the pivot row holds, so no column joins later
     for c in sorted(holders):
-        if c >= ncols or len(pivots) == len(rows):  # past the columns, or no row left
+        if len(pivots) == len(rows):  # no row left
             break
         candidates = holders[c]
         if not candidates:
@@ -438,7 +450,7 @@ def _rows(data: dict) -> list:
 
 def _pivots(m: RationalMatrix) -> tuple:
     """Pivot columns of m: the columns independent of the columns before them."""
-    return tuple(_eliminate(_rows(m._data), m.cols, reduce=False)[1]) if m._data else ()
+    return tuple(_eliminate(_rows(m._data), reduce=False)[1]) if m._data else ()
 
 
 def rank(m: RationalMatrix) -> int:
@@ -455,10 +467,10 @@ def rank(m: RationalMatrix) -> int:
             for i, row in data.items():
                 for j, x in row.items():
                     columns[j][i] = x
-            rows, ncols = list(columns.values()), m.rows
+            rows = list(columns.values())
         else:
-            rows, ncols = _rows(data), m.cols
-        m._rank = len(_eliminate(rows, ncols, reduce=False)[1]) if rows else 0
+            rows = _rows(data)
+        m._rank = len(_eliminate(rows, reduce=False)[1]) if rows else 0
     return m._rank
 
 
@@ -468,7 +480,7 @@ def nullspace_basis(m: RationalMatrix) -> RationalMatrix:
     The result has shape cols(m) x (cols(m) - rank(m)); multiplying by m
     gives the exact zero matrix.
     """
-    rref, pivots = _eliminate(_rows(m._data), m.cols, reduce=True)
+    rref, pivots = _eliminate(_rows(m._data), reduce=True)
     pivot_set = set(pivots)
     free = {j: k for k, j in enumerate(j for j in range(m.cols) if j not in pivot_set)}
     data = {j: {k: _ONE} for j, k in free.items()}
@@ -490,12 +502,7 @@ def solve(m: RationalMatrix, rhs: RationalMatrix) -> Optional[RationalMatrix]:
     if m.rows != rhs.rows:
         raise ShapeError("solve: row mismatch")
     n = m.cols
-    aug = {i: dict(a) for i, a in m._data.items()}
-    for i, b in rhs._data.items():
-        row = aug.setdefault(i, {})
-        for j, x in b.items():
-            row[n + j] = x
-    rref, pivots = _eliminate([aug[i] for i in sorted(aug)], n + rhs.cols, reduce=True)
+    rref, pivots = _eliminate(_rows(block([[m, rhs]])._data), reduce=True)
     if pivots and pivots[-1] >= n:
         return None
     data = {}

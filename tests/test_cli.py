@@ -345,14 +345,15 @@ class TestInternalErrors:
         assert err == "internal error: cannot multiply (2, 3) by (2, 3)\n"
 
     def test_cone_that_does_not_square_to_zero_is_internal(self, t4, capsys, monkeypatch):
-        # both inputs of mapping_cone are checked, so a bad cone is a bug in its assembly
-        real = complexes._cone_differential
+        # both inputs of mapping_cone are checked, so a bad cone is a bug in its
+        # assembly; T^4 has zero differentials, so only mapping_cone calls block
+        real = complexes.block
 
-        def ones(*blocks):
-            m = real(*blocks)
+        def ones(grid):
+            m = real(grid)
             return RationalMatrix(m.rows, m.cols, [1] * (m.rows * m.cols))
 
-        monkeypatch.setattr(complexes, "_cone_differential", ones)
+        monkeypatch.setattr(complexes, "block", ones)
         code, out, err = run(capsys, "analyze", t4)
         assert code == EXIT_INTERNAL and out == ""
         assert err.startswith("internal error: cone differential does not square to zero: ")

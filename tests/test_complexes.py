@@ -22,7 +22,7 @@ from conemorse.complexes import (
 from conemorse.errors import ChainMapError, ShapeError
 from conemorse.families import projective_space, torus
 from conemorse.fuzz import random_complex_with_chain_map
-from conemorse.morse import morse_complex
+from conemorse.morse import morse_complex, stabilize
 from conemorse.ratlinalg import RationalMatrix, rank
 
 
@@ -225,7 +225,9 @@ def test_rank_formula_matches_the_induced_maps_on_a_seed_sweep(monkeypatch):
     # the hypothesis draws above may miss the block rank; this fixed sweep
     # must reach it often, where d_k and d_{k+shift-1} are both nonzero.  A
     # zero phi_k gives r_k = 0 without the block: of the 1357 degrees where a
-    # differential is nonzero, 678 have a zero phi_k and build no block
+    # differential is nonzero, 678 have a zero phi_k and build no block.
+    # induced_cohomology_maps calls block too, so only induced_map_ranks's
+    # calls are counted
     blocks = []
     real = complexes.block
 
@@ -234,13 +236,15 @@ def test_rank_formula_matches_the_induced_maps_on_a_seed_sweep(monkeypatch):
         return real(grid)
 
     monkeypatch.setattr(complexes, "block", counted)
-    both_nonzero = with_differential = zero_phi = 0
+    both_nonzero = with_differential = zero_phi = ranked_blocks = 0
     for seed in range(300):
         for shift in (2, 4):
             rng = random.Random(seed)
             _, phi = random_complex_with_chain_map(rng, shift=shift)
             maps = induced_cohomology_maps(phi)
+            before = len(blocks)
             assert induced_map_ranks(phi) == [rank(m) for m in maps.values()], (seed, shift)
+            ranked_blocks += len(blocks) - before
             c = phi.complex
             for k in c.degrees():
                 d_k, d_j = c.d(k), c.d(k + shift - 1)
@@ -249,5 +253,37 @@ def test_rank_formula_matches_the_induced_maps_on_a_seed_sweep(monkeypatch):
                     zero_phi += phi.matrix(k).is_zero()
                     both_nonzero += not d_k.is_zero() and not d_j.is_zero()
     assert (with_differential, zero_phi) == (1357, 678)
-    assert len(blocks) == with_differential - zero_phi
+    assert ranked_blocks == with_differential - zero_phi
     assert both_nonzero >= 100
+
+
+def test_induced_map_ranks_keeps_its_block_order_apart_from_the_cone(monkeypatch):
+    # at k = 1 of T^4 stabilized at degrees 1 and 2, d_1, d_2 and phi_1 are
+    # nonzero.  r_1 ranks M_1 = [[d_1, 0], [phi_1, d_2]], and the cone's
+    # D_2 = [[d_2, phi_1], [0, -d_1]] is M_1 with its block rows and columns
+    # swapped: equal ranks, found by two different eliminations.  Were the two
+    # orders made equal, the b^w cross-check would repeat one elimination
+    c, phi = morse_complex(stabilize(stabilize(torus(2), 1, "stab"), 2, "st2"))
+    d_1, d_2, phi_1 = c.d(1), c.d(2), phi.matrix(1)
+    assert not (d_1.is_zero() or d_2.is_zero() or phi_1.is_zero())
+    m_1 = M(
+        [row + [0] * d_2.cols for row in d_1.to_rows()]
+        + [a + b for a, b in zip(phi_1.to_rows(), d_2.to_rows())]
+    )
+    cone_d_2 = M(
+        [a + b for a, b in zip(d_2.to_rows(), phi_1.to_rows())]
+        + [[0] * d_2.cols + [-x for x in row] for row in d_1.to_rows()]
+    )
+    assert mapping_cone(phi).d(2) == cone_d_2
+    ranked = []
+    real = complexes.rank
+
+    def recorded(m):
+        ranked.append(m)
+        return real(m)
+
+    monkeypatch.setattr(complexes, "rank", recorded)
+    r = induced_map_ranks(phi)
+    assert m_1 in ranked
+    assert cone_d_2 not in ranked and -cone_d_2 not in ranked
+    assert r[1] == rank(cone_d_2) - rank(d_1) - rank(d_2)

@@ -18,12 +18,10 @@ from conemorse.ratlinalg import (
     block,
     column_space_basis,
     format_rat,
-    hstack,
     nullspace_basis,
     rank,
     rat,
     solve,
-    vstack,
 )
 
 
@@ -197,10 +195,46 @@ def test_kernel_is_exact(m):
         assert (m @ basis).is_zero()
 
 
-def test_hstack_shapes():
+def test_block_shapes():
     a = RationalMatrix.identity(2)
     b = RationalMatrix.zeros(2, 3)
-    assert hstack(a, b).shape == (2, 5)
+    assert block([[a, b]]).shape == (2, 5)
+    assert block([[a], [b.transpose()]]).shape == (5, 2)
+
+
+def test_block_takes_none_for_a_zero_block():
+    d = M([[1, 2], [0, 3], [4, 0]])
+    phi = M([[Fraction(1, 2), 0, 0], [0, 0, 0], [0, -1, 5]])
+    low = M([[0, 7, 0]])
+    assert block([[d, phi], [None, low]]) == M(
+        [[1, 2, Fraction(1, 2), 0, 0], [0, 3, 0, 0, 0], [4, 0, 0, -1, 5], [0, 0, 0, 7, 0]]
+    )
+    assert block([[low, None], [phi, d]]) == M(
+        [[0, 7, 0, 0, 0], [Fraction(1, 2), 0, 0, 1, 2], [0, 0, 0, 0, 3], [0, -1, 5, 4, 0]]
+    )
+    # a zero block and a None block store the same nothing; the rows are new dicts
+    written = block([[d, None], [None, low]])
+    assert written == block([[d, RationalMatrix.zeros(3, 3)], [RationalMatrix.zeros(1, 2), low]])
+    assert all(written._data[i] is not r for i, r in d._data.items())
+    assert_stores_nonzeros_only(written)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        [[None, None]],  # a block row, and both block columns, with no matrix
+        [[RationalMatrix.identity(2), None], [None, None]],  # a bare None row and column
+        [[RationalMatrix.identity(2)], [None]],  # a bare None row
+        [[RationalMatrix.identity(2), None]],  # a bare None column
+        [[RationalMatrix.identity(2), RationalMatrix.zeros(3, 1)]],  # heights disagree
+        [[RationalMatrix.identity(2)], [RationalMatrix.zeros(1, 3)]],  # widths disagree
+        [[RationalMatrix.identity(2)], [RationalMatrix.identity(2), None]],  # ragged grid
+    ],
+    ids=["all-none", "none-row-and-column", "none-row", "none-column", "heights", "widths", "ragged"],
+)
+def test_block_refuses_a_grid_that_fixes_no_shape(grid):
+    with pytest.raises(ShapeError):
+        block(grid)
 
 
 # -- the dense Fraction Gauss-Jordan routines, kept as the oracle -------------
@@ -361,12 +395,12 @@ def test_elimination_matches_dense_oracle(shape_and_grid):
     m = build(rows, cols, grid)
     assert m.to_rows() == grid
     rref, pivots = dense_rref(grid)
-    sparse_rref, sparse_pivots = _eliminate([dict(r) for r in m._data.values()], cols, reduce=True)
+    sparse_rref, sparse_pivots = _eliminate([dict(r) for r in m._data.values()], reduce=True)
     assert sparse_pivots == pivots
     assert [tuple(r.get(j, 0) for j in range(cols)) for r in sparse_rref] == [
         tuple(r) for r in rref[: len(pivots)]
     ]
-    assert _eliminate([dict(r) for r in m._data.values()], cols, reduce=False)[1] == pivots
+    assert _eliminate([dict(r) for r in m._data.values()], reduce=False)[1] == pivots
     assert_same_pivot_rule(m)
     # rank eliminates the shorter side: either orientation gives the reference rank
     reference = reference_eliminate(_rows(m._data), cols, reduce=False)[1]
@@ -378,16 +412,16 @@ def test_elimination_matches_dense_oracle(shape_and_grid):
 def assert_same_pivot_rule(m):
     """Both passes choose the pivot rows of the reference: equal rows, equal columns."""
     for reduce in (False, True):
-        got = _eliminate(_rows(m._data), m.cols, reduce)
+        got = _eliminate(_rows(m._data), reduce)
         assert got == reference_eliminate(_rows(m._data), m.cols, reduce)
 
 
 def test_rank_eliminates_the_side_with_fewer_rows(monkeypatch):
     seen = []
 
-    def recorded(rows, ncols, reduce):
-        seen.append(([dict(r) for r in rows], ncols))
-        return _eliminate(rows, ncols, reduce)
+    def recorded(rows, reduce):
+        seen.append([dict(r) for r in rows])
+        return _eliminate(rows, reduce)
 
     monkeypatch.setattr(ratlinalg, "_eliminate", recorded)
     tall = M([[1, 0], [2, 0], [0, 3], [4, Fraction(1, 2)]])
@@ -396,9 +430,9 @@ def test_rank_eliminates_the_side_with_fewer_rows(monkeypatch):
     wide = M([[1, 2, 0], [2, 4, 1]])
     assert [rank(m) for m in (tall, thin, wide)] == [2, 1, 2]
     assert seen == [
-        (_rows(tall.transpose()._data), 4),
-        ([{0: 1, 2: 2, 3: 3}], 4),
-        (_rows(wide._data), 3),
+        _rows(tall.transpose()._data),
+        [{0: 1, 2: 2, 3: 3}],
+        _rows(wide._data),
     ]
 
 
@@ -459,9 +493,10 @@ def test_value_semantics(shape_and_grid):
         (m + m) - m,
         m.submatrix(slice(None), slice(None)),
         m.select_columns(range(cols)),
-        vstack(m.submatrix(slice(0, rows // 2), slice(None)), m.submatrix(slice(rows // 2, None), slice(None))),
-        hstack(m.select_columns(range(cols // 2)), m.select_columns(range(cols // 2, cols))),
+        block([[m.submatrix(slice(0, rows // 2), slice(None))], [m.submatrix(slice(rows // 2, None), slice(None))]]),
+        block([[m.select_columns(range(cols // 2)), m.select_columns(range(cols // 2, cols))]]),
         block([[m, RationalMatrix.zeros(rows, 1)]]).select_columns(range(cols)),
+        block([[m, None], [None, RationalMatrix.zeros(1, 1)]]).submatrix(slice(0, rows), slice(0, cols)),
     ]
     for other in reached:
         assert other == m and hash(other) == hash(m)
@@ -572,7 +607,7 @@ def test_exact_entries_are_ints_or_proper_fractions(shape_and_grid, data):
     grid = [[Fraction(x) for x in r] for r in grid]  # the dense oracle divides with /
     assert_exact(stored(m))
     for reduce in (True, False):
-        assert_exact(x for r in _eliminate([dict(r) for r in m._data.values()], cols, reduce)[0] for x in r.values())
+        assert_exact(x for r in _eliminate([dict(r) for r in m._data.values()], reduce)[0] for x in r.values())
     assert_same_pivot_rule(m)
     rref, pivots = dense_rref(grid)
     assert rank(m) == len(pivots)
