@@ -37,21 +37,30 @@ H = G'G, G = d/dx + t a pi sin(2 pi x) (its two blocks write different
 components and E'E = I), so its eigenvalues are the pairwise sums of the
 squared singular values s^2 of G: numpy only, and s^2 errs by about
 eps |G| s where an eigenvalue of the form errs by eps |G|^2, so the tiny
-cluster keeps its digits.  Degrees 1 and 2 are solved sparse.  The
-reflections x -> -x and y -> -y fix all four critical points, so the form
-splits exactly into four parity sectors, and the mirror (x, y) -> (y, x)
-maps sector (1, 0) onto (0, 1).  Each of three sectors is factored once at
-the cluster threshold; the factor's inertia counts the sector's low cluster,
-and shift-invert Lanczos on the same factor, stopped at ARPACK tolerance
-LANCZOS_TOL, must find as many, plus only as many values above it as can
-still reach the requested count.  Each value theta above the threshold must
-have |(B - theta) v| <= RESIDUAL_TOL * max(1, theta) on its sector block B,
-which by Weyl's bound caps its error, or the solve fails.  The last sector
-is settled by one inertia when the sectors before it already hold the
-requested count with its count-th value beta above the threshold: factored
-at beta, an inertia of 0 proves it holds no value the count can use, and it
-is not solved.  The cluster values are then the squared singular values of
-[d_C; d_C*] on their Lanczos vectors, never negative.
+cluster keeps its digits.  For degrees 1 and 2 the reflections x -> -x and
+y -> -y fix all four critical points, so the form splits exactly into four
+parity sectors, and the mirror (x, y) -> (y, x) maps sector (1, 0) onto
+(0, 1).  Each of three sectors is factored once at the cluster threshold.
+Up to band limit SCHUR_MAX_CUTOFF a sector is an operator on 1D matrices
+(see _KroneckerSector) and no form is assembled: its P and Q blocks are
+Kronecker sums, diagonalized by 1D eigenvectors, and block elimination
+leaves a dense Schur complement on u of about (N+1)^2 rows, factored by
+Bunch-Kaufman; the inertia is the count of 1D eigenvalue sums below the
+threshold plus that of the Schur complement (Haynsworth).  Degree 2 is
+solved as degree 1, its dual.  Above the cutoff, where the Schur complement
+would grow like (N+1)^4, the sector is sliced from the sparse form and
+factored by SuperLU.  Either way the inertia counts the sector's low
+cluster, and shift-invert Lanczos on the same factorization, stopped at
+ARPACK tolerance LANCZOS_TOL, must find as many, plus only as many values
+above it as can still reach the requested count.  Each value theta above
+the threshold must have |(B - theta) v| <= RESIDUAL_TOL * max(1, theta) on
+its sector block B, which by Weyl's bound caps its error, or the solve
+fails.  The last sector is settled by one inertia when the sectors before
+it already hold the requested count with its count-th value beta above the
+threshold: factored at beta, an inertia of 0 proves it holds no value the
+count can use, and it is not solved; a factorization singular at beta
+settles nothing.  The cluster values are then the squared singular values
+of [d_C; d_C*] on their Lanczos vectors, never negative.
 Translation by (1/2, 1/2) and the cone Hodge star map the form of degree
 3 - k onto that of degree k, so degree 3 has the spectrum of degree 0, and
 cluster counts and gap fits solve each dual pair of degrees once and report
@@ -92,6 +101,14 @@ MAX_CUTOFF = 128
 # above the threshold must then have |(B - theta) v| <= RESIDUAL_TOL * max(1, theta)
 LANCZOS_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
+# degree-1/2 sectors at band limits up to this are factored through their
+# Kronecker blocks (see _KroneckerSector), above it by SuperLU on the assembled
+# form.  The dense Schur complement has about (N+1)^4 entries and dsytrf takes
+# (N+1)^6 steps: a degree-1 solve at t = 40 with two BLAS threads took 0.50 of
+# SuperLU's time at N = 23, 0.66 at 24, 0.99 at 25 and 1.18 at 28.  At N = 24
+# (t = 80, a = 2) the values left SuperLU's by 3.9e-12 relative, above the
+# 1e-12 the tests hold them to, so 23 is the largest N kept
+SCHUR_MAX_CUTOFF = 23
 BUMP_INNER, BUMP_OUTER = 0.2, 0.25  # the quasimode bump: 1 inside the first radius, 0 outside
 
 # the four critical points of the cosine Morse function, keyed like torus(1)
@@ -243,10 +260,16 @@ SECTORS = (((0, 1), 2), ((1, 1), 1), ((0, 0), 1))
 DUAL_PAIR = (0, 1, 1, 0)
 
 
+def _axis_parity(cutoff: int) -> np.ndarray:
+    """Parity of each 1D basis function under x -> -x: 0 for 1 and cos, 1 for sin."""
+    parity = np.zeros(basis_size(cutoff), dtype=int)
+    parity[2::2] = 1
+    return parity
+
+
 def _sector_indices(degree: int, cutoff: int, sector: tuple) -> np.ndarray:
     """Indices, in grid order, of the unknowns of one parity sector (a, b)."""
-    parity = np.zeros(basis_size(cutoff), dtype=int)  # under x -> -x: 1 and cos even
-    parity[2::2] = 1  # sin odd
+    parity = _axis_parity(cutoff)
     cells = basis_size(cutoff) ** 2
     a, b = sector
     return np.concatenate([
@@ -373,13 +396,167 @@ def _form_value(prob: SpectralProblem, vec: np.ndarray) -> float:
     return float(sum(np.sum(_apply(*op, grids) ** 2) for op in _operators(prob)))
 
 
-def _factor(block: sp.csr_matrix, shift: float):
-    """SuperLU factor of block - shift*I and the number of eigenvalues below shift.
+def _parity_factors(ops: list, cutoff: int) -> dict:
+    """The 1D matrices of the degree-1 form, cut to each axis parity p (see _KroneckerSector).
 
-    In symmetric mode with equal row and column permutations P, P (A - shift*I)
-    P' = L D L' with D = diag(U); by Sylvester's law of inertia A has as many
-    eigenvalues below the shift as D has negative entries.
+    ("h", p) and ("h'", p) give H = G'G and H' = F'F on parity p as (matrix,
+    eigenvalues, eigenvectors), for the G of d_C and the F of d_C* in `ops`
+    (see _operators); ("d", p) gives D = G[:2N+1] from parity p to 1 - p.
+    G and F flip the parity, so H and H' keep it.
     """
+    (_, grad, _), (_, adj, _) = ops
+    parity = _axis_parity(cutoff)
+    parts = [np.flatnonzero(parity == p) for p in (0, 1)]
+    squares, table = {"h": grad.T @ grad, "h'": adj.T @ adj}, {}
+    for p, part in enumerate(parts):
+        for name, mat in squares.items():
+            block = mat[np.ix_(part, part)]
+            table[name, p] = (block, *np.linalg.eigh(block))
+        table["d", p] = grad[np.ix_(parts[1 - p], part)]
+    return table
+
+
+class _KroneckerSector:
+    """One parity sector of the degree-1 form as an operator on its 1D factors.
+
+    In the components P, Q and u the form is [[K_P, 0, C_P], [0, K_Q, C_Q],
+    [C_P', C_Q', K_u]] with
+
+        K_P = H'(x)I + I(x)H,  K_Q = H(x)I + I(x)H',  K_u = I + H(x)I + I(x)H,
+        C_P = -I(x)D',  C_Q = D'(x)I,
+
+    for H, H' and D of _parity_factors, each cut to the parity of its axis
+    and component in the sector (PARITY_OFFSETS).  The P-Q block is zero
+    because F's band-N rows are D'.  Vectors hold P, Q and u in the grid
+    order of _sector_indices.  `@` applies the block and `toarray` writes it
+    out, neither through an assembled form.
+    """
+
+    dtype = np.dtype(float)
+
+    def __init__(self, factors: dict, sector: tuple):
+        (px, py), (qx, qy), (ux, uy) = [(sector[0] ^ ox, sector[1] ^ oy) for ox, oy in PARITY_OFFSETS[1]]
+        # the (matrix, eigenvalues, eigenvectors) of each axis of K_P, K_Q and K_u
+        self._kp = (factors["h'", px], factors["h", py])
+        self._kq = (factors["h", qx], factors["h'", qy])
+        self._ku = (factors["h", ux], factors["h", uy])
+        self._dy, self._dx = factors["d", py], factors["d", qx]  # P's y into u's, Q's x into u's
+        self._grid_shapes = [(len(x[1]), len(y[1])) for x, y in (self._kp, self._kq, self._ku)]
+        sizes = [nx * ny for nx, ny in self._grid_shapes]
+        self._splits = np.cumsum(sizes)[:-1]
+        self.shape = (sum(sizes), sum(sizes))
+
+    def _grids(self, vecs: np.ndarray) -> list:
+        """P, Q and u of a vector, or of the columns of a matrix, as (columns, nx, ny) stacks."""
+        stack = vecs.T.reshape(-1, self.shape[0])
+        return [
+            part.reshape(len(stack), nx, ny)
+            for part, (nx, ny) in zip(np.split(stack, self._splits, axis=1), self._grid_shapes)
+        ]
+
+    def _vectors(self, grids: list, like: np.ndarray) -> np.ndarray:
+        """The inverse of _grids, shaped like `like`."""
+        flat = [g.reshape(len(g), g.shape[1] * g.shape[2]) for g in grids]
+        return np.concatenate(flat, axis=1).T.reshape(like.shape)
+
+    def __matmul__(self, vecs: np.ndarray) -> np.ndarray:
+        (hpx, _, _), (hpy, _, _) = self._kp
+        (hqx, _, _), (hqy, _, _) = self._kq
+        (hux, _, _), (huy, _, _) = self._ku
+        p, q, u = self._grids(vecs)
+        return self._vectors([
+            hpx @ p + p @ hpy - u @ self._dy,
+            hqx @ q + q @ hqy + self._dx.T @ u,
+            u + hux @ u + u @ huy - p @ self._dy.T + self._dx @ q,
+        ], vecs)
+
+    def toarray(self) -> np.ndarray:
+        return self @ np.eye(self.shape[0])
+
+    def factor(self, shift: float) -> tuple:
+        """A solver of (B - shift) x = b and the number of eigenvalues of B below shift.
+
+        By block elimination (Haynsworth's inertia split) B - shift has the
+        inertia of K_P - shift, of K_Q - shift, and of the Schur complement on u,
+        S = K_u - shift - C_P'(K_P - shift)^-1 C_P - C_Q'(K_Q - shift)^-1 C_Q.
+        The 1D eigenvectors diagonalize K_P and K_Q (fast diagonalization), so
+        their counts are the sums of 1D eigenvalues below the shift, and each
+        congruence in S is one matrix product over the eigenvalue index of the
+        diagonalized axis.  S, about (N+1)^2 rows, dense, is factored by
+        LAPACK's Bunch-Kaufman dsytrf: its 1x1 pivots count by sign, and each
+        2x2 pivot holds one negative eigenvalue (its determinant is negative
+        by the pivoting rule).  A solve is two fast-diagonalization solves
+        around one dsytrs.  A sum equal to the shift, or an exactly singular
+        pivot of S, is a SolverError.
+        """
+        from scipy.linalg.blas import dgemm
+        from scipy.linalg.lapack import dsytrf, dsytrs
+
+        below, weights = 0, []
+        for (_, lx, _), (_, ly, _) in (self._kp, self._kq):
+            sums = lx[:, None] + ly[None, :] - shift
+            if not np.all(sums):
+                raise SolverError(f"a sum of 1D eigenvalues equals the shift {shift:.9g}")
+            below += int(np.count_nonzero(sums < 0))
+            weights.append(1.0 / sums)
+        w_p, w_q = weights
+        (_, _, vpx), (_, _, vpy) = self._kp
+        (_, _, vqx), (_, _, vqy) = self._kq
+        (hux, _, _), (huy, _, _) = self._ku
+        nux, nuy = self._grid_shapes[2]
+        # S at (i k, j l), u's x index i, j and y index k, l.  With the 1D
+        # eigenvectors C_P'(K_P - shift)^-1 C_P is sum_a vpx[i a] vpx[j a]
+        # T_P[a k l], T_P[a] = y diag(w_p[a]) y', y = D vpy; as vpx is
+        # orthogonal, I(x)(H - shift + 1) of K_u joins each T_P[a].  The C_Q
+        # term alike is sum_b vqy[k b] vqy[l b] T_Q[b i j] and takes H(x)I.
+        # One product (i j, a | b) @ (a | b, k l) sums both
+        y = self._dy @ vpy
+        t_p = huy + (1.0 - shift) * np.eye(nuy) - (y * w_p[:, None, :]) @ y.T
+        y = self._dx @ vqx
+        t_q = hux - (y * w_q.T[:, None, :]) @ y.T
+        pairs_p = (vpx[:, None, :] * vpx[None, :, :]).reshape(nux * nux, -1)
+        pairs_q = (vqy[:, None, :] * vqy[None, :, :]).reshape(nuy * nuy, -1)
+        left = np.concatenate([pairs_p, t_q.reshape(nuy, -1).T], axis=1)
+        right = np.concatenate([t_p.reshape(nux, -1), pairs_q.T])
+        # numpy and scipy may each bring their own BLAS with its own thread
+        # pool: the one large product runs in scipy's, as dsytrf does, so that
+        # only one pool wakes (two pools' idle-spinning workers made a degree-1
+        # solve at t = 40, N = 19 twice as slow with two BLAS threads).  dgemm
+        # returns right' left' in Fortran order: its transpose is left @ right
+        prod = dgemm(1.0, right.T, left.T).T
+        schur = prod.reshape(nux, nux, nuy, nuy).transpose(0, 2, 1, 3).reshape(nux * nuy, -1)
+        # the transpose is Fortran-ordered, so dsytrf factors it in place; the
+        # wrapper's default workspace is unblocked and about 4x slower
+        ldu, piv, info = dsytrf(schur.T, lwork=32 * len(schur), overwrite_a=True)
+        if info > 0:
+            raise SolverError(f"Schur complement exactly singular at pivot {info}")
+        below += int(np.count_nonzero(ldu.diagonal()[piv > 0] < 0)) + int(np.count_nonzero(piv < 0)) // 2
+
+        def fast_solve(grid, k, weight):
+            (_, _, vx), (_, _, vy) = k
+            return vx @ ((vx.T @ grid @ vy) * weight) @ vy.T
+
+        def solve(vec):
+            p, q, u = self._grids(vec)
+            rhs = u + fast_solve(p, self._kp, w_p) @ self._dy.T - self._dx @ fast_solve(q, self._kq, w_q)
+            u = dsytrs(ldu, piv, rhs.reshape(-1))[0].reshape(u.shape)
+            p = fast_solve(p + u @ self._dy, self._kp, w_p)
+            q = fast_solve(q - self._dx.T @ u, self._kq, w_q)
+            return self._vectors([p, q, u], vec)
+
+        return solve, below
+
+
+def _factor(block, shift: float):
+    """A solver of (block - shift*I) x = b and the number of eigenvalues below shift.
+
+    A _KroneckerSector factors itself.  A sparse block is factored by SuperLU:
+    in symmetric mode with equal row and column permutations P, P (A -
+    shift*I) P' = L D L' with D = diag(U); by Sylvester's law of inertia A has
+    as many eigenvalues below the shift as D has negative entries.
+    """
+    if isinstance(block, _KroneckerSector):
+        return block.factor(shift)
     import scipy.sparse as sp
     from scipy.sparse.linalg import splu
 
@@ -394,11 +571,13 @@ def _factor(block: sp.csr_matrix, shift: float):
         raise SolverError(f"factorization failed: {exc}") from exc
     if not np.array_equal(factor.perm_r, factor.perm_c):
         raise SolverError("factorization pivoted off the diagonal: no inertia to read")
-    return factor, int(np.count_nonzero(factor.U.diagonal() < 0))
+    return factor.solve, int(np.count_nonzero(factor.U.diagonal() < 0))
 
 
-def _sector_spectrum(block: sp.csr_matrix, weight: int, wanted: int) -> tuple:
+def _sector_spectrum(block, weight: int, wanted: int) -> tuple:
     """The lowest eigenvalues of one sector block, ascending, their vectors, and its cluster count n.
+
+    `block` is a sparse matrix or a _KroneckerSector; _factor factors either.
 
     n, the number of eigenvalues <= LOW_THRESHOLD, is the inertia of the
     factor there.  Of the `wanted` lowest eigenvalues the form still lacks,
@@ -416,7 +595,7 @@ def _sector_spectrum(block: sp.csr_matrix, weight: int, wanted: int) -> tuple:
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     size = block.shape[0]
-    factor, below = _factor(block, LOW_THRESHOLD)
+    solve, below = _factor(block, LOW_THRESHOLD)
     k = below + max(1, -(-(wanted - weight * below) // weight))
     if k >= size - 1:
         vals, vecs = np.linalg.eigh(block.toarray())
@@ -429,7 +608,7 @@ def _sector_spectrum(block: sp.csr_matrix, weight: int, wanted: int) -> tuple:
                 # a fixed start vector: ARPACK draws its default afresh on
                 # every call, so repeated solves would differ in the last digits
                 v0=np.random.default_rng(0).standard_normal(size),
-                OPinv=LinearOperator((size, size), matvec=factor.solve, dtype=block.dtype),
+                OPinv=LinearOperator((size, size), matvec=solve, dtype=block.dtype),
                 tol=LANCZOS_TOL,
             )
         except ArpackError as exc:
@@ -477,8 +656,9 @@ def low_spectrum(prob: SpectralProblem, count: int) -> np.ndarray:
 
     Degrees 0 and 3 take the `count` smallest pairwise sums of the squared
     singular values of the 1D factor G, without assembling the form or
-    loading scipy.  Degrees 1 and 2 slice the assembled form into the sectors
-    of SECTORS, each solved once (see _sector_spectrum) with the cluster
+    loading scipy.  Degrees 1 and 2 split into the sectors of SECTORS, built
+    from 1D matrices up to SCHUR_MAX_CUTOFF and sliced from the assembled
+    form above it, each solved once (see _sector_spectrum) with the cluster
     counts of the sectors solved before it known: the form's lowest `count`
     values are its whole cluster and the lowest ones above the threshold, so
     each is among those of its sector, and the merge holds them all.  The
@@ -494,17 +674,32 @@ def low_spectrum(prob: SpectralProblem, count: int) -> np.ndarray:
         # the count smallest sums use only the count smallest 1D values
         vals = np.sort(np.linalg.svd(grad, compute_uv=False) ** 2)[:count]
         return np.sort((vals[:, None] + vals[None, :]).ravel())[:count]
-    form = assemble_quadratic_form(prob)
-    ops = _operators(prob)
+    # the one choice between the two factorizations of a sector
+    if prob.cutoff <= SCHUR_MAX_CUTOFF:
+        # degree 2 has the form of degree 1 up to a signed permutation (DUAL_PAIR)
+        prob = replace(prob, degree=1)
+        ops = _operators(prob)
+        factors = _parity_factors(ops, prob.cutoff)
+        sector_block = lambda sector, idx: _KroneckerSector(factors, sector)  # noqa: E731
+    else:
+        ops = _operators(prob)
+        form = assemble_quadratic_form(prob)
+        sector_block = lambda sector, idx: form[idx][:, idx]  # noqa: E731
     merged, known = np.zeros(0), 0
     for sector, weight in SECTORS:
         idx = _sector_indices(prob.degree, prob.cutoff, sector)
-        block = form[idx][:, idx]
+        block = sector_block(sector, idx)
         if sector == SECTORS[-1][0] and len(merged) >= count and merged[count - 1] > LOW_THRESHOLD:
             # the last sector holds a value among the lowest `count` only if it
             # has one below beta, the count-th found so far, which is above the
-            # threshold: an inertia of 0 there settles it without Lanczos
-            if _factor(block, merged[count - 1])[1] == 0:
+            # threshold: an inertia of 0 there settles it without Lanczos.  A
+            # factorization singular at beta, where the sector holds beta to
+            # rounding, settles nothing
+            try:
+                settled = _factor(block, merged[count - 1])[1] == 0
+            except SolverError:
+                settled = False
+            if settled:
                 break
         vals, vecs, below = _sector_spectrum(block, weight, count - known)
         del block  # one sector slice at a time

@@ -495,6 +495,8 @@ class TestSpectralCommand:
         def singular(*args, **kwargs):
             raise RuntimeError("Factor is exactly singular")
 
+        # every band limit above the crossover, so the sectors go to SuperLU
+        monkeypatch.setattr(spectral, "SCHUR_MAX_CUTOFF", 1)
         monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
         code, out, err = run(capsys, "spectral", "--t", "10", "--cutoff", "10", "--degrees", "1")
         assert code == EXIT_ADEQUACY and out == ""

@@ -1170,9 +1170,15 @@ class TestSectors:
         def singular(*args, **kwargs):
             raise RuntimeError("Factor is exactly singular")
 
+        superlu_path(monkeypatch)
         monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
         with pytest.raises(SolverError, match="exactly singular"):
             low_spectrum(SpectralProblem(10.0, 10, 1), 12)
+
+
+def superlu_path(monkeypatch):
+    """Put every band limit above the crossover, so degrees 1 and 2 factor with SuperLU."""
+    monkeypatch.setattr(spectral, "SCHUR_MAX_CUTOFF", 1)
 
 
 def sector_blocks(prob):
@@ -1195,6 +1201,21 @@ def patched_eigsh(monkeypatch, edit):
         return edit(vals[order], vecs[:, order])
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", patched)
+
+
+def kronecker_sectors(prob):
+    """(sector operator, weight) of each solved sector of the degree-1 structure at prob's t, N and a."""
+    prob = SpectralProblem(prob.t, prob.cutoff, 1, prob.morse_scale)
+    factors = spectral._parity_factors(spectral._operators(prob), prob.cutoff)
+    for sector, weight in SECTORS:
+        yield spectral._KroneckerSector(factors, sector), weight
+
+
+def separating_shifts(values):
+    """The threshold, and the midpoints between the lowest 16 values where they are well separated."""
+    low = values[:16]
+    split = np.flatnonzero(np.diff(low) > 1e-6 * np.maximum(1.0, low[1:]))
+    return (LOW_THRESHOLD, *((low[split] + low[split + 1]) / 2))
 
 
 def record_factors(monkeypatch):
@@ -1221,10 +1242,7 @@ class TestInertia:
     def test_counts_equal_dense_counts(self, t, cutoff, a, degree):
         for block, _ in sector_blocks(SpectralProblem(t, cutoff, degree, a)):
             dense = np.linalg.eigvalsh(block.toarray())
-            low = dense[:16]
-            # shifts between well-separated eigenvalues, and the threshold itself
-            split = np.flatnonzero(np.diff(low) > 1e-6 * np.maximum(1.0, low[1:]))
-            for shift in (LOW_THRESHOLD, *((low[split] + low[split + 1]) / 2)):
+            for shift in separating_shifts(dense):
                 assert _factor(block, shift)[1] == np.count_nonzero(dense < shift), shift
 
     def test_fourfold_eigenvalue_counted_four_times(self):
@@ -1281,6 +1299,7 @@ class TestInertia:
             factor = splu(*args, **kwargs)
             return types.SimpleNamespace(perm_r=np.roll(factor.perm_r, 1), perm_c=factor.perm_c)
 
+        superlu_path(monkeypatch)
         monkeypatch.setattr(scipy.sparse.linalg, "splu", pivoted)
         with pytest.raises(SolverError, match="pivoted off the diagonal"):
             low_spectrum(SpectralProblem(10.0, 10, 1), 4)
@@ -1288,6 +1307,7 @@ class TestInertia:
     def test_one_factorization_and_one_lanczos_solve_per_sector(self, monkeypatch):
         import scipy.sparse.linalg
 
+        superlu_path(monkeypatch)
         calls = []
         for name in ("splu", "eigsh"):
             solve = getattr(scipy.sparse.linalg, name)
@@ -1312,6 +1332,109 @@ class TestInertia:
         )
         assert low_counts(10, 10, degrees=(0, 3)) == [1, 1]
         assert calls == []
+
+
+class TestKroneckerSectors:
+    """Up to the crossover a sector is factored through its 1D matrices: exact counts for K_P
+    and K_Q, and Bunch-Kaufman on the Schur complement on u."""
+
+    @pytest.mark.parametrize("t, cutoff, a", [(2.0, 9, 1.0), (1.0, 7, 0.003), (1.0, 7, 0.15)])
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_counts_equal_dense_counts(self, t, cutoff, a, degree):
+        # degree 2, (t, N, a) = (1, 7, 0.15), sector (1, 1) is where an LDL'
+        # without pivoting in grid order counts 2 below the threshold, not 1
+        prob = SpectralProblem(t, cutoff, degree, a)
+        for (block, _), (sector, _) in zip(sector_blocks(prob), kronecker_sectors(prob)):
+            dense = np.linalg.eigvalsh(block.toarray())
+            for shift in separating_shifts(dense):
+                assert _factor(sector, shift)[1] == np.count_nonzero(dense < shift), shift
+
+    def test_fourfold_eigenvalue_counted_four_times(self):
+        sectors = list(kronecker_sectors(SpectralProblem(2.0, 9, 1)))
+        assert sum(w * (_factor(s, 65.04)[1] - _factor(s, 65.03)[1]) for s, w in sectors) == 4
+
+    @pytest.mark.parametrize("t, cutoff, a", [(40.0, 19, 1.0), (1.0, 7, 0.15), (10.0, 10, -0.3), (3.0, 2, 1.0)])
+    def test_apply_and_solve_agree_with_the_assembled_block(self, t, cutoff, a):
+        prob = SpectralProblem(t, cutoff, 1, a)
+        rng = np.random.default_rng(3)
+        for (block, _), (sector, _) in zip(sector_blocks(prob), kronecker_sectors(prob)):
+            size = block.shape[0]
+            assert sector.shape == block.shape
+            scale = abs(block).max()
+            assert np.abs(sector.toarray() - block.toarray()).max() <= 1e-15 * scale
+            vecs = rng.standard_normal((size, 3))
+            assert np.abs(sector @ vecs - block @ vecs).max() <= 1e-14 * scale
+            assert np.array_equal(sector @ vecs[:, 0], (sector @ vecs)[:, 0])
+            solve, _ = _factor(sector, LOW_THRESHOLD)
+            x = solve(vecs[:, 0])
+            residual = block @ x - LOW_THRESHOLD * x - vecs[:, 0]
+            assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(vecs[:, 0])
+
+    def test_a_one_dimensional_sum_at_the_shift_is_a_solver_error(self):
+        sector, _ = next(kronecker_sectors(SpectralProblem(10.0, 10, 1)))
+        (_, lx, _), (_, ly, _) = sector._kp
+        with pytest.raises(SolverError, match="sum of 1D eigenvalues equals the shift"):
+            _factor(sector, lx[2] + ly[3])
+
+    def test_singular_schur_pivot_is_a_solver_error(self, monkeypatch, capsys):
+        import scipy.linalg.lapack
+
+        dsytrf = scipy.linalg.lapack.dsytrf
+
+        def singular(*args, **kwargs):
+            ldu, piv, _ = dsytrf(*args, **kwargs)
+            return ldu, piv, 5
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dsytrf", singular)
+        with pytest.raises(SolverError, match="Schur complement exactly singular at pivot 5"):
+            low_spectrum(SpectralProblem(10.0, 10, 1), 4)
+        assert cli.main(["spectral", "--t", "10", "--cutoff", "10", "--degrees", "2"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("spectral solve failed: Schur complement exactly singular")
+
+    def test_one_factorization_and_one_lanczos_solve_per_sector(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        calls = []
+        for name in ("splu", "eigsh"):
+            solve = getattr(scipy.sparse.linalg, name)
+            monkeypatch.setattr(
+                scipy.sparse.linalg, name,
+                lambda *args, _solve=solve, _name=name, **kwargs: (
+                    calls.append((_name, kwargs.get("k"))) or _solve(*args, **kwargs)
+                ),
+            )
+        factor = spectral._KroneckerSector.factor
+        monkeypatch.setattr(
+            spectral._KroneckerSector, "factor",
+            lambda self, shift: calls.append(("schur", shift)) or factor(self, shift),
+        )
+        monkeypatch.setattr(
+            spectral, "assemble_quadratic_form",
+            lambda prob: calls.append(("assemble", None)) or assemble_quadratic_form(prob),
+        )
+        assert low_counts(10, 10) == [1, 3, 3, 1]
+        # as on the SuperLU path: three factorizations, two Lanczos solves, and
+        # the clusterless (0, 0) settled by its inertia; but no form and no splu
+        assert [name for name, _ in calls].count("schur") == 3
+        assert [k for name, k in calls if name == "eigsh"] == [2, 2]
+        assert [name for name, _ in calls if name not in ("schur", "eigsh")] == []
+
+    def test_both_factorizations_agree_at_the_crossover(self):
+        import scipy.linalg
+
+        prob = SpectralProblem(40.0, spectral.SCHUR_MAX_CUTOFF, 1)
+        rng = np.random.default_rng(5)
+        for (block, _), (sector, _) in zip(sector_blocks(prob), kronecker_sectors(prob)):
+            vec = rng.standard_normal(block.shape[0])
+            low = scipy.linalg.eigh(block.toarray(), eigvals_only=True, subset_by_index=[0, 7])
+            for shift in separating_shifts(low):
+                assert _factor(sector, shift)[1] == _factor(block, shift)[1], shift
+            # at the threshold, the shift of every Lanczos solve
+            want = _factor(block, LOW_THRESHOLD)[0](vec)
+            got = _factor(sector, LOW_THRESHOLD)[0](vec)
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 # (t, a): a strong and a negative deformation; t = 10, a = 0.3, where sector

@@ -36,7 +36,9 @@ def test_every_layer_target_resolves(tracing):
             assert callable(owner), f"{layer}: {module_name}.{path} is not callable"
 
 
-def test_traced_spectral_calls_run(tracing):
+def test_traced_spectral_calls_run(tracing, monkeypatch):
+    # every band limit above the crossover, so the solve assembles a form to measure
+    monkeypatch.setattr(spectral, "SCHUR_MAX_CUTOFF", 1)
     with tracing.Tracer() as tracer:
         report = spectral.spectral_report(spectral.SpectralProblem(10.0, 8, 1))
         mode = spectral.quasimode(spectral.SpectralProblem(20.0, 12, 1), "q1", 1)
