@@ -43,9 +43,12 @@ parity sectors, and the mirror (x, y) -> (y, x) maps sector (1, 0) onto
 (0, 1).  Each of three sectors is factored once at the cluster threshold.
 Up to band limit SCHUR_MAX_CUTOFF a sector is an operator on 1D matrices
 (see _KroneckerSector) and no form is assembled: its P and Q blocks are
-Kronecker sums, diagonalized by 1D eigenvectors, and block elimination
-leaves a dense Schur complement on u of about (N+1)^2 rows, factored by
-Bunch-Kaufman; the inertia is the count of 1D eigenvalue sums below the
+Kronecker sums, diagonal in the 1D eigenbases in which the sector holds P
+and Q (Lanczos runs in these coordinates, and only cluster vectors are
+mapped back to the grid), and block elimination leaves a dense Schur
+complement on u of about (N+1)^2 rows, factored by Bunch-Kaufman in one
+buffer kept for the process (_SchurBuffer), so only one factorization is
+live at a time; the inertia is the count of 1D eigenvalue sums below the
 threshold plus that of the Schur complement (Haynsworth).  Degree 2 is
 solved as degree 1, its dual.  Above the cutoff, where the Schur complement
 would grow like (N+1)^4, the sector is sliced from the sparse form and
@@ -416,62 +419,126 @@ def _parity_factors(ops: list, cutoff: int) -> dict:
     return table
 
 
+class _SchurBuffer:
+    """The one dense Schur complement of the process, and the chunk its product goes through.
+
+    A sector factorization writes its Schur complement on u into `matrix`'s
+    storage and LAPACK factors it there, in place, so a solver reads the
+    buffer until the next factorization overwrites it: `generation` counts
+    factorizations, and a solver made at an earlier one refuses to run.
+    Both arrays are allocated at the first factorization, the buffer grown to
+    the largest Schur complement seen, and kept for the process, as the
+    tables of _band_tables are: at most (SCHUR_MAX_CUTOFF + 1)^4 doubles,
+    2.65 MB, and a chunk of (SCHUR_MAX_CUTOFF + 1)^3 doubles, 108 KiB, as
+    many as the product for one x index of u, or the outer products of the
+    columns of Yp or Xq, can take (see _KroneckerSector.factor).  Reusing
+    them, a factorization takes no page from the OS.
+    """
+
+    CHUNK = (SCHUR_MAX_CUTOFF + 1) ** 3
+
+    def __init__(self):
+        self.storage, self.chunk, self.generation = np.empty(0), np.empty(0), 0
+
+    def matrix(self, size: int) -> tuple:
+        """A C-ordered (size, size) view of the buffer, to be overwritten, and its generation."""
+        if self.storage.size < size * size:
+            self.storage = np.empty(size * size)
+        if not self.chunk.size:
+            self.chunk = np.empty(self.CHUNK)
+        self.generation += 1
+        return self.storage[: size * size].reshape(size, size), self.generation
+
+
+_SCHUR = _SchurBuffer()
+
+
 class _KroneckerSector:
     """One parity sector of the degree-1 form as an operator on its 1D factors.
 
-    In the components P, Q and u the form is [[K_P, 0, C_P], [0, K_Q, C_Q],
-    [C_P', C_Q', K_u]] with
+    In the components P, Q and u on their grids the form is [[K_P, 0, C_P],
+    [0, K_Q, C_Q], [C_P', C_Q', K_u]] with
 
         K_P = H'(x)I + I(x)H,  K_Q = H(x)I + I(x)H',  K_u = I + H(x)I + I(x)H,
         C_P = -I(x)D',  C_Q = D'(x)I,
 
     for H, H' and D of _parity_factors, each cut to the parity of its axis
     and component in the sector (PARITY_OFFSETS).  The P-Q block is zero
-    because F's band-N rows are D'.  Vectors hold P, Q and u in the grid
-    order of _sector_indices.  `@` applies the block and `toarray` writes it
-    out, neither through an assembled form.
+    because F's band-N rows are D'.  Vectors hold (P^, Q^, u): P and Q in the
+    orthogonal eigenbases of their 1D factors, P^ = Vpx' P Vpy and Q^ = Vqx' Q
+    Vqy, and u on its grid, each flattened row-major.  There K_P and K_Q are
+    the diagonals Lp and Lq of 1D eigenvalue sums, and the couplings read
+    Yp = D Vpy and Xq = D Vqx:
+
+        B (P^, Q^, u) = (Lp o P^ - Vpx' u Yp,  Lq o Q^ + Xq' u Vqy,
+                         K_u u - Vpx P^ Yp' + Xq Q^ Vqy').
+
+    `@` applies B and `toarray` writes it out in these coordinates, neither
+    through an assembled form; `to_grid` maps vectors to the grid order of
+    _sector_indices and `from_grid` back.  The map is orthogonal, so Lanczos
+    and its residual gate run here and only cluster vectors are mapped.
     """
 
     dtype = np.dtype(float)
 
     def __init__(self, factors: dict, sector: tuple):
         (px, py), (qx, qy), (ux, uy) = [(sector[0] ^ ox, sector[1] ^ oy) for ox, oy in PARITY_OFFSETS[1]]
-        # the (matrix, eigenvalues, eigenvectors) of each axis of K_P, K_Q and K_u
-        self._kp = (factors["h'", px], factors["h", py])
-        self._kq = (factors["h", qx], factors["h'", qy])
-        self._ku = (factors["h", ux], factors["h", uy])
-        self._dy, self._dx = factors["d", py], factors["d", qx]  # P's y into u's, Q's x into u's
-        self._grid_shapes = [(len(x[1]), len(y[1])) for x, y in (self._kp, self._kq, self._ku)]
-        sizes = [nx * ny for nx, ny in self._grid_shapes]
-        self._splits = np.cumsum(sizes)[:-1]
-        self.shape = (sum(sizes), sum(sizes))
+        (_, lpx, vpx), (_, lpy, vpy) = factors["h'", px], factors["h", py]
+        (_, lqx, vqx), (_, lqy, vqy) = factors["h", qx], factors["h'", qy]
+        self._sums = (lpx[:, None] + lpy[None, :], lqx[:, None] + lqy[None, :])
+        self._bases = (vpx, vpy, vqx, vqy)
+        # P's y and Q's x coupled into u's, through the eigenvectors of P and Q
+        self._yp, self._xq = factors["d", py] @ vpy, factors["d", qx] @ vqx
+        self._hux, self._huy = factors["h", ux][0], factors["h", uy][0]
+        self._shapes = [(len(vpx), len(vpy)), (len(vqx), len(vqy)), (len(self._hux), len(self._huy))]
+        ends = np.cumsum([nx * ny for nx, ny in self._shapes]).tolist()
+        self._slices = [slice(start, end) for start, end in zip([0, *ends], ends)]
+        self.shape = (ends[-1], ends[-1])
+        # the two factors of the Schur product (see factor), with the entries
+        # that do not depend on the shift; each factorization writes the rest
+        npx, (nux, nuy) = len(vpx), self._shapes[2]
+        self._left = np.empty((nux * nux, npx + nuy + 2))
+        np.multiply(vpx[:, None, :], vpx[None, :, :], out=self._left[:, :npx].reshape(nux, nux, npx))
+        self._left[:, -2] = np.eye(nux).reshape(-1)
+        self._left[:, -1] = self._hux.reshape(-1)
+        self._right = np.empty((npx + nuy + 2, nuy * nuy))
+        np.multiply(vqy.T[:, :, None], vqy.T[:, None, :], out=self._right[npx:-2].reshape(nuy, nuy, nuy))
+        self._right[-1] = np.eye(nuy).reshape(-1)
 
-    def _grids(self, vecs: np.ndarray) -> list:
-        """P, Q and u of a vector, or of the columns of a matrix, as (columns, nx, ny) stacks."""
+    def _map(self, vecs: np.ndarray, parts) -> np.ndarray:
+        """parts(P, Q, u) on the components of a vector, or of each column of a matrix.
+
+        Each component comes as a (columns, nx, ny) stack, and the three
+        stacks parts returns are written back in the shape of `vecs`.
+        """
         stack = vecs.T.reshape(-1, self.shape[0])
-        return [
-            part.reshape(len(stack), nx, ny)
-            for part, (nx, ny) in zip(np.split(stack, self._splits, axis=1), self._grid_shapes)
-        ]
-
-    def _vectors(self, grids: list, like: np.ndarray) -> np.ndarray:
-        """The inverse of _grids, shaped like `like`."""
-        flat = [g.reshape(len(g), g.shape[1] * g.shape[2]) for g in grids]
-        return np.concatenate(flat, axis=1).T.reshape(like.shape)
+        out = np.empty_like(stack)
+        grids = [stack[:, part].reshape(-1, *shape) for part, shape in zip(self._slices, self._shapes)]
+        for part, grid in zip(self._slices, parts(*grids)):
+            out[:, part] = grid.reshape(len(stack), part.stop - part.start)
+        return out.T.reshape(vecs.shape)
 
     def __matmul__(self, vecs: np.ndarray) -> np.ndarray:
-        (hpx, _, _), (hpy, _, _) = self._kp
-        (hqx, _, _), (hqy, _, _) = self._kq
-        (hux, _, _), (huy, _, _) = self._ku
-        p, q, u = self._grids(vecs)
-        return self._vectors([
-            hpx @ p + p @ hpy - u @ self._dy,
-            hqx @ q + q @ hqy + self._dx.T @ u,
-            u + hux @ u + u @ huy - p @ self._dy.T + self._dx @ q,
-        ], vecs)
+        vpx, _, _, vqy = self._bases
+        yp, xq = self._yp, self._xq
+        return self._map(vecs, lambda p, q, u: (
+            self._sums[0] * p - vpx.T @ u @ yp,
+            self._sums[1] * q + xq.T @ u @ vqy,
+            u + self._hux @ u + u @ self._huy - vpx @ p @ yp.T + xq @ q @ vqy.T,
+        ))
 
     def toarray(self) -> np.ndarray:
         return self @ np.eye(self.shape[0])
+
+    def to_grid(self, vecs: np.ndarray) -> np.ndarray:
+        """Vectors, or the columns of a matrix, in the grid order of _sector_indices."""
+        vpx, vpy, vqx, vqy = self._bases
+        return self._map(vecs, lambda p, q, u: (vpx @ p @ vpy.T, vqx @ q @ vqy.T, u))
+
+    def from_grid(self, vecs: np.ndarray) -> np.ndarray:
+        """The inverse, and transpose, of to_grid."""
+        vpx, vpy, vqx, vqy = self._bases
+        return self._map(vecs, lambda p, q, u: (vpx.T @ p @ vpy, vqx.T @ q @ vqy, u))
 
     def factor(self, shift: float) -> tuple:
         """A solver of (B - shift) x = b and the number of eigenvalues of B below shift.
@@ -479,70 +546,87 @@ class _KroneckerSector:
         By block elimination (Haynsworth's inertia split) B - shift has the
         inertia of K_P - shift, of K_Q - shift, and of the Schur complement on u,
         S = K_u - shift - C_P'(K_P - shift)^-1 C_P - C_Q'(K_Q - shift)^-1 C_Q.
-        The 1D eigenvectors diagonalize K_P and K_Q (fast diagonalization), so
-        their counts are the sums of 1D eigenvalues below the shift, and each
-        congruence in S is one matrix product over the eigenvalue index of the
-        diagonalized axis.  S, about (N+1)^2 rows, dense, is factored by
-        LAPACK's Bunch-Kaufman dsytrf: its 1x1 pivots count by sign, and each
-        2x2 pivot holds one negative eigenvalue (its determinant is negative
-        by the pivoting rule).  A solve is two fast-diagonalization solves
-        around one dsytrs.  A sum equal to the shift, or an exactly singular
-        pivot of S, is a SolverError.
+        K_P and K_Q are diagonal in these coordinates (fast diagonalization),
+        so their counts are the sums of 1D eigenvalues below the shift, and
+        each congruence in S is one matrix product over the eigenvalue index
+        of the diagonalized axis.  S, about (N+1)^2 rows, dense, is written
+        into the process's one Schur buffer (_SchurBuffer) and factored there
+        by LAPACK's Bunch-Kaufman dsytrf: its 1x1 pivots count by sign, and
+        each 2x2 pivot holds one negative eigenvalue (its determinant is
+        negative by the pivoting rule).  With Wp = 1 / (Lp - shift) and Wq
+        alike, a solve is four products into the right side of S u = b_u +
+        Vpx (Wp o b_P) Yp' - Xq (Wq o b_Q) Vqy', one dsytrs, and four back:
+        P^ = Wp o (b_P + Vpx' u Yp), Q^ = Wq o (b_Q - Xq' u Vqy).  A sum
+        equal to the shift, or an exactly singular pivot of S, is a
+        SolverError; so is a solve after the buffer has been factored again.
         """
         from scipy.linalg.blas import dgemm
         from scipy.linalg.lapack import dsytrf, dsytrs
 
         below, weights = 0, []
-        for (_, lx, _), (_, ly, _) in (self._kp, self._kq):
-            sums = lx[:, None] + ly[None, :] - shift
-            if not np.all(sums):
+        for sums in self._sums:
+            shifted = sums - shift
+            if not np.all(shifted):
                 raise SolverError(f"a sum of 1D eigenvalues equals the shift {shift:.9g}")
-            below += int(np.count_nonzero(sums < 0))
-            weights.append(1.0 / sums)
+            below += int(np.count_nonzero(shifted < 0))
+            weights.append(1.0 / shifted)
         w_p, w_q = weights
-        (_, _, vpx), (_, _, vpy) = self._kp
-        (_, _, vqx), (_, _, vqy) = self._kq
-        (hux, _, _), (huy, _, _) = self._ku
-        nux, nuy = self._grid_shapes[2]
-        # S at (i k, j l), u's x index i, j and y index k, l.  With the 1D
-        # eigenvectors C_P'(K_P - shift)^-1 C_P is sum_a vpx[i a] vpx[j a]
-        # T_P[a k l], T_P[a] = y diag(w_p[a]) y', y = D vpy; as vpx is
-        # orthogonal, I(x)(H - shift + 1) of K_u joins each T_P[a].  The C_Q
-        # term alike is sum_b vqy[k b] vqy[l b] T_Q[b i j] and takes H(x)I.
-        # One product (i j, a | b) @ (a | b, k l) sums both
-        y = self._dy @ vpy
-        t_p = huy + (1.0 - shift) * np.eye(nuy) - (y * w_p[:, None, :]) @ y.T
-        y = self._dx @ vqx
-        t_q = hux - (y * w_q.T[:, None, :]) @ y.T
-        pairs_p = (vpx[:, None, :] * vpx[None, :, :]).reshape(nux * nux, -1)
-        pairs_q = (vqy[:, None, :] * vqy[None, :, :]).reshape(nuy * nuy, -1)
-        left = np.concatenate([pairs_p, t_q.reshape(nuy, -1).T], axis=1)
-        right = np.concatenate([t_p.reshape(nux, -1), pairs_q.T])
+        vpx, _, _, vqy = self._bases
+        yp, xq = self._yp, self._xq
+        (npx, _), _, (nux, nuy) = self._shapes
+        schur, generation = _SCHUR.matrix(nux * nuy)
+        chunk = _SCHUR.chunk
+        # S at (i k, j l), u's x index i, j and y index k, l, is
+        #   sum_a vpx[i a] vpx[j a] T_P[a k l] + sum_b T_Q[b i j] vqy[k b] vqy[l b]
+        #   + delta_ij (H_y + (1 - shift) I)[k l] + (H_x)[i j] delta_kl,
+        # T_P[a] = -Yp diag(w_p[a]) Yp' and T_Q[b] = -Xq diag(w_q[:, b]) Xq'.
+        # In the rows (i j) and columns (k l) of the product left @ right this
+        # is (i j, a | b | 1 | 1) @ (a | b | 1 | 1, k l): the last two terms
+        # are outer products of flattened matrices.  T_P and T_Q are products
+        # over the eigenvalue index of the outer products of the columns of
+        # Yp and Xq, each made in the chunk as a batched matmul, which, unlike
+        # a broadcast multiply, allocates no buffer
+        left, right = self._left, self._right
+        pairs = np.matmul(yp.T[:, :, None], yp.T[:, None, :], out=chunk[: yp.size * nuy].reshape(-1, nuy, nuy))
+        np.matmul(-w_p, pairs.reshape(-1, nuy * nuy), out=right[:npx])
+        right[-2] = (self._huy + (1.0 - shift) * np.eye(nuy)).reshape(-1)
+        pairs = np.matmul(xq.T[:, :, None], xq.T[:, None, :], out=chunk[: xq.size * nux].reshape(-1, nux, nux))
+        np.matmul(pairs.reshape(-1, nux * nux).T, -w_q, out=left[:, npx:-2])
         # numpy and scipy may each bring their own BLAS with its own thread
-        # pool: the one large product runs in scipy's, as dsytrf does, so that
+        # pool: the products of S run in scipy's, as dsytrf does, so that
         # only one pool wakes (two pools' idle-spinning workers made a degree-1
-        # solve at t = 40, N = 19 twice as slow with two BLAS threads).  dgemm
-        # returns right' left' in Fortran order: its transpose is left @ right
-        prod = dgemm(1.0, right.T, left.T).T
-        schur = prod.reshape(nux, nux, nuy, nuy).transpose(0, 2, 1, 3).reshape(nux * nuy, -1)
+        # solve at t = 40, N = 19 twice as slow with two BLAS threads).
+        # dsytrf reads only the lower triangle of S, the columns (j l) with
+        # j <= i of the rows (i k), so the product is made one i at a time
+        # for the rows (i j), j <= i, only: dgemm writes right' left' of them,
+        # in Fortran order, into the chunk, and its transpose, those rows of
+        # left @ right, is copied to the rows (i k).  The upper triangle keeps
+        # whatever the buffer held
+        for i in range(nux):
+            prod = chunk[: (i + 1) * nuy * nuy].reshape(nuy * nuy, i + 1, order="F")
+            prod = dgemm(1.0, right.T, left[i * nux : i * nux + i + 1].T, c=prod, overwrite_c=True).T
+            schur[i * nuy : (i + 1) * nuy, : (i + 1) * nuy].reshape(nuy, i + 1, nuy)[...] = (
+                prod.reshape(i + 1, nuy, nuy).transpose(1, 0, 2)
+            )
         # the transpose is Fortran-ordered, so dsytrf factors it in place; the
         # wrapper's default workspace is unblocked and about 4x slower
         ldu, piv, info = dsytrf(schur.T, lwork=32 * len(schur), overwrite_a=True)
         if info > 0:
             raise SolverError(f"Schur complement exactly singular at pivot {info}")
         below += int(np.count_nonzero(ldu.diagonal()[piv > 0] < 0)) + int(np.count_nonzero(piv < 0)) // 2
-
-        def fast_solve(grid, k, weight):
-            (_, _, vx), (_, _, vy) = k
-            return vx @ ((vx.T @ grid @ vy) * weight) @ vy.T
+        (at_p, at_q, at_u), (shape_p, shape_q, _) = self._slices, self._shapes
 
         def solve(vec):
-            p, q, u = self._grids(vec)
-            rhs = u + fast_solve(p, self._kp, w_p) @ self._dy.T - self._dx @ fast_solve(q, self._kq, w_q)
-            u = dsytrs(ldu, piv, rhs.reshape(-1))[0].reshape(u.shape)
-            p = fast_solve(p + u @ self._dy, self._kp, w_p)
-            q = fast_solve(q - self._dx.T @ u, self._kq, w_q)
-            return self._vectors([p, q, u], vec)
+            if _SCHUR.generation != generation:
+                raise SolverError("a solve after the Schur buffer was factored again")
+            p, q = vec[at_p].reshape(shape_p), vec[at_q].reshape(shape_q)
+            rhs = vec[at_u].reshape(nux, nuy) + vpx @ (w_p * p) @ yp.T - xq @ (w_q * q) @ vqy.T
+            u = dsytrs(ldu, piv, rhs.reshape(-1), overwrite_b=True)[0].reshape(nux, nuy)
+            out = np.empty(self.shape[0])
+            out[at_p] = ((p + vpx.T @ u @ yp) * w_p).reshape(-1)
+            out[at_q] = ((q - xq.T @ u @ vqy) * w_q).reshape(-1)
+            out[at_u] = u.reshape(-1)
+            return out
 
         return solve, below
 
@@ -702,9 +786,12 @@ def low_spectrum(prob: SpectralProblem, count: int) -> np.ndarray:
             if settled:
                 break
         vals, vecs, below = _sector_spectrum(block, weight, count - known)
-        del block  # one sector slice at a time
         if below:
-            vals[:below] = _cluster_values(prob, ops, idx, vecs[:, :below])
+            cluster = vecs[:, :below]
+            if isinstance(block, _KroneckerSector):
+                cluster = block.to_grid(cluster)
+            vals[:below] = _cluster_values(prob, ops, idx, cluster)
+        del block  # one sector slice at a time
         known += weight * below
         merged = np.sort(np.concatenate([merged, np.repeat(vals, weight)]))
     return merged[:count]

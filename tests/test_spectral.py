@@ -1355,26 +1355,38 @@ class TestKroneckerSectors:
 
     @pytest.mark.parametrize("t, cutoff, a", [(40.0, 19, 1.0), (1.0, 7, 0.15), (10.0, 10, -0.3), (3.0, 2, 1.0)])
     def test_apply_and_solve_agree_with_the_assembled_block(self, t, cutoff, a):
+        # the sector works in (P^, Q^, u), P and Q in their 1D eigenbases:
+        # to_grid and from_grid map to and from the grid order of the block
         prob = SpectralProblem(t, cutoff, 1, a)
         rng = np.random.default_rng(3)
         for (block, _), (sector, _) in zip(sector_blocks(prob), kronecker_sectors(prob)):
             size = block.shape[0]
             assert sector.shape == block.shape
             scale = abs(block).max()
-            assert np.abs(sector.toarray() - block.toarray()).max() <= 1e-15 * scale
+            # K_P and K_Q are exactly the diagonals of 1D eigenvalue sums; every
+            # other entry passes through one eigenbasis at most, and is the block's
+            own = sector.toarray()
+            mapped = sector.from_grid(sector.from_grid(block.toarray()).T)
+            diagonal = np.zeros((size, size), dtype=bool)
+            for part, sums in zip(sector._slices, sector._sums):
+                assert np.array_equal(own[part, part], np.diag(sums.ravel()))
+                diagonal[part, part] = True
+            assert np.abs(own - mapped)[~diagonal].max() <= 1e-15 * scale
             vecs = rng.standard_normal((size, 3))
-            assert np.abs(sector @ vecs - block @ vecs).max() <= 1e-14 * scale
+            applied = sector.to_grid(sector @ sector.from_grid(vecs))
+            assert np.abs(applied - block @ vecs).max() <= 1e-14 * scale
             assert np.array_equal(sector @ vecs[:, 0], (sector @ vecs)[:, 0])
+            assert np.array_equal(sector.to_grid(vecs[:, 0]), sector.to_grid(vecs)[:, 0])
+            assert np.abs(sector.from_grid(sector.to_grid(vecs)) - vecs).max() <= 1e-14
             solve, _ = _factor(sector, LOW_THRESHOLD)
-            x = solve(vecs[:, 0])
+            x = sector.to_grid(solve(sector.from_grid(vecs[:, 0])))
             residual = block @ x - LOW_THRESHOLD * x - vecs[:, 0]
             assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(vecs[:, 0])
 
     def test_a_one_dimensional_sum_at_the_shift_is_a_solver_error(self):
         sector, _ = next(kronecker_sectors(SpectralProblem(10.0, 10, 1)))
-        (_, lx, _), (_, ly, _) = sector._kp
         with pytest.raises(SolverError, match="sum of 1D eigenvalues equals the shift"):
-            _factor(sector, lx[2] + ly[3])
+            _factor(sector, sector._sums[0][2, 3])
 
     def test_singular_schur_pivot_is_a_solver_error(self, monkeypatch, capsys):
         import scipy.linalg.lapack
@@ -1433,8 +1445,72 @@ class TestKroneckerSectors:
                 assert _factor(sector, shift)[1] == _factor(block, shift)[1], shift
             # at the threshold, the shift of every Lanczos solve
             want = _factor(block, LOW_THRESHOLD)[0](vec)
-            got = _factor(sector, LOW_THRESHOLD)[0](vec)
+            got = sector.to_grid(_factor(sector, LOW_THRESHOLD)[0](sector.from_grid(vec)))
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+class TestSchurBuffer:
+    """Every sector factorization writes its Schur complement into one buffer kept for the
+    process: one live factorization, and no large allocation once the buffer has grown."""
+
+    def test_a_solver_of_an_earlier_factorization_is_refused(self):
+        (first, _), (second, _), _ = kronecker_sectors(SpectralProblem(10.0, 10, 1))
+        vec = np.random.default_rng(2).standard_normal(first.shape[0])
+        solve, _ = _factor(first, LOW_THRESHOLD)
+        x = solve(vec)
+        _factor(second, LOW_THRESHOLD)
+        with pytest.raises(SolverError, match="Schur buffer was factored again"):
+            solve(vec)
+        # the same sector factored again solves again, to the same bits
+        solve, _ = _factor(first, LOW_THRESHOLD)
+        assert np.array_equal(solve(vec), x)
+
+    def test_a_warm_factorization_allocates_under_256_kib(self):
+        import tracemalloc
+
+        sectors = [sector for sector, _ in kronecker_sectors(SpectralProblem(40.0, 19, 1))]
+        for sector in sectors:
+            _factor(sector, LOW_THRESHOLD)  # the buffer grows to the largest sector
+        tracemalloc.start()
+        try:
+            for sector in sectors:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                _factor(sector, LOW_THRESHOLD)
+                # the buffer and chunk are reused: what is left is mostly dsytrf's workspace
+                assert tracemalloc.get_traced_memory()[1] - base < 256 * 1024, sector.shape
+        finally:
+            tracemalloc.stop()
+
+    def test_the_three_sectors_factor_in_one_buffer(self, monkeypatch):
+        import scipy.linalg.lapack
+
+        monkeypatch.setattr(spectral, "_SCHUR", spectral._SchurBuffer())
+        prob = SpectralProblem(40.0, 19, 1)
+        low_spectrum(prob, REPORT_COUNT)  # grows the buffer to the largest sector
+        dsytrf, factored = scipy.linalg.lapack.dsytrf, []
+
+        def recorded(*args, **kwargs):
+            result = dsytrf(*args, **kwargs)
+            factored.append(result[0])
+            return result
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dsytrf", recorded)
+        low_spectrum(prob, REPORT_COUNT)
+        assert len(factored) == 3
+        assert all(np.shares_memory(ldu, spectral._SCHUR.storage) for ldu in factored)
+
+    def test_a_buffer_grown_and_reused_smaller_changes_no_bit(self, monkeypatch):
+        probs = [SpectralProblem(t, cutoff, 1) for t, cutoff in ((70.0, 23), (10.0, 10), (40.0, 19))]
+        monkeypatch.setattr(spectral, "_SCHUR", spectral._SchurBuffer())
+        reused = [low_spectrum(prob, REPORT_COUNT) for prob in probs]
+        for prob, vals in zip(probs, reused):
+            # dsytrf reads one triangle of the Schur complement, and only that
+            # triangle is written: NaN in a fresh buffer must reach no value
+            fresh = spectral._SchurBuffer()
+            fresh.storage = np.full((spectral.SCHUR_MAX_CUTOFF + 1) ** 4, np.nan)
+            monkeypatch.setattr(spectral, "_SCHUR", fresh)
+            assert np.array_equal(low_spectrum(prob, REPORT_COUNT), vals), prob.cutoff
 
 
 # (t, a): a strong and a negative deformation; t = 10, a = 0.3, where sector
