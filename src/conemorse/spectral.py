@@ -49,21 +49,24 @@ mapped back to the grid), and block elimination leaves a dense Schur
 complement on u of about (N+1)^2 rows, factored by Bunch-Kaufman in one
 buffer kept for the process (_SchurBuffer), so only one factorization is
 live at a time; the inertia is the count of 1D eigenvalue sums below the
-threshold plus that of the Schur complement (Haynsworth).  Degree 2 is
+threshold plus that of the Schur complement (Haynsworth), and a Lanczos
+solve runs through that factor as two triangular solves and a block
+diagonal step (_bunch_kaufman_solver), not LAPACK's dsytrs.  Degree 2 is
 solved as degree 1, its dual.  Above the cutoff, where the Schur complement
 would grow like (N+1)^4, the sector is sliced from the sparse form and
-factored by SuperLU.  Either way the inertia counts the sector's low
-cluster, and shift-invert Lanczos on the same factorization, stopped at
-ARPACK tolerance LANCZOS_TOL, must find as many, plus only as many values
-above it as can still reach the requested count.  Each value theta above
-the threshold must have |(B - theta) v| <= RESIDUAL_TOL * max(1, theta) on
-its sector block B, which by Weyl's bound caps its error, or the solve
-fails.  The last sector is settled by one inertia when the sectors before
-it already hold the requested count with its count-th value beta above the
-threshold: factored at beta, an inertia of 0 proves it holds no value the
-count can use, and it is not solved; a factorization singular at beta
-settles nothing.  The cluster values are then the squared singular values
-of [d_C; d_C*] on their Lanczos vectors, never negative.
+factored by SuperLU, each solve refined by one step.  Either way the
+inertia counts the sector's low cluster, and shift-invert Lanczos on the
+same factorization, stopped at ARPACK tolerance LANCZOS_TOL, must find as
+many, plus only as many values above it as can still reach the requested
+count.  Each value theta above the threshold must have |(B - theta) v| <=
+RESIDUAL_TOL * max(1, theta) on its sector block B, which by Weyl's bound
+caps its error, or the solve fails.  The last sector is settled by one
+inertia when the sectors before it already hold the requested count with
+its count-th value beta above the threshold: factored at beta, an inertia
+of 0 proves it holds no value the count can use, and it is not solved; a
+factorization singular at beta settles nothing.  The cluster values are
+then the squared singular values of [d_C; d_C*] on their Lanczos vectors,
+never negative.
 Translation by (1/2, 1/2) and the cone Hodge star map the form of degree
 3 - k onto that of degree k, so degree 3 has the spectrum of degree 0, and
 cluster counts and gap fits solve each dual pair of degrees once and report
@@ -419,6 +422,63 @@ def _parity_factors(ops: list, cutoff: int) -> dict:
     return table
 
 
+def _bunch_kaufman_solver(ldu: np.ndarray, piv: np.ndarray) -> tuple:
+    """A solver of A x = b from LAPACK's Bunch-Kaufman factor of A, and A's count of negative eigenvalues.
+
+    `ldu` and `piv` are what dsytrf returns for the upper triangle of a
+    Fortran-ordered A: A = U D U' with U a product of interchanges and unit
+    upper triangular blocks, and D block diagonal with 1x1 and 2x2 pivots.
+    The 1x1 pivots count by sign, and each 2x2 pivot holds one negative
+    eigenvalue (its determinant is negative by the pivoting rule).  dsyconv
+    rewrites the factor in place as A = P U D U' P' with U unit upper
+    triangular, P the interchanges in the order dsytrs2 applies them, and the
+    off-diagonal of each 2x2 pivot moved out of U into e at the pair's second
+    index; a factor with no interchange and no 2x2 pivot is in that form
+    already and is not converted.  A solve gathers b by P, runs dtrsv with U
+    and with U', applies D^-1 as coefficients made here, and scatters the
+    result back: two level-2 BLAS calls, where dsytrs walks U one column at a
+    time.  `ldu` must stay unchanged while the solver is in use.
+    """
+    from scipy.linalg.blas import dtrsv
+    from scipy.linalg.lapack import dsyconv
+
+    size, one, diagonal = len(piv), piv > 0, ldu.diagonal()
+    below = int(np.count_nonzero(diagonal[one] < 0)) + int(np.count_nonzero(~one)) // 2
+    scale = np.empty(size)
+    scale[one] = 1.0 / diagonal[one]
+    order = partner = cross = None
+    if not np.array_equal(piv, np.arange(1, size + 1)):
+        ldu, off, _ = dsyconv(ldu, piv, lower=0, way=0, overwrite_a=True)
+        # P' b: from the last row up, a swap per interchange, a pair skipped per 2x2 pivot
+        order, k = np.arange(size), size - 1
+        while k >= 0:
+            step, swap = (1 if piv[k] > 0 else 2), abs(piv[k]) - 1
+            order[k + 1 - step], order[swap] = order[swap], order[k + 1 - step]
+            k -= step
+        # the inverse of [[a, b], [b, c]] is [[c', -1], [-1, a']] / (b (a' c' - 1)) with
+        # a' = a / b and c' = c / b, as dsytrs2 forms it, so that b^2 cannot overflow
+        second = np.flatnonzero(~one)[1::2]
+        first = second - 1
+        a, c = diagonal[first] / off[second], diagonal[second] / off[second]
+        det = off[second] * (a * c - 1.0)
+        scale[first], scale[second] = c / det, a / det
+        cross, partner = np.zeros(size), np.arange(size)
+        cross[first] = cross[second] = -1.0 / det
+        partner[first], partner[second] = second, first
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        y = dtrsv(ldu, rhs if order is None else rhs[order], lower=0, trans=0, diag=1)
+        y = scale * y if partner is None else scale * y + cross * y[partner]
+        y = dtrsv(ldu, y, lower=0, trans=1, diag=1, overwrite_x=True)
+        if order is None:
+            return y
+        out = np.empty(size)
+        out[order] = y
+        return out
+
+    return solve, below
+
+
 class _SchurBuffer:
     """The one dense Schur complement of the process, and the chunk its product goes through.
 
@@ -426,28 +486,27 @@ class _SchurBuffer:
     storage and LAPACK factors it there, in place, so a solver reads the
     buffer until the next factorization overwrites it: `generation` counts
     factorizations, and a solver made at an earlier one refuses to run.
-    Both arrays are allocated at the first factorization, the buffer grown to
-    the largest Schur complement seen, and kept for the process, as the
-    tables of _band_tables are: at most (SCHUR_MAX_CUTOFF + 1)^4 doubles,
-    2.65 MB, and a chunk of (SCHUR_MAX_CUTOFF + 1)^3 doubles, 108 KiB, as
-    many as the product for one x index of u, or the outer products of the
-    columns of Yp or Xq, can take (see _KroneckerSector.factor).  Reusing
-    them, a factorization takes no page from the OS.
+    Both arrays are allocated at the first factorization, each grown to the
+    largest size a factorization has asked for, and kept for the process,
+    as the tables of _band_tables are: at most (SCHUR_MAX_CUTOFF + 1)^4
+    doubles, 2.65 MB, and a chunk of at most (SCHUR_MAX_CUTOFF + 1)^3
+    doubles, 108 KiB, as many as the product for one x index of u, or the
+    outer products of the columns of Yp or Xq, take (see
+    _KroneckerSector.factor).  Reusing them, a factorization takes no page
+    from the OS.
     """
-
-    CHUNK = (SCHUR_MAX_CUTOFF + 1) ** 3
 
     def __init__(self):
         self.storage, self.chunk, self.generation = np.empty(0), np.empty(0), 0
 
-    def matrix(self, size: int) -> tuple:
-        """A C-ordered (size, size) view of the buffer, to be overwritten, and its generation."""
+    def matrix(self, size: int, chunk: int) -> tuple:
+        """A C-ordered (size, size) view of the buffer, a chunk of >= `chunk` doubles, the generation."""
         if self.storage.size < size * size:
             self.storage = np.empty(size * size)
-        if not self.chunk.size:
-            self.chunk = np.empty(self.CHUNK)
+        if self.chunk.size < chunk:
+            self.chunk = np.empty(chunk)
         self.generation += 1
-        return self.storage[: size * size].reshape(size, size), self.generation
+        return self.storage[: size * size].reshape(size, size), self.chunk, self.generation
 
 
 _SCHUR = _SchurBuffer()
@@ -551,17 +610,17 @@ class _KroneckerSector:
         each congruence in S is one matrix product over the eigenvalue index
         of the diagonalized axis.  S, about (N+1)^2 rows, dense, is written
         into the process's one Schur buffer (_SchurBuffer) and factored there
-        by LAPACK's Bunch-Kaufman dsytrf: its 1x1 pivots count by sign, and
-        each 2x2 pivot holds one negative eigenvalue (its determinant is
-        negative by the pivoting rule).  With Wp = 1 / (Lp - shift) and Wq
-        alike, a solve is four products into the right side of S u = b_u +
-        Vpx (Wp o b_P) Yp' - Xq (Wq o b_Q) Vqy', one dsytrs, and four back:
-        P^ = Wp o (b_P + Vpx' u Yp), Q^ = Wq o (b_Q - Xq' u Vqy).  A sum
+        by LAPACK's Bunch-Kaufman dsytrf, whose factor gives S's inertia and,
+        once per factorization, a solver through two triangular solves
+        (_bunch_kaufman_solver).  With Wp = 1 / (Lp - shift) and Wq alike, a
+        solve is four products into the right side of S u = b_u + Vpx (Wp o
+        b_P) Yp' - Xq (Wq o b_Q) Vqy', that solver, and four back: P^ = Wp o
+        (b_P + Vpx' u Yp), Q^ = Wq o (b_Q - Xq' u Vqy).  A sum
         equal to the shift, or an exactly singular pivot of S, is a
         SolverError; so is a solve after the buffer has been factored again.
         """
         from scipy.linalg.blas import dgemm
-        from scipy.linalg.lapack import dsytrf, dsytrs
+        from scipy.linalg.lapack import dsytrf
 
         below, weights = 0, []
         for sums in self._sums:
@@ -574,8 +633,8 @@ class _KroneckerSector:
         vpx, _, _, vqy = self._bases
         yp, xq = self._yp, self._xq
         (npx, _), _, (nux, nuy) = self._shapes
-        schur, generation = _SCHUR.matrix(nux * nuy)
-        chunk = _SCHUR.chunk
+        chunk_size = max(yp.size * nuy, xq.size * nux, nux * nuy * nuy)
+        schur, chunk, generation = _SCHUR.matrix(nux * nuy, chunk_size)
         # S at (i k, j l), u's x index i, j and y index k, l, is
         #   sum_a vpx[i a] vpx[j a] T_P[a k l] + sum_b T_Q[b i j] vqy[k b] vqy[l b]
         #   + delta_ij (H_y + (1 - shift) I)[k l] + (H_x)[i j] delta_kl,
@@ -613,7 +672,8 @@ class _KroneckerSector:
         ldu, piv, info = dsytrf(schur.T, lwork=32 * len(schur), overwrite_a=True)
         if info > 0:
             raise SolverError(f"Schur complement exactly singular at pivot {info}")
-        below += int(np.count_nonzero(ldu.diagonal()[piv > 0] < 0)) + int(np.count_nonzero(piv < 0)) // 2
+        schur_solve, schur_below = _bunch_kaufman_solver(ldu, piv)
+        below += schur_below
         (at_p, at_q, at_u), (shape_p, shape_q, _) = self._slices, self._shapes
 
         def solve(vec):
@@ -621,7 +681,7 @@ class _KroneckerSector:
                 raise SolverError("a solve after the Schur buffer was factored again")
             p, q = vec[at_p].reshape(shape_p), vec[at_q].reshape(shape_q)
             rhs = vec[at_u].reshape(nux, nuy) + vpx @ (w_p * p) @ yp.T - xq @ (w_q * q) @ vqy.T
-            u = dsytrs(ldu, piv, rhs.reshape(-1), overwrite_b=True)[0].reshape(nux, nuy)
+            u = schur_solve(rhs.reshape(-1)).reshape(nux, nuy)
             out = np.empty(self.shape[0])
             out[at_p] = ((p + vpx.T @ u @ yp) * w_p).reshape(-1)
             out[at_q] = ((q - xq.T @ u @ vqy) * w_q).reshape(-1)
@@ -637,16 +697,20 @@ def _factor(block, shift: float):
     A _KroneckerSector factors itself.  A sparse block is factored by SuperLU:
     in symmetric mode with equal row and column permutations P, P (A -
     shift*I) P' = L D L' with D = diag(U); by Sylvester's law of inertia A has
-    as many eigenvalues below the shift as D has negative entries.
+    as many eigenvalues below the shift as D has negative entries.  Each
+    solve takes one step of iterative refinement, x + solve(b - (A -
+    shift*I) x): without it Lanczos at t = 40, N = 30, degree 1 left a
+    residual at 1.03 of the gate (see _sector_spectrum), with it 0.0014.
     """
     if isinstance(block, _KroneckerSector):
         return block.factor(shift)
     import scipy.sparse as sp
     from scipy.sparse.linalg import splu
 
+    shifted = (block - shift * sp.identity(block.shape[0], format="csr")).tocsc()
     try:
         factor = splu(
-            (block - shift * sp.identity(block.shape[0], format="csr")).tocsc(),
+            shifted,
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
@@ -655,7 +719,12 @@ def _factor(block, shift: float):
         raise SolverError(f"factorization failed: {exc}") from exc
     if not np.array_equal(factor.perm_r, factor.perm_c):
         raise SolverError("factorization pivoted off the diagonal: no inertia to read")
-    return factor.solve, int(np.count_nonzero(factor.U.diagonal() < 0))
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        x = factor.solve(rhs)
+        return x + factor.solve(rhs - shifted @ x)
+
+    return solve, int(np.count_nonzero(factor.U.diagonal() < 0))
 
 
 def _sector_spectrum(block, weight: int, wanted: int) -> tuple:

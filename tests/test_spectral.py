@@ -1500,6 +1500,20 @@ class TestSchurBuffer:
         assert len(factored) == 3
         assert all(np.shares_memory(ldu, spectral._SCHUR.storage) for ldu in factored)
 
+    def test_a_raised_crossover_grows_the_chunk(self, monkeypatch):
+        # the chunk is sized by each factorization, not by the crossover at
+        # import: N = 24 needs 25^3 doubles after N = 10 took 11^3
+        prob = SpectralProblem(80.0, 24, 1)
+        superlu = low_spectrum(prob, REPORT_COUNT)
+        monkeypatch.setattr(spectral, "SCHUR_MAX_CUTOFF", 24)
+        monkeypatch.setattr(spectral, "_SCHUR", spectral._SchurBuffer())
+        low_spectrum(SpectralProblem(10.0, 10, 1), REPORT_COUNT)
+        kronecker = low_spectrum(prob, REPORT_COUNT)
+        assert spectral._SCHUR.chunk.size == 25**3
+        low = superlu <= LOW_THRESHOLD
+        assert np.array_equal(kronecker <= LOW_THRESHOLD, low) and np.count_nonzero(low) == 3
+        assert np.all(np.abs(kronecker - superlu) <= 1e-10 * superlu)
+
     def test_a_buffer_grown_and_reused_smaller_changes_no_bit(self, monkeypatch):
         probs = [SpectralProblem(t, cutoff, 1) for t, cutoff in ((70.0, 23), (10.0, 10), (40.0, 19))]
         monkeypatch.setattr(spectral, "_SCHUR", spectral._SchurBuffer())
@@ -1511,6 +1525,47 @@ class TestSchurBuffer:
             fresh.storage = np.full((spectral.SCHUR_MAX_CUTOFF + 1) ** 4, np.nan)
             monkeypatch.setattr(spectral, "_SCHUR", fresh)
             assert np.array_equal(low_spectrum(prob, REPORT_COUNT), vals), prob.cutoff
+
+
+class TestBunchKaufmanSolver:
+    """A Schur solve runs through dsytrf's factor converted once: two dtrsv and a block diagonal step."""
+
+    def test_interchanges_and_two_by_two_pivots(self):
+        # zero diagonals force 2x2 pivots and interchanges, which no sector
+        # factorization has met; the solve is backward stable and the pivots
+        # count the negative eigenvalues
+        from scipy.linalg.lapack import dsytrf
+
+        rng = np.random.default_rng(11)
+        interchanges = pairs = 0
+        for _ in range(200):
+            size = int(rng.integers(2, 60))
+            mat = rng.standard_normal((size, size))
+            mat += mat.T
+            zero = rng.random(size) < 0.5
+            mat[zero, zero] = 0.0
+            ldu, piv, info = dsytrf(np.asfortranarray(mat), lwork=32 * size)
+            assert info == 0
+            interchanges += int(np.count_nonzero(np.abs(piv) != np.arange(1, size + 1)))
+            pairs += int(np.count_nonzero(piv < 0)) // 2
+            solve, below = spectral._bunch_kaufman_solver(ldu, piv)
+            assert below == np.count_nonzero(np.linalg.eigvalsh(mat) < 0)
+            rhs = rng.standard_normal(size)
+            x = solve(rhs)
+            scale = np.linalg.norm(mat, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(rhs, np.inf)
+            assert np.linalg.norm(mat @ x - rhs, np.inf) <= 1e-15 * scale
+        assert interchanges > 0 and pairs > 0
+
+    def test_a_kronecker_solve_never_calls_dsytrs(self, monkeypatch):
+        import scipy.linalg.lapack
+
+        def unused(*args, **kwargs):
+            raise AssertionError("dsytrs was called")
+
+        prob = SpectralProblem(10.0, 10, 1)
+        vals = low_spectrum(prob, REPORT_COUNT)
+        monkeypatch.setattr(scipy.linalg.lapack, "dsytrs", unused)
+        assert np.array_equal(low_spectrum(prob, REPORT_COUNT), vals)
 
 
 # (t, a): a strong and a negative deformation; t = 10, a = 0.3, where sector
@@ -1594,6 +1649,17 @@ class TestResidualGate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("spectral solve failed: eigensolver residual ")
+
+    def test_a_refined_superlu_solve_passes_the_gate_at_n_30(self, monkeypatch):
+        # unrefined, SuperLU's solves left Lanczos a residual at 1.03 of the
+        # gate here; the Kronecker factorization, raised to N = 30, is the oracle
+        prob = SpectralProblem(40.0, 30, 1)
+        superlu = low_spectrum(prob, REPORT_COUNT)
+        monkeypatch.setattr(spectral, "SCHUR_MAX_CUTOFF", 30)
+        monkeypatch.setattr(spectral, "_SCHUR", spectral._SchurBuffer())
+        kronecker = low_spectrum(prob, REPORT_COUNT)
+        assert np.count_nonzero(superlu <= LOW_THRESHOLD) == np.count_nonzero(kronecker <= LOW_THRESHOLD) == 3
+        assert np.all(np.abs(superlu - kronecker) <= 1e-10 * kronecker)
 
     def test_residuals_bound_the_error_against_dense(self):
         prob = SpectralProblem(7.3, 6, 2, -0.6)
