@@ -50,17 +50,15 @@ complement on u of about (N+1)^2 rows, factored by Bunch-Kaufman in one
 buffer kept for the process (_SchurBuffer), so only one factorization is
 live at a time; the inertia is the count of 1D eigenvalue sums below the
 threshold plus that of the Schur complement (Haynsworth), and a Lanczos
-solve runs through that factor as two triangular solves and a block
-diagonal step (_bunch_kaufman_solver), not LAPACK's dsytrs.  Degree 2 is
-solved as degree 1, its dual.  Above the cutoff, where the Schur complement
-would grow like (N+1)^4, the sector is sliced from the sparse form and
-factored by SuperLU, each solve refined by one step.  Either way the
-inertia counts the sector's low cluster, and shift-invert Lanczos on the
-same factorization, stopped at ARPACK tolerance LANCZOS_TOL, must find as
-many, plus only as many values above it as can still reach the requested
-count.  Each value theta above the threshold must have |(B - theta) v| <=
-RESIDUAL_TOL * max(1, theta) on its sector block B, which by Weyl's bound
-caps its error, or the solve fails.  The last sector is settled by one
+solve runs through that factor (_bunch_kaufman_solver).  Above the cutoff,
+where the Schur complement would grow like (N+1)^4, the sector is sliced
+from the sparse form and factored by SuperLU, each solve refined by one
+step.  Either way the inertia counts the sector's low cluster, and
+shift-invert Lanczos on the same factorization, stopped at ARPACK tolerance
+LANCZOS_TOL, must find as many, plus only as many values above it as can
+still reach the requested count.  Each value theta above the threshold must
+have |(B - theta) v| <= RESIDUAL_TOL * max(1, theta) on its sector block B,
+which by Weyl's bound caps its error, or the solve fails.  The last sector is settled by one
 inertia when the sectors before it already hold the requested count with
 its count-th value beta above the threshold: factored at beta, an inertia
 of 0 proves it holds no value the count can use, and it is not solved; a
@@ -68,9 +66,9 @@ factorization singular at beta settles nothing.  The cluster values are
 then the squared singular values of [d_C; d_C*] on their Lanczos vectors,
 never negative.
 Translation by (1/2, 1/2) and the cone Hodge star map the form of degree
-3 - k onto that of degree k, so degree 3 has the spectrum of degree 0, and
-cluster counts and gap fits solve each dual pair of degrees once and report
-the partner from the same solve.
+3 - k onto that of degree k, so degrees 2 and 3 are solved as degrees 1
+and 0, to the same bits, and cluster counts and gap fits solve each dual
+pair of degrees once and report the partner from the same solve.
 """
 
 from __future__ import annotations
@@ -429,52 +427,27 @@ def _bunch_kaufman_solver(ldu: np.ndarray, piv: np.ndarray) -> tuple:
     Fortran-ordered A: A = U D U' with U a product of interchanges and unit
     upper triangular blocks, and D block diagonal with 1x1 and 2x2 pivots.
     The 1x1 pivots count by sign, and each 2x2 pivot holds one negative
-    eigenvalue (its determinant is negative by the pivoting rule).  dsyconv
-    rewrites the factor in place as A = P U D U' P' with U unit upper
-    triangular, P the interchanges in the order dsytrs2 applies them, and the
-    off-diagonal of each 2x2 pivot moved out of U into e at the pair's second
-    index; a factor with no interchange and no 2x2 pivot is in that form
-    already and is not converted.  A solve gathers b by P, runs dtrsv with U
-    and with U', applies D^-1 as coefficients made here, and scatters the
-    result back: two level-2 BLAS calls, where dsytrs walks U one column at a
-    time.  `ldu` must stay unchanged while the solver is in use.
+    eigenvalue (its determinant is negative by the pivoting rule).  A factor
+    with no interchange and no 2x2 pivot, as every sector's Schur complement
+    has had, is A = U D U' with U unit upper triangular and D diagonal: a
+    solve is dtrsv with U and with U' around D^-1, two level-2 BLAS calls,
+    where dsytrs walks U one column at a time.  Any other factor is solved by
+    dsytrs, which leaves it unchanged.  `ldu` must stay unchanged while the
+    solver is in use.
     """
     from scipy.linalg.blas import dtrsv
-    from scipy.linalg.lapack import dsyconv
 
     size, one, diagonal = len(piv), piv > 0, ldu.diagonal()
     below = int(np.count_nonzero(diagonal[one] < 0)) + int(np.count_nonzero(~one)) // 2
-    scale = np.empty(size)
-    scale[one] = 1.0 / diagonal[one]
-    order = partner = cross = None
     if not np.array_equal(piv, np.arange(1, size + 1)):
-        ldu, off, _ = dsyconv(ldu, piv, lower=0, way=0, overwrite_a=True)
-        # P' b: from the last row up, a swap per interchange, a pair skipped per 2x2 pivot
-        order, k = np.arange(size), size - 1
-        while k >= 0:
-            step, swap = (1 if piv[k] > 0 else 2), abs(piv[k]) - 1
-            order[k + 1 - step], order[swap] = order[swap], order[k + 1 - step]
-            k -= step
-        # the inverse of [[a, b], [b, c]] is [[c', -1], [-1, a']] / (b (a' c' - 1)) with
-        # a' = a / b and c' = c / b, as dsytrs2 forms it, so that b^2 cannot overflow
-        second = np.flatnonzero(~one)[1::2]
-        first = second - 1
-        a, c = diagonal[first] / off[second], diagonal[second] / off[second]
-        det = off[second] * (a * c - 1.0)
-        scale[first], scale[second] = c / det, a / det
-        cross, partner = np.zeros(size), np.arange(size)
-        cross[first] = cross[second] = -1.0 / det
-        partner[first], partner[second] = second, first
+        from scipy.linalg.lapack import dsytrs
+
+        return (lambda rhs: dsytrs(ldu, piv, rhs, lower=0)[0]), below
+    scale = 1.0 / diagonal
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        y = dtrsv(ldu, rhs if order is None else rhs[order], lower=0, trans=0, diag=1)
-        y = scale * y if partner is None else scale * y + cross * y[partner]
-        y = dtrsv(ldu, y, lower=0, trans=1, diag=1, overwrite_x=True)
-        if order is None:
-            return y
-        out = np.empty(size)
-        out[order] = y
-        return out
+        y = scale * dtrsv(ldu, rhs, lower=0, trans=0, diag=1)
+        return dtrsv(ldu, y, lower=0, trans=1, diag=1, overwrite_x=True)
 
     return solve, below
 
@@ -534,8 +507,8 @@ class _KroneckerSector:
 
     `@` applies B and `toarray` writes it out in these coordinates, neither
     through an assembled form; `to_grid` maps vectors to the grid order of
-    _sector_indices and `from_grid` back.  The map is orthogonal, so Lanczos
-    and its residual gate run here and only cluster vectors are mapped.
+    _sector_indices.  The map is orthogonal, so Lanczos and its residual gate
+    run here and only cluster vectors are mapped.
     """
 
     dtype = np.dtype(float)
@@ -594,11 +567,6 @@ class _KroneckerSector:
         vpx, vpy, vqx, vqy = self._bases
         return self._map(vecs, lambda p, q, u: (vpx @ p @ vpy.T, vqx @ q @ vqy.T, u))
 
-    def from_grid(self, vecs: np.ndarray) -> np.ndarray:
-        """The inverse, and transpose, of to_grid."""
-        vpx, vpy, vqx, vqy = self._bases
-        return self._map(vecs, lambda p, q, u: (vpx.T @ p @ vpy, vqx.T @ q @ vqy, u))
-
     def factor(self, shift: float) -> tuple:
         """A solver of (B - shift) x = b and the number of eigenvalues of B below shift.
 
@@ -610,12 +578,11 @@ class _KroneckerSector:
         each congruence in S is one matrix product over the eigenvalue index
         of the diagonalized axis.  S, about (N+1)^2 rows, dense, is written
         into the process's one Schur buffer (_SchurBuffer) and factored there
-        by LAPACK's Bunch-Kaufman dsytrf, whose factor gives S's inertia and,
-        once per factorization, a solver through two triangular solves
-        (_bunch_kaufman_solver).  With Wp = 1 / (Lp - shift) and Wq alike, a
-        solve is four products into the right side of S u = b_u + Vpx (Wp o
-        b_P) Yp' - Xq (Wq o b_Q) Vqy', that solver, and four back: P^ = Wp o
-        (b_P + Vpx' u Yp), Q^ = Wq o (b_Q - Xq' u Vqy).  A sum
+        by LAPACK's Bunch-Kaufman dsytrf, whose factor gives S's inertia and
+        a solver (_bunch_kaufman_solver).  With Wp = 1 / (Lp - shift) and Wq
+        alike, a solve is four products into the right side of S u = b_u +
+        Vpx (Wp o b_P) Yp' - Xq (Wq o b_Q) Vqy', that solver, and four back:
+        P^ = Wp o (b_P + Vpx' u Yp), Q^ = Wq o (b_Q - Xq' u Vqy).  A sum
         equal to the shift, or an exactly singular pivot of S, is a
         SolverError; so is a solve after the buffer has been factored again.
         """
@@ -807,35 +774,39 @@ def _cluster_values(prob: SpectralProblem, ops: list, idx: np.ndarray, vecs: np.
 def low_spectrum(prob: SpectralProblem, count: int) -> np.ndarray:
     """The smallest `count` eigenvalues of the assembled form, ascending.
 
-    Degrees 0 and 3 take the `count` smallest pairwise sums of the squared
-    singular values of the 1D factor G, without assembling the form or
-    loading scipy.  Degrees 1 and 2 split into the sectors of SECTORS, built
-    from 1D matrices up to SCHUR_MAX_CUTOFF and sliced from the assembled
-    form above it, each solved once (see _sector_spectrum) with the cluster
-    counts of the sectors solved before it known: the form's lowest `count`
-    values are its whole cluster and the lowest ones above the threshold, so
-    each is among those of its sector, and the merge holds them all.  The
-    last sector is skipped when its inertia at the count-th value found so
-    far proves it holds none of them.  The cluster values are then taken
-    from the Ritz vectors (see _cluster_values).
+    `count` must be an integer, not a bool, from 1 to the form's size; any
+    other is a ValueError, raised before any work.  Degrees 2 and 3 are
+    solved as their duals 1 and 0 (DUAL_PAIR), to the same bits.  Degree 0
+    takes the `count` smallest pairwise sums of the squared singular values
+    of the 1D factor G, without assembling the form or loading scipy.
+    Degree 1 splits into the sectors of SECTORS, built from 1D matrices up
+    to SCHUR_MAX_CUTOFF and sliced from the assembled form above it, each
+    solved once (see _sector_spectrum) with the cluster counts of the
+    sectors solved before it known: the form's lowest `count` values are its
+    whole cluster and the lowest ones above the threshold, so each is among
+    those of its sector, and the merge holds them all.  The last sector is
+    skipped when its inertia at the count-th value found so far proves it
+    holds none of them.  The cluster values are then taken from the Ritz
+    vectors (see _cluster_values).
     """
     size = matrix_size(prob.degree, prob.cutoff)
-    if count > size:
-        raise ValueError(f"requested {count} eigenvalues of a {size}-dim form")
-    if prob.degree in (0, 3):
+    if not _is_integer(count) or not 1 <= count <= size:
+        raise ValueError(
+            f"requested {count!r} eigenvalues of a {size}-dim form; count must be an integer from 1 to {size}"
+        )
+    if DUAL_PAIR[prob.degree] == 0:
         grad = _grad_1d(prob.cutoff, prob.t * prob.morse_scale * math.pi)
         # the count smallest sums use only the count smallest 1D values
         vals = np.sort(np.linalg.svd(grad, compute_uv=False) ** 2)[:count]
         return np.sort((vals[:, None] + vals[None, :]).ravel())[:count]
+    # degree 2 has the form of degree 1 up to a signed permutation
+    prob = replace(prob, degree=1)
+    ops = _operators(prob)
     # the one choice between the two factorizations of a sector
     if prob.cutoff <= SCHUR_MAX_CUTOFF:
-        # degree 2 has the form of degree 1 up to a signed permutation (DUAL_PAIR)
-        prob = replace(prob, degree=1)
-        ops = _operators(prob)
         factors = _parity_factors(ops, prob.cutoff)
         sector_block = lambda sector, idx: _KroneckerSector(factors, sector)  # noqa: E731
     else:
-        ops = _operators(prob)
         form = assemble_quadratic_form(prob)
         sector_block = lambda sector, idx: form[idx][:, idx]  # noqa: E731
     merged, known = np.zeros(0), 0
@@ -1092,8 +1063,8 @@ def quasimode(prob: SpectralProblem, point: str, kind: int) -> QuasimodeResult:
     """
     if point not in CRITICAL_POINTS:
         raise KeyError(f"unknown critical point {point!r}; choose from {sorted(CRITICAL_POINTS)}")
-    if kind not in (1, 2):
-        raise ValueError(f"kind must be 1 or 2, got {kind}")
+    if not _is_integer(kind) or kind not in (1, 2):
+        raise ValueError(f"kind must be 1 or 2, got {kind!r}")
     if prob.morse_scale < 0:
         raise ValueError(
             f"quasimodes are built for +f; morse_scale must be positive, got {prob.morse_scale}"

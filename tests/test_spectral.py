@@ -151,6 +151,9 @@ class TestAssembly:
             with pytest.raises(ValueError, match="overflow"):
                 SpectralProblem(t, 8, 0, a)
         SpectralProblem(1e150, 8, 0, -1.0)
+        for kind in (True, 1.0, 0, 3):  # True == 1 and 1.0 == 1, but neither is a kind
+            with pytest.raises(ValueError, match=f"kind must be 1 or 2, got {kind!r}"):
+                quasimode(SpectralProblem(20.0, 12, 0), "q0", kind)
 
     @pytest.mark.parametrize(
         "cutoff, degree, error, shown",
@@ -956,11 +959,18 @@ class TestSolver:
         assert rep.gap == math.inf and rep.cluster_ratio == 0.0
 
     @pytest.mark.parametrize("degree, size", [(1, 75), (3, 25)])
-    def test_more_values_than_unknowns_rejected(self, degree, size):
+    def test_more_values_than_unknowns_rejected(self, monkeypatch, degree, size):
         prob = SpectralProblem(2.0, 2, degree)
         assert len(low_spectrum(prob, size)) == size
-        with pytest.raises(ValueError, match=f"{size + 1} eigenvalues of a {size}-dim form"):
-            low_spectrum(prob, size + 1)
+
+        def work(*args):
+            raise AssertionError("a count out of range reached the solve")
+
+        # every path starts from the 1D factor G; a bad count is refused before it
+        monkeypatch.setattr(spectral, "_grad_1d", work)
+        for bad in (size + 1, 0, -1, 2.5, True):
+            with pytest.raises(ValueError, match=f"{bad!r} eigenvalues of a {size}-dim form"):
+                low_spectrum(prob, bad)
 
     def test_repeated_solves_are_bitwise_identical(self):
         prob = SpectralProblem(20.0, 10, 1)
@@ -1084,6 +1094,16 @@ class TestDualPairs:
             assert np.array_equal(np.sort(dest), np.arange(dual.shape[0]))
             scale = abs(form).max()
             assert abs(signed_image(dual, dest, sign) - form).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("t, cutoff", [(10.0, 10), (80.0, 24)])
+    @pytest.mark.parametrize("a", [1.0, -1.0])
+    def test_dual_degree_gives_the_same_bits(self, t, cutoff, a):
+        # on both sides of SCHUR_MAX_CUTOFF: each dual pair is solved once, so
+        # degree 2 cannot differ from degree 1 in its last bits on SuperLU's side
+        for degree in (2, 3):
+            vals = low_spectrum(SpectralProblem(t, cutoff, degree, a), REPORT_COUNT)
+            dual = low_spectrum(SpectralProblem(t, cutoff, 3 - degree, a), REPORT_COUNT)
+            assert np.array_equal(vals, dual), degree
 
 
 class TestSectors:
@@ -1356,7 +1376,7 @@ class TestKroneckerSectors:
     @pytest.mark.parametrize("t, cutoff, a", [(40.0, 19, 1.0), (1.0, 7, 0.15), (10.0, 10, -0.3), (3.0, 2, 1.0)])
     def test_apply_and_solve_agree_with_the_assembled_block(self, t, cutoff, a):
         # the sector works in (P^, Q^, u), P and Q in their 1D eigenbases:
-        # to_grid and from_grid map to and from the grid order of the block
+        # to_grid maps to the grid order of the block, and its transpose back
         prob = SpectralProblem(t, cutoff, 1, a)
         rng = np.random.default_rng(3)
         for (block, _), (sector, _) in zip(sector_blocks(prob), kronecker_sectors(prob)):
@@ -1366,20 +1386,21 @@ class TestKroneckerSectors:
             # K_P and K_Q are exactly the diagonals of 1D eigenvalue sums; every
             # other entry passes through one eigenbasis at most, and is the block's
             own = sector.toarray()
-            mapped = sector.from_grid(sector.from_grid(block.toarray()).T)
+            grid = sector.to_grid(np.eye(size))
+            mapped = grid.T @ block.toarray().T @ grid
             diagonal = np.zeros((size, size), dtype=bool)
             for part, sums in zip(sector._slices, sector._sums):
                 assert np.array_equal(own[part, part], np.diag(sums.ravel()))
                 diagonal[part, part] = True
             assert np.abs(own - mapped)[~diagonal].max() <= 1e-15 * scale
             vecs = rng.standard_normal((size, 3))
-            applied = sector.to_grid(sector @ sector.from_grid(vecs))
+            applied = sector.to_grid(sector @ (grid.T @ vecs))
             assert np.abs(applied - block @ vecs).max() <= 1e-14 * scale
             assert np.array_equal(sector @ vecs[:, 0], (sector @ vecs)[:, 0])
             assert np.array_equal(sector.to_grid(vecs[:, 0]), sector.to_grid(vecs)[:, 0])
-            assert np.abs(sector.from_grid(sector.to_grid(vecs)) - vecs).max() <= 1e-14
+            assert np.abs(grid.T @ grid - np.eye(size)).max() <= 1e-14  # the transpose maps back
             solve, _ = _factor(sector, LOW_THRESHOLD)
-            x = sector.to_grid(solve(sector.from_grid(vecs[:, 0])))
+            x = sector.to_grid(solve(grid.T @ vecs[:, 0]))
             residual = block @ x - LOW_THRESHOLD * x - vecs[:, 0]
             assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(vecs[:, 0])
 
@@ -1445,7 +1466,8 @@ class TestKroneckerSectors:
                 assert _factor(sector, shift)[1] == _factor(block, shift)[1], shift
             # at the threshold, the shift of every Lanczos solve
             want = _factor(block, LOW_THRESHOLD)[0](vec)
-            got = sector.to_grid(_factor(sector, LOW_THRESHOLD)[0](sector.from_grid(vec)))
+            back = sector.to_grid(np.eye(block.shape[0])).T
+            got = sector.to_grid(_factor(sector, LOW_THRESHOLD)[0](back @ vec))
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
@@ -1528,16 +1550,24 @@ class TestSchurBuffer:
 
 
 class TestBunchKaufmanSolver:
-    """A Schur solve runs through dsytrf's factor converted once: two dtrsv and a block diagonal step."""
+    """A Schur solve runs through dsytrf's factor: two dtrsv around 1/D when it has no interchange
+    and no 2x2 pivot, as every sector factorization has had, and LAPACK's dsytrs otherwise."""
 
-    def test_interchanges_and_two_by_two_pivots(self):
+    def test_interchanges_and_two_by_two_pivots(self, monkeypatch):
         # zero diagonals force 2x2 pivots and interchanges, which no sector
-        # factorization has met; the solve is backward stable and the pivots
+        # factorization has met; each such factor is solved by dsytrs, which
+        # leaves it unchanged, the solve is backward stable and the pivots
         # count the negative eigenvalues
+        import scipy.linalg.lapack
         from scipy.linalg.lapack import dsytrf
 
+        dsytrs, calls = scipy.linalg.lapack.dsytrs, []
+        monkeypatch.setattr(
+            scipy.linalg.lapack, "dsytrs",
+            lambda *args, **kwargs: calls.append(1) or dsytrs(*args, **kwargs),
+        )
         rng = np.random.default_rng(11)
-        interchanges = pairs = 0
+        interchanges = pairs = pivoted = 0
         for _ in range(200):
             size = int(rng.integers(2, 60))
             mat = rng.standard_normal((size, size))
@@ -1548,13 +1578,16 @@ class TestBunchKaufmanSolver:
             assert info == 0
             interchanges += int(np.count_nonzero(np.abs(piv) != np.arange(1, size + 1)))
             pairs += int(np.count_nonzero(piv < 0)) // 2
+            pivoted += not np.array_equal(piv, np.arange(1, size + 1))
+            factor = ldu.copy()
             solve, below = spectral._bunch_kaufman_solver(ldu, piv)
             assert below == np.count_nonzero(np.linalg.eigvalsh(mat) < 0)
             rhs = rng.standard_normal(size)
             x = solve(rhs)
             scale = np.linalg.norm(mat, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(rhs, np.inf)
             assert np.linalg.norm(mat @ x - rhs, np.inf) <= 1e-15 * scale
-        assert interchanges > 0 and pairs > 0
+            assert np.array_equal(ldu, factor) and len(calls) == pivoted
+        assert interchanges > 0 and pairs > 0 and pivoted > 0
 
     def test_a_kronecker_solve_never_calls_dsytrs(self, monkeypatch):
         import scipy.linalg.lapack
