@@ -50,7 +50,14 @@ complement on u of about (N+1)^2 rows, factored by Bunch-Kaufman in one
 buffer kept for the process (_SchurBuffer), so only one factorization is
 live at a time; the inertia is the count of 1D eigenvalue sums below the
 threshold plus that of the Schur complement (Haynsworth), and a Lanczos
-solve runs through that factor (_bunch_kaufman_solver).  Above the cutoff,
+solve runs through that factor (_bunch_kaufman_solver).  In sectors (0, 0)
+and (1, 1) the same mirror maps the sector onto itself and u onto its
+transpose, and commutes with the Schur complement, which is then block
+diagonal on antisymmetric and symmetric n x n matrices u (Fässler and
+Stiefel): its two halves, of n (n -+ 1) / 2 rows, are written in its place,
+each factored by its own Bunch-Kaufman and solved by its own pair of
+triangular solves, and their counts add up to the complement's.  Above the
+cutoff,
 where the Schur complement would grow like (N+1)^4, the sector is sliced
 from the sparse form and factored by SuperLU, each solve refined by one
 step.  Either way the inertia counts the sector's low cluster, and
@@ -129,6 +136,12 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _require_real(name: str, value) -> None:
+    """A ValueError unless `value` is a real number, as float, int or np.float64, but not a bool."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SpectralProblem:
     """Configuration of one deformed-cone eigenvalue computation.
@@ -145,9 +158,7 @@ class SpectralProblem:
 
     def __post_init__(self):
         for name in ("t", "morse_scale"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
+            _require_real(name, getattr(self, name))
         if not (math.isfinite(self.t) and math.isfinite(self.morse_scale)):
             raise ValueError(
                 f"t and morse_scale must be finite, got t={self.t}, "
@@ -433,7 +444,8 @@ def _bunch_kaufman_solver(ldu: np.ndarray, piv: np.ndarray) -> tuple:
     solve is dtrsv with U and with U' around D^-1, two level-2 BLAS calls,
     where dsytrs walks U one column at a time.  Any other factor is solved by
     dsytrs, which leaves it unchanged.  `ldu` must stay unchanged while the
-    solver is in use.
+    solver is in use.  A solve writes x over b, which must be a contiguous
+    float64 vector, as a slice of one is, and returns it.
     """
     from scipy.linalg.blas import dtrsv
 
@@ -442,44 +454,80 @@ def _bunch_kaufman_solver(ldu: np.ndarray, piv: np.ndarray) -> tuple:
     if not np.array_equal(piv, np.arange(1, size + 1)):
         from scipy.linalg.lapack import dsytrs
 
-        return (lambda rhs: dsytrs(ldu, piv, rhs, lower=0)[0]), below
+        return (lambda rhs: dsytrs(ldu, piv, rhs, lower=0, overwrite_b=True)[0]), below
     scale = 1.0 / diagonal
 
+    # dtrsv(a, x, incx, offx, lower, trans, diag, overwrite_x): positional, for
+    # f2py takes about 0.4 us longer to parse each call's keywords
     def solve(rhs: np.ndarray) -> np.ndarray:
-        y = scale * dtrsv(ldu, rhs, lower=0, trans=0, diag=1)
-        return dtrsv(ldu, y, lower=0, trans=1, diag=1, overwrite_x=True)
+        y = dtrsv(ldu, rhs, 1, 0, 0, 0, 1, 1)
+        y *= scale
+        return dtrsv(ldu, y, 1, 0, 0, 1, 1, 1)
 
     return solve, below
+
+
+@functools.cache
+def _swap_halves(size: int) -> tuple:
+    """Index tables that fold a size x size matrix into its x<->y antisymmetric and symmetric halves.
+
+    The halves have the orthogonal bases w = e_jl - e_lj, l < j, and w =
+    e_jl + e_lj, l < j and then l = j, each pair (j, l) in row-major order:
+    size (size -+ 1) / 2 vectors, together size^2.  `positions` holds the
+    flat positions j * size + l of both halves' pairs, end to end, and
+    `mirrors` the positions l * size + j, so that b folds to W'b =
+    b[positions] + signs * b[mirrors], signs -1 on the antisymmetric half
+    and +1 on the other.  Entry by entry, W z / 2 = (z[pair] + unsigns *
+    z[other]) / 2: `pair` is the coordinate of the symmetric pair through
+    the entry and `other` that of the antisymmetric one, or the symmetric
+    again on the diagonal, where w = 2 e_jj.  Read-only, kept for every
+    size asked for (at most SCHUR_MAX_CUTOFF + 1, and 28 KiB for a size).
+    """
+    strict = np.flatnonzero(np.tri(size, k=-1, dtype=bool))
+    anti, cells = len(strict), size * size
+    positions = np.concatenate([strict, strict, np.arange(size) * (size + 1)])
+    mirrors = np.arange(cells).reshape(size, size).T.reshape(-1)[positions]
+    signs = np.repeat([-1.0, 1.0], [anti, cells - anti])
+    pair, unsigns = np.empty(cells, dtype=np.intp), np.ones(cells)
+    pair[positions[anti:]] = pair[mirrors[anti:]] = np.arange(anti, cells)
+    other = pair.copy()
+    other[strict] = other[mirrors[:anti]] = np.arange(anti)
+    unsigns[mirrors[:anti]] = -1.0
+    return tuple(_read_only(table) for table in (positions, mirrors, signs, pair, other, unsigns))
 
 
 class _SchurBuffer:
     """The one dense Schur complement of the process, and the chunk its product goes through.
 
-    A sector factorization writes its Schur complement on u into `matrix`'s
-    storage and LAPACK factors it there, in place, so a solver reads the
-    buffer until the next factorization overwrites it: `generation` counts
-    factorizations, and a solver made at an earlier one refuses to run.
-    Both arrays are allocated at the first factorization, each grown to the
-    largest size a factorization has asked for, and kept for the process,
-    as the tables of _band_tables are: at most (SCHUR_MAX_CUTOFF + 1)^4
-    doubles, 2.65 MB, and a chunk of at most (SCHUR_MAX_CUTOFF + 1)^3
-    doubles, 108 KiB, as many as the product for one x index of u, or the
-    outer products of the columns of Yp or Xq, take (see
-    _KroneckerSector.factor).  Reusing them, a factorization takes no page
-    from the OS.
+    A sector factorization writes its Schur complement on u, or in a sector
+    (a, a) the two halves of it that the x<->y swap splits off (see
+    _KroneckerSector.factor), at the start of the storage, and LAPACK
+    factors them there, in place, so a solver reads the buffer until the
+    next factorization overwrites it: `generation` counts factorizations,
+    and a solver made at an earlier one refuses to run.  The halves, of n (n
+    -+ 1) / 2 rows for n x n matrices u, lie end to end, antisymmetric
+    first, and the rows of S they are folded from after them, n^4 - (n^3 -
+    n^2) / 2 doubles in all, fewer than S's n^4.  Both arrays
+    are allocated at the first factorization, each grown to the largest
+    size a factorization has asked for, and kept for the process, as the
+    tables of _band_tables are: at most (SCHUR_MAX_CUTOFF + 1)^4 doubles,
+    2.65 MB, and a chunk of at most (SCHUR_MAX_CUTOFF + 1)^3 doubles, 108
+    KiB, as many as the product for one x index of u, the rows (i, i) of S,
+    or the outer products of the columns of Yp or Xq, take.  Reusing them, a
+    factorization takes no page from the OS.
     """
 
     def __init__(self):
         self.storage, self.chunk, self.generation = np.empty(0), np.empty(0), 0
 
-    def matrix(self, size: int, chunk: int) -> tuple:
-        """A C-ordered (size, size) view of the buffer, a chunk of >= `chunk` doubles, the generation."""
-        if self.storage.size < size * size:
-            self.storage = np.empty(size * size)
+    def reserve(self, size: int, chunk: int) -> tuple:
+        """The first `size` doubles of the buffer, a chunk of >= `chunk` doubles, and the generation."""
+        if self.storage.size < size:
+            self.storage = np.empty(size)
         if self.chunk.size < chunk:
             self.chunk = np.empty(chunk)
         self.generation += 1
-        return self.storage[: size * size].reshape(size, size), self.chunk, self.generation
+        return self.storage[:size], self.chunk, self.generation
 
 
 _SCHUR = _SchurBuffer()
@@ -526,14 +574,23 @@ class _KroneckerSector:
         ends = np.cumsum([nx * ny for nx, ny in self._shapes]).tolist()
         self._slices = [slice(start, end) for start, end in zip([0, *ends], ends)]
         self.shape = (ends[-1], ends[-1])
+        # in a sector (a, a) the swap maps P onto Q and u onto u': its 1D
+        # factors are P's with the axes swapped, bit for bit (Lq = Lp',
+        # Xq = Yp, Vqy = Vpx, H_x = H_y), and factor folds S into two halves
+        self._folded = sector[0] == sector[1]
         # the two factors of the Schur product (see factor), with the entries
-        # that do not depend on the shift; each factorization writes the rest
+        # that do not depend on the shift; each factorization writes the rest.
+        # A folded sector stores the right one transposed, so that the columns
+        # of its first rows, all a fold multiplies by at once, are contiguous
         npx, (nux, nuy) = len(vpx), self._shapes[2]
         self._left = np.empty((nux * nux, npx + nuy + 2))
         np.multiply(vpx[:, None, :], vpx[None, :, :], out=self._left[:, :npx].reshape(nux, nux, npx))
         self._left[:, -2] = np.eye(nux).reshape(-1)
         self._left[:, -1] = self._hux.reshape(-1)
-        self._right = np.empty((npx + nuy + 2, nuy * nuy))
+        if self._folded:
+            self._right = np.empty((nuy * nuy, npx + nuy + 2)).T
+        else:
+            self._right = np.empty((npx + nuy + 2, nuy * nuy))
         np.multiply(vqy.T[:, :, None], vqy.T[:, None, :], out=self._right[npx:-2].reshape(nuy, nuy, nuy))
         self._right[-1] = np.eye(nuy).reshape(-1)
 
@@ -579,29 +636,47 @@ class _KroneckerSector:
         of the diagonalized axis.  S, about (N+1)^2 rows, dense, is written
         into the process's one Schur buffer (_SchurBuffer) and factored there
         by LAPACK's Bunch-Kaufman dsytrf, whose factor gives S's inertia and
-        a solver (_bunch_kaufman_solver).  With Wp = 1 / (Lp - shift) and Wq
-        alike, a solve is four products into the right side of S u = b_u +
-        Vpx (Wp o b_P) Yp' - Xq (Wq o b_Q) Vqy', that solver, and four back:
-        P^ = Wp o (b_P + Vpx' u Yp), Q^ = Wq o (b_Q - Xq' u Vqy).  A sum
-        equal to the shift, or an exactly singular pivot of S, is a
-        SolverError; so is a solve after the buffer has been factored again.
+        a solver (_bunch_kaufman_solver).  In the sectors (a, a) the swap
+        u -> u' commutes with S, which is then block diagonal in the bases W
+        of symmetric and antisymmetric u (_swap_halves): the two blocks
+        W'SW / 2, of n (n +- 1) / 2 rows for n x n matrices u, are written
+        instead of S (see _fold_schur) and each factored by its own dsytrf,
+        at about a quarter of the work, and S's inertia is the sum of theirs
+        (W is orthogonal up to the scale of its columns).  With Wp = 1 / (Lp
+        - shift) and Wq alike, a solve is four products into the right side
+        of S u = b_u + Vpx (Wp o b_P) Yp' - Xq (Wq o b_Q) Vqy', that solver,
+        or in a sector (a, a) the solvers of both halves on W'b and u = W z
+        / 2, and four back: P^ = Wp o (b_P + Vpx' u Yp), Q^ = Wq o (b_Q - Xq'
+        u Vqy).  A sum equal to the shift, or an exactly singular pivot of S
+        or of a half, is a SolverError; so is a solve after the buffer has
+        been factored again.
         """
-        from scipy.linalg.blas import dgemm
         from scipy.linalg.lapack import dsytrf
 
         below, weights = 0, []
-        for sums in self._sums:
+        for sums in self._sums[: 1 if self._folded else 2]:
             shifted = sums - shift
             if not np.all(shifted):
                 raise SolverError(f"a sum of 1D eigenvalues equals the shift {shift:.9g}")
             below += int(np.count_nonzero(shifted < 0))
             weights.append(1.0 / shifted)
+        if self._folded:
+            # Lq = Lp': K_Q - shift counts and weighs as K_P - shift does, transposed
+            below, weights = 2 * below, [weights[0], weights[0].T]
         w_p, w_q = weights
         vpx, _, _, vqy = self._bases
         yp, xq = self._yp, self._xq
         (npx, _), _, (nux, nuy) = self._shapes
         chunk_size = max(yp.size * nuy, xq.size * nux, nux * nuy * nuy)
-        schur, chunk, generation = _SCHUR.matrix(nux * nuy, chunk_size)
+        if self._folded:
+            # the halves, antisymmetric first, then the rows of S they are folded from
+            anti, sym = nux * (nux - 1) // 2, nux * (nux + 1) // 2
+            halves = anti * anti + sym * sym
+            run, chunk, generation = _SCHUR.reserve(halves + anti * nux * nux, chunk_size)
+            schurs = [run[: anti * anti].reshape(anti, anti), run[anti * anti : halves].reshape(sym, sym)]
+        else:
+            run, chunk, generation = _SCHUR.reserve((nux * nuy) ** 2, chunk_size)
+            schurs = [run.reshape(nux * nuy, nux * nuy)]
         # S at (i k, j l), u's x index i, j and y index k, l, is
         #   sum_a vpx[i a] vpx[j a] T_P[a k l] + sum_b T_Q[b i j] vqy[k b] vqy[l b]
         #   + delta_ij (H_y + (1 - shift) I)[k l] + (H_x)[i j] delta_kl,
@@ -611,13 +686,68 @@ class _KroneckerSector:
         # are outer products of flattened matrices.  T_P and T_Q are products
         # over the eigenvalue index of the outer products of the columns of
         # Yp and Xq, each made in the chunk as a batched matmul, which, unlike
-        # a broadcast multiply, allocates no buffer
+        # a broadcast multiply, allocates no buffer.  In a sector (a, a),
+        # where Yp = Xq and w_p = w_q', T_P is T_Q, and is copied
         left, right = self._left, self._right
-        pairs = np.matmul(yp.T[:, :, None], yp.T[:, None, :], out=chunk[: yp.size * nuy].reshape(-1, nuy, nuy))
-        np.matmul(-w_p, pairs.reshape(-1, nuy * nuy), out=right[:npx])
+        if not self._folded:
+            pairs = chunk[: yp.size * nuy].reshape(-1, nuy, nuy)
+            np.matmul(yp.T[:, :, None], yp.T[:, None, :], out=pairs)
+            np.matmul(-w_p, pairs.reshape(-1, nuy * nuy), out=right[:npx])
         right[-2] = (self._huy + (1.0 - shift) * np.eye(nuy)).reshape(-1)
         pairs = np.matmul(xq.T[:, :, None], xq.T[:, None, :], out=chunk[: xq.size * nux].reshape(-1, nux, nux))
         np.matmul(pairs.reshape(-1, nux * nux).T, -w_q, out=left[:, npx:-2])
+        if self._folded:
+            right[:npx] = left[:, npx:-2].T
+            self._fold_schur(*schurs, run[halves:].reshape(anti, nux * nux), chunk)
+        else:
+            self._write_schur(schurs[0], chunk)
+        solvers = []
+        for schur in schurs:
+            # the transpose is Fortran-ordered, so dsytrf factors it in place; the
+            # wrapper's default workspace is unblocked and about 4x slower
+            ldu, piv, info = dsytrf(schur.T, lwork=32 * len(schur), overwrite_a=True)
+            if info > 0:
+                raise SolverError(f"Schur complement exactly singular at pivot {info}")
+            schur_solve, schur_below = _bunch_kaufman_solver(ldu, piv)
+            below += schur_below
+            solvers.append(schur_solve)
+        (at_p, at_q, at_u), (shape_p, shape_q, _) = self._slices, self._shapes
+        # each Schur solve writes u into `out`, and overwrites its right side
+        if self._folded:
+            positions, mirrors, signs, pair, other, unsigns = _swap_halves(nux)
+            solve_anti, solve_sym = solvers
+
+            def schur_solve(rhs, out):
+                z = rhs[positions] + signs * rhs[mirrors]
+                solve_anti(z[:anti])
+                solve_sym(z[anti:])
+                np.multiply(z[pair] + unsigns * z[other], 0.5, out=out)
+
+        else:
+            (solve_whole,) = solvers
+
+            def schur_solve(rhs, out):
+                out[...] = solve_whole(rhs)
+
+        def solve(vec):
+            if _SCHUR.generation != generation:
+                raise SolverError("a solve after the Schur buffer was factored again")
+            p, q = vec[at_p].reshape(shape_p), vec[at_q].reshape(shape_q)
+            rhs = vec[at_u].reshape(nux, nuy) + vpx @ (w_p * p) @ yp.T - xq @ (w_q * q) @ vqy.T
+            out = np.empty(self.shape[0])
+            u = out[at_u].reshape(nux, nuy)
+            schur_solve(rhs.reshape(-1), out[at_u])
+            np.multiply(p + vpx.T @ u @ yp, w_p, out=out[at_p].reshape(shape_p))
+            np.multiply(q - xq.T @ u @ vqy, w_q, out=out[at_q].reshape(shape_q))
+            return out
+
+        return solve, below
+
+    def _write_schur(self, schur: np.ndarray, chunk: np.ndarray) -> None:
+        """The lower triangle of S, left @ right, into `schur`, through the chunk (see factor)."""
+        from scipy.linalg.blas import dgemm
+
+        left, right, (nux, nuy) = self._left, self._right, self._shapes[2]
         # numpy and scipy may each bring their own BLAS with its own thread
         # pool: the products of S run in scipy's, as dsytrf does, so that
         # only one pool wakes (two pools' idle-spinning workers made a degree-1
@@ -634,28 +764,53 @@ class _KroneckerSector:
             schur[i * nuy : (i + 1) * nuy, : (i + 1) * nuy].reshape(nuy, i + 1, nuy)[...] = (
                 prod.reshape(i + 1, nuy, nuy).transpose(1, 0, 2)
             )
-        # the transpose is Fortran-ordered, so dsytrf factors it in place; the
-        # wrapper's default workspace is unblocked and about 4x slower
-        ldu, piv, info = dsytrf(schur.T, lwork=32 * len(schur), overwrite_a=True)
-        if info > 0:
-            raise SolverError(f"Schur complement exactly singular at pivot {info}")
-        schur_solve, schur_below = _bunch_kaufman_solver(ldu, piv)
-        below += schur_below
-        (at_p, at_q, at_u), (shape_p, shape_q, _) = self._slices, self._shapes
 
-        def solve(vec):
-            if _SCHUR.generation != generation:
-                raise SolverError("a solve after the Schur buffer was factored again")
-            p, q = vec[at_p].reshape(shape_p), vec[at_q].reshape(shape_q)
-            rhs = vec[at_u].reshape(nux, nuy) + vpx @ (w_p * p) @ yp.T - xq @ (w_q * q) @ vqy.T
-            u = schur_solve(rhs.reshape(-1)).reshape(nux, nuy)
-            out = np.empty(self.shape[0])
-            out[at_p] = ((p + vpx.T @ u @ yp) * w_p).reshape(-1)
-            out[at_q] = ((q - xq.T @ u @ vqy) * w_q).reshape(-1)
-            out[at_u] = u.reshape(-1)
-            return out
+    def _fold_schur(self, anti: np.ndarray, sym: np.ndarray, rows: np.ndarray, chunk: np.ndarray) -> None:
+        """The lower triangles of the halves W'SW / 2 of a sector (a, a) into `anti` and `sym` (see factor).
 
-        return solve, below
+        In the bases of _swap_halves the halves hold, at the pairs (i, k) and
+        (j, l), S at (i k, j l) -+ S at (i k, l j), for the swap gives S at
+        (k i, l j) = S at (i k, j l).  So with the row (i, k) of S written at
+        l n + j for every j, l, a row of either half is a difference or a sum
+        of two of its columns, `mirrors` and `positions` of _swap_halves: the
+        rows k < i, which both halves have, are written into `rows`, one
+        dgemm call for each i, as the rows j of left_i times the columns (k,
+        l), k < i, of right (contiguous in the transposed storage of a folded
+        sector), in Fortran order, and the rows (i, i), the symmetric half's
+        last n, into the chunk by one batched matmul (of products too small to
+        wake numpy's BLAS threads, see _write_schur).  The gathers go a batch
+        of rows at a time, each row only as far as its diagonal and each batch
+        of at most n^3 entries, so each buffer they allocate holds at most as
+        many doubles as the chunk.
+        """
+        from scipy.linalg.blas import dgemm
+
+        left, right, size = self._left, self._right, len(self._hux)
+        anti_size, width = len(anti), right.shape[0]
+        for i in range(1, size):
+            start = i * (i - 1) // 2 * size * size
+            prod = rows.reshape(-1)[start : start + i * size * size].reshape(size, i * size, order="F")
+            # positional (beta, c, trans_a, trans_b, overwrite_c), as dtrsv's in _bunch_kaufman_solver
+            dgemm(1.0, left[i * size : (i + 1) * size].T, right[:, : i * size], 0.0, prod, 1, 0, 1)
+        diagonal = np.matmul(
+            right.T.reshape(size, size, width), left.reshape(size, size, width).transpose(0, 2, 1),
+            out=chunk[: size**3].reshape(size, size, size),
+        ).reshape(size, size * size)
+        positions, mirrors = _swap_halves(size)[:2]
+        a = 0
+        while a < anti_size:
+            # the rows a to b - 1 up to column b, (b - a) b <= size^3 entries
+            b = min((a + math.isqrt(a * a + 4 * size**3)) // 2, anti_size)
+            first, second = (np.take(rows[a:b], cols[:b], axis=1) for cols in (mirrors, positions))
+            np.subtract(first, second, out=anti[a:b, :b])
+            np.add(first, second, out=sym[a:b, :b])
+            del first, second  # so that no two batches' gathers are held at once
+            a = b
+        np.add(
+            np.take(diagonal, mirrors[anti_size:], axis=1),
+            np.take(diagonal, positions[anti_size:], axis=1),
+            out=sym[anti_size:],
+        )
 
 
 def _factor(block, shift: float):
@@ -900,10 +1055,12 @@ def _problems(t: float, cutoff: Optional[int], degrees: Sequence[int], morse_sca
     """The SpectralProblem of each requested degree at one t, each checked on construction.
 
     `cutoff` None takes suggested_cutoff(t), refused above MAX_CUTOFF; a
-    repeated degree is refused.
+    repeated degree is refused, and so is a t that is not a real number,
+    before a cutoff is suggested for it.
     """
     if len(set(degrees)) != len(degrees):
         raise ValueError(f"cone degrees {list(degrees)} repeat a degree")
+    _require_real("t", t)
     cutoff = _settled_cutoff(t, cutoff)
     return [SpectralProblem(t, cutoff, k, morse_scale) for k in degrees]
 
@@ -957,10 +1114,14 @@ def gap_growth(
 
     The gap of the deformed cone Laplacian grows linearly in t (the local
     model spectrum is equally spaced with step proportional to t), so the
-    slope must come out positive.  Needs at least three t values.  Every
-    cutoff is settled, and every problem of every t built and so checked,
-    before the first solve; each t is then solved as by spectral_reports.
+    slope must come out positive.  Needs at least three t values.  Every t
+    must be a real number, as spectral_reports requires, before it is taken
+    as a float; every cutoff is settled, and every problem of every t built
+    and so checked, before the first solve; each t is then solved as by
+    spectral_reports.
     """
+    for t in t_values:
+        _require_real("t", t)
     ts = [float(t) for t in t_values]
     if len(ts) < 3:
         raise ValueError(f"gap growth needs >= 3 deformation values, got {len(ts)}")

@@ -461,6 +461,10 @@ PINNED_SPECTRUM = {
     3: [7.669044306547984e-06, 373.12928418171253, 373.12928418171253, 373.129337297254],
 }
 
+# `spectral --t 40 --degrees 1 --emit -` (N = 19, the benchmark's operation)
+# before sectors (0, 0) and (1, 1) were folded, reproduced to 1e-12 relative
+PINNED_T40 = {1: [7.025986573161574e-05, 7.025986573161574e-05, 7.059590298241356e-05, 1520.023812438926]}
+
 
 class TestPinnedResults:
     def test_quasimode_rayleigh_quotients(self):
@@ -481,6 +485,13 @@ class TestPinnedResults:
         for k, pinned in PINNED_SPECTRUM.items():
             err = np.abs(reports[k].eigenvalues - pinned)
             assert np.all(err <= 1e-12 * np.array(pinned)), k
+
+    def test_emitted_benchmark_spectrum(self, capsys):
+        assert cli.main(["spectral", "--t", "40", "--degrees", "1", "--emit", "-"]) == 0
+        emitted = capsys.readouterr().out.split("degree,index,eigenvalue\n")[1]
+        assert emitted.splitlines() == [f"1,{i},{val:.9e}" for i, val in enumerate(PINNED_T40[1])]
+        vals = spectral_reports(40.0, degrees=(1,))[1].eigenvalues
+        assert np.all(np.abs(vals - PINNED_T40[1]) <= 1e-12 * np.array(PINNED_T40[1]))
 
 
 LOADS_SCIPY_SPARSE = """
@@ -692,6 +703,19 @@ class TestGapGrowth:
         solved = []
         monkeypatch.setattr(spectral, "low_spectrum", lambda prob, count: solved.append(prob.t))
         with pytest.raises(ValueError, match=match):
+            gap_growth(ts, cutoff, degrees=(1,))
+        assert solved == []
+
+    @pytest.mark.parametrize("ts", [[True, 2.0, 3.0], ["2", 3.0, 4.0]], ids=["bool", "str"])
+    @pytest.mark.parametrize("cutoff", [6, None], ids=["given-cutoff", "suggested-cutoff"])
+    def test_every_t_must_be_a_real_number(self, monkeypatch, ts, cutoff):
+        # float(True) is 1.0 and float("2") is 2.0: each is refused, as
+        # spectral_reports refuses it, before it is taken as a float
+        solved = []
+        monkeypatch.setattr(spectral, "low_spectrum", lambda prob, count: solved.append(prob.t))
+        with pytest.raises(ValueError, match=f"t must be a real number, got {ts[0]!r}"):
+            spectral_reports(ts[0], cutoff, degrees=(1,))
+        with pytest.raises(ValueError, match=f"t must be a real number, got {ts[0]!r}"):
             gap_growth(ts, cutoff, degrees=(1,))
         assert solved == []
 
@@ -1519,7 +1543,8 @@ class TestSchurBuffer:
 
         monkeypatch.setattr(scipy.linalg.lapack, "dsytrf", recorded)
         low_spectrum(prob, REPORT_COUNT)
-        assert len(factored) == 3
+        # (0, 1) factors its Schur complement, (1, 1) and (0, 0) their two halves each
+        assert [len(ldu) for ldu in factored] == [380, 190, 210, 171, 190]
         assert all(np.shares_memory(ldu, spectral._SCHUR.storage) for ldu in factored)
 
     def test_a_raised_crossover_grows_the_chunk(self, monkeypatch):
@@ -1547,6 +1572,138 @@ class TestSchurBuffer:
             fresh.storage = np.full((spectral.SCHUR_MAX_CUTOFF + 1) ** 4, np.nan)
             monkeypatch.setattr(spectral, "_SCHUR", fresh)
             assert np.array_equal(low_spectrum(prob, REPORT_COUNT), vals), prob.cutoff
+
+
+def recorded_dsytrf(monkeypatch):
+    """(factor, pivots) of every matrix dsytrf factors from now on, copied as it returns them."""
+    import scipy.linalg.lapack
+
+    dsytrf, factored = scipy.linalg.lapack.dsytrf, []
+
+    def recorded(*args, **kwargs):
+        ldu, piv, info = dsytrf(*args, **kwargs)
+        factored.append((ldu.copy(), piv.copy()))
+        return ldu, piv, info
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dsytrf", recorded)
+    return factored
+
+
+def unfolded_factor(sector, shift):
+    """Oracle: the Schur complement on u of any sector factored whole, as every sector was before
+    (1, 1) and (0, 0) were folded: left @ right one x index of u at a time, its lower triangle
+    copied into a matrix, and dsytrf.  Returns the factor, the pivots and the 1D weights."""
+    from scipy.linalg.blas import dgemm
+    from scipy.linalg.lapack import dsytrf
+
+    w_p, w_q = (1.0 / (sums - shift) for sums in sector._sums)
+    vpx, _, _, vqy = sector._bases
+    yp, xq = sector._yp, sector._xq
+    (npx, _), _, (nux, nuy) = sector._shapes
+    left, right = np.empty((nux * nux, npx + nuy + 2)), np.empty((npx + nuy + 2, nuy * nuy))
+    left[:, :npx] = (vpx[:, None, :] * vpx[None, :, :]).reshape(nux * nux, npx)
+    left[:, npx:-2] = np.matmul(xq.T[:, :, None], xq.T[:, None, :]).reshape(-1, nux * nux).T @ -w_q
+    left[:, -2], left[:, -1] = np.eye(nux).reshape(-1), sector._hux.reshape(-1)
+    right[:npx] = -w_p @ np.matmul(yp.T[:, :, None], yp.T[:, None, :]).reshape(-1, nuy * nuy)
+    right[npx:-2] = (vqy.T[:, :, None] * vqy.T[:, None, :]).reshape(nuy, nuy * nuy)
+    right[-2] = (sector._huy + (1.0 - shift) * np.eye(nuy)).reshape(-1)
+    right[-1] = np.eye(nuy).reshape(-1)
+    schur = np.zeros((nux * nuy, nux * nuy))
+    for i in range(nux):
+        prod = dgemm(1.0, right.T, left[i * nux : i * nux + i + 1].T).T
+        schur[i * nuy : (i + 1) * nuy, : (i + 1) * nuy].reshape(nuy, i + 1, nuy)[...] = (
+            prod.reshape(i + 1, nuy, nuy).transpose(1, 0, 2)
+        )
+    ldu, piv, info = dsytrf(schur.T, lwork=32 * len(schur))
+    assert info == 0
+    return ldu, piv, w_p, w_q
+
+
+def unfolded_solve(sector, shift, vec):
+    """Oracle: (B - shift) x = vec through unfolded_factor, by the block elimination of factor."""
+    ldu, piv, w_p, w_q = unfolded_factor(sector, shift)
+    schur_solve, _ = spectral._bunch_kaufman_solver(ldu, piv)
+    vpx, _, _, vqy = sector._bases
+    yp, xq = sector._yp, sector._xq
+    (at_p, at_q, at_u), (shape_p, shape_q, shape_u) = sector._slices, sector._shapes
+    p, q = vec[at_p].reshape(shape_p), vec[at_q].reshape(shape_q)
+    rhs = vec[at_u].reshape(shape_u) + vpx @ (w_p * p) @ yp.T - xq @ (w_q * q) @ vqy.T
+    u = schur_solve(rhs.reshape(-1)).reshape(shape_u)
+    return np.concatenate([
+        ((p + vpx.T @ u @ yp) * w_p).reshape(-1), ((q - xq.T @ u @ vqy) * w_q).reshape(-1), u.reshape(-1),
+    ])
+
+
+# TestKroneckerSectors' (t, N, a), and N = 2 and 3, where the antisymmetric half
+# of sector (0, 0), on the N x N sine grid of u, has 1 and 3 rows
+FOLD_CASES = [(2.0, 9, 1.0), (1.0, 7, 0.003), (1.0, 7, 0.15), (3.0, 2, 1.0), (1.0, 3, 1.0)]
+
+
+class TestFoldedSchur:
+    """In sectors (0, 0) and (1, 1) the swap u -> u' splits the Schur complement on the n x n
+    matrices u into its antisymmetric and symmetric halves, n (n -+ 1) / 2 rows each factored
+    by its own dsytrf; sector (0, 1) factors its Schur complement whole, as before."""
+
+    @pytest.mark.parametrize("t, cutoff, a", FOLD_CASES + [(40.0, 19, 1.0)])
+    def test_only_sectors_00_and_11_fold(self, monkeypatch, t, cutoff, a):
+        factored = recorded_dsytrf(monkeypatch)
+        axis = {0: cutoff + 1, 1: cutoff}  # basis functions of each parity: 1 and cosines, sines
+        for (sector, _), ((x, y), _) in zip(kronecker_sectors(SpectralProblem(t, cutoff, 1, a)), SECTORS):
+            factored.clear()
+            _factor(sector, LOW_THRESHOLD)
+            n, m = axis[1 - x], axis[1 - y]  # u has the sector's parities flipped
+            want = [n * (n - 1) // 2, n * (n + 1) // 2] if x == y else [n * m]
+            assert [len(ldu) for ldu, _ in factored] == want, (x, y)
+
+    @pytest.mark.parametrize("t, cutoff, a", FOLD_CASES)
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_half_inertias_add_up_to_the_dense_count(self, monkeypatch, t, cutoff, a, degree):
+        # degree 2, (1, 7, 0.15) is the case where the count depends on the
+        # elimination order (see TestKroneckerSectors)
+        solver, halves = spectral._bunch_kaufman_solver, []
+        monkeypatch.setattr(
+            spectral, "_bunch_kaufman_solver",
+            lambda ldu, piv: (lambda result: halves.append(result[1]) or result)(solver(ldu, piv)),
+        )
+        prob = SpectralProblem(t, cutoff, degree, a)
+        for (block, _), (sector, _), ((x, y), _) in zip(sector_blocks(prob), kronecker_sectors(prob), SECTORS):
+            if x != y:
+                continue
+            dense = np.linalg.eigvalsh(block.toarray())
+            for shift in separating_shifts(dense):
+                halves.clear()
+                below = _factor(sector, shift)[1]
+                one_d = sum(int(np.count_nonzero(sums < shift)) for sums in sector._sums)
+                assert len(halves) == 2
+                assert one_d + sum(halves) == below == np.count_nonzero(dense < shift), (x, shift)
+
+    def test_fourfold_eigenvalue_counted_four_times(self, monkeypatch):
+        factored = recorded_dsytrf(monkeypatch)
+        sectors = list(kronecker_sectors(SpectralProblem(2.0, 9, 1)))
+        assert sum(w * (_factor(s, 65.04)[1] - _factor(s, 65.03)[1]) for s, w in sectors) == 4
+        assert len(factored) == 2 * 5  # two shifts, one dsytrf for (0, 1) and two each for the others
+
+    @pytest.mark.parametrize("t, cutoff, a", FOLD_CASES + [(40.0, 19, 1.0), (10.0, 10, -0.3)])
+    def test_folded_solve_matches_the_unfolded_one(self, t, cutoff, a):
+        rng = np.random.default_rng(7)
+        for (sector, _), ((x, y), _) in zip(kronecker_sectors(SpectralProblem(t, cutoff, 1, a)), SECTORS):
+            vec = rng.standard_normal(sector.shape[0])
+            want = unfolded_solve(sector, LOW_THRESHOLD, vec)
+            got = _factor(sector, LOW_THRESHOLD)[0](vec)
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want), (x, y)
+
+    @pytest.mark.parametrize("t, cutoff, a", FOLD_CASES + [(40.0, 19, 1.0), (80.0, 23, 1.0)])
+    def test_sector_01_factor_is_unchanged_bit_for_bit(self, monkeypatch, t, cutoff, a):
+        factored = recorded_dsytrf(monkeypatch)
+        sector, _ = next(kronecker_sectors(SpectralProblem(t, cutoff, 1, a)))
+        assert SECTORS[0][0] == (0, 1)
+        for shift in (LOW_THRESHOLD, 37.5):
+            want_ldu, want_piv, _, _ = unfolded_factor(sector, shift)
+            factored.clear()
+            _factor(sector, shift)
+            ((ldu, piv),) = factored
+            # dsytrf reads and writes the upper triangle of the Fortran-ordered matrix
+            assert np.array_equal(np.triu(ldu), np.triu(want_ldu)) and np.array_equal(piv, want_piv), shift
 
 
 class TestBunchKaufmanSolver:
@@ -1583,11 +1740,30 @@ class TestBunchKaufmanSolver:
             solve, below = spectral._bunch_kaufman_solver(ldu, piv)
             assert below == np.count_nonzero(np.linalg.eigvalsh(mat) < 0)
             rhs = rng.standard_normal(size)
-            x = solve(rhs)
+            x = solve(rhs.copy())
             scale = np.linalg.norm(mat, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(rhs, np.inf)
             assert np.linalg.norm(mat @ x - rhs, np.inf) <= 1e-15 * scale
             assert np.array_equal(ldu, factor) and len(calls) == pivoted
         assert interchanges > 0 and pairs > 0 and pivoted > 0
+
+    @pytest.mark.parametrize("pivoted", [False, True], ids=["dtrsv", "dsytrs"])
+    def test_a_solve_writes_over_its_right_side(self, pivoted):
+        # a folded Schur solve runs each half in place, on a slice of one vector
+        from scipy.linalg.lapack import dsytrf
+
+        rng = np.random.default_rng(5)
+        mat = rng.standard_normal((9, 9))
+        mat += mat.T
+        mat[np.diag_indices(9)] = 0.0 if pivoted else 20.0
+        ldu, piv, info = dsytrf(np.asfortranarray(mat), lwork=32 * 9)
+        assert info == 0 and np.array_equal(piv, np.arange(1, 10)) != pivoted
+        solve, _ = spectral._bunch_kaufman_solver(ldu, piv)
+        vec = rng.standard_normal(13)
+        kept = vec.copy()
+        x = solve(vec[2:11])
+        assert np.shares_memory(x, vec) and np.array_equal(vec[2:11], x)
+        assert np.allclose(mat @ x, kept[2:11], rtol=0, atol=1e-13)
+        assert np.array_equal(vec[[0, 1, 11, 12]], kept[[0, 1, 11, 12]])
 
     def test_a_kronecker_solve_never_calls_dsytrs(self, monkeypatch):
         import scipy.linalg.lapack
