@@ -163,6 +163,13 @@ def _parse_int_list(raw: str, what: str) -> list:
     return [int(x) for x in items if x]
 
 
+def _ascii_int(raw: str) -> int:
+    """An integer option: ASCII -?[0-9]+ with blanks around it allowed, the grammar of the comma lists."""
+    if not _INTEGER.fullmatch(raw.strip()):
+        raise argparse.ArgumentTypeError(f"invalid integer {raw!r}")
+    return int(raw)
+
+
 def _cmd_example(args) -> int:
     if args.family == "torus":
         datum = torus(args.n, args.pairing)
@@ -291,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_example.add_argument(
         "family", choices=["torus", "cpn", "synthetic", "product", "stabilize"]
     )
-    p_example.add_argument("--n", type=int, default=2, help="torus/cpn size parameter")
-    p_example.add_argument("--p", type=int, default=0, help="power of the symplectic form minus one")
+    p_example.add_argument("--n", type=_ascii_int, default=2, help="torus/cpn size parameter")
+    p_example.add_argument("--p", type=_ascii_int, default=0, help="power of the symplectic form minus one")
     p_example.add_argument(
         "--pairing", choices=["adjacent", "split"], default="adjacent"
     )
@@ -305,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_example.add_argument("--left", help="first factor datum file (product)")
     p_example.add_argument("--right", help="second factor datum file (product)")
     p_example.add_argument("--input", help="input datum file (stabilize)")
-    p_example.add_argument("--degree", type=int, default=0, help="stabilization degree")
+    p_example.add_argument("--degree", type=_ascii_int, default=0, help="stabilization degree")
     p_example.add_argument("--label", default="stab", help="label stem for the new pair")
     add_common(p_example, output=True)
     p_example.set_defaults(func=_cmd_example)
@@ -334,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spectral.add_argument(
         "--t", type=float, action="append", default=[], help="deformation parameter (repeatable)"
     )
-    p_spectral.add_argument("--cutoff", type=int, default=None, help="band limit N")
+    p_spectral.add_argument("--cutoff", type=_ascii_int, default=None, help="band limit N")
     p_spectral.add_argument("--degrees", default="all", help='"all" or comma list from 0..3')
     p_spectral.add_argument(
         "--morse-scale", type=float, default=1.0, help="amplitude of f; negative deforms by -f"

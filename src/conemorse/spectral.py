@@ -16,15 +16,14 @@ quadratic form |d_C s|^2 + |d_C* s|^2, symmetric positive semidefinite by
 construction; and a matrix-free apply on the grid of coefficients,
 (A(x)B) vec(U) = vec(A U B'), which rates quasimodes as |d_C v|^2 + |d_C* v|^2
 without assembling the form, and reads cluster values off Ritz vectors.  The
-1D factors are G = d/dx + t a pi sin(2 pi x) and the band embedding E,
-which is never stored: the assembly lists each block's COO entries by index
-arithmetic on the nonzeros of G and E's diagonal of ones, and the apply uses
-that E only pads with zeros, so a block multiplies by G or by nothing and
-adds into a corner of the output.  d/dx and the sine multiplication are one
-read-only table at band MAX_CUTOFF + 1, about 1 MiB, built once per process;
-G at any band is its top-left block plus one axpy.  The quasimode's basis on
-its 4N grid and the t-independent fields of each critical point's quasimode
-on its 4N x 4N grid (displacements, well profiles and radial bump) are
+1D factors are G = d/dx + t a pi sin(2 pi x) and the band embedding E: the
+assembly builds each block by scipy.sparse.kron of the two, E a sparse
+identity, and the apply uses that E only pads with zeros, so a block
+multiplies by G or by nothing and adds into a corner of the output.  d/dx
+and the sine multiplication are one read-only table at band MAX_CUTOFF + 1,
+about 1 MiB, built once per process; G at any band is its top-left block
+plus one axpy.  The quasimode's basis on its 4N grid and the t-independent
+fields of each critical point's quasimode on its 4N x 4N grid (displacements, well profiles and radial bump) are
 read-only tables kept for the last band limit only, the fields at most
 8.1 MiB at MAX_CUTOFF (the bump is 2 MiB per point at N = 128).  These pay off
 only when quasimodes are rated again at the same band limit and point, as
@@ -307,8 +306,6 @@ def _differential(degree: int, grad: np.ndarray) -> tuple:
 
     `grad` is G at band N (see _grad_1d); the band embedding E is implicit.
     """
-    if degree not in (0, 1, 2, 3):
-        raise DegreeError(f"cone degree must be 0..3, got {degree}")
     return DIFFERENTIAL[degree], grad, COMPONENTS[degree + 1]
 
 
@@ -338,27 +335,20 @@ def _operators(prob: SpectralProblem) -> list:
 
 
 def _kron_matrix(blocks, grad, out_components: int, in_components: int) -> sp.csr_matrix:
-    """Sparse matrix of a block operator: each block is sign * kron of its 1D factors.
-
-    The COO entries of kron(A, B) pair each nonzero of A with each nonzero of
-    B, both in row-major order, as scipy.sparse.kron lists them.  E's
-    nonzeros are the ones on its diagonal.
-    """
+    """Sparse matrix of a block operator: each block is sign * kron of its 1D factors."""
     import scipy.sparse as sp
 
-    rows_1d, cols_1d = grad.shape
-    height, width = rows_1d**2, cols_1d**2
-    nonzero = np.nonzero(grad)
-    diagonal = np.arange(cols_1d)
-    g, e = (*nonzero, grad[nonzero]), (diagonal, diagonal, np.ones(cols_1d))
-    factors = {"x": (g, e), "y": (e, g), "w": (e, e)}
+    embed = sp.eye(*grad.shape)
+    factors = {"x": (grad, embed), "y": (embed, grad), "w": (embed, embed)}
+    height, width = grad.shape[0] ** 2, grad.shape[1] ** 2
     # seeded with empty arrays, so an empty table (out of degree 3) gives a 0-row matrix
     rows, cols, data = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
     for out, inp, sign, kind in blocks:
-        (a_row, a_col, a_val), (b_row, b_col, b_val) = factors[kind]
-        rows.append((out * height + a_row[:, None] * rows_1d + b_row).ravel())
-        cols.append((inp * width + a_col[:, None] * cols_1d + b_col).ravel())
-        data.append(np.outer(sign * a_val, b_val).ravel())
+        a, b = factors[kind]
+        block = sp.kron(sign * a, b, format="coo")
+        rows.append(block.row + out * height)
+        cols.append(block.col + inp * width)
+        data.append(block.data)
     shape = (out_components * height, in_components * width)
     entries = (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols)))
     return sp.csr_matrix(entries, shape=shape)
@@ -574,9 +564,8 @@ class _KroneckerSector:
         ends = np.cumsum([nx * ny for nx, ny in self._shapes]).tolist()
         self._slices = [slice(start, end) for start, end in zip([0, *ends], ends)]
         self.shape = (ends[-1], ends[-1])
-        # in a sector (a, a) the swap maps P onto Q and u onto u': its 1D
-        # factors are P's with the axes swapped, bit for bit (Lq = Lp',
-        # Xq = Yp, Vqy = Vpx, H_x = H_y), and factor folds S into two halves
+        # in a sector (a, a) the swap maps P onto Q and u onto u', so S
+        # commutes with u -> u' and factor folds it into two halves
         self._folded = sector[0] == sector[1]
         # the two factors of the Schur product (see factor), with the entries
         # that do not depend on the shift; each factorization writes the rest.
@@ -654,15 +643,12 @@ class _KroneckerSector:
         from scipy.linalg.lapack import dsytrf
 
         below, weights = 0, []
-        for sums in self._sums[: 1 if self._folded else 2]:
+        for sums in self._sums:
             shifted = sums - shift
             if not np.all(shifted):
                 raise SolverError(f"a sum of 1D eigenvalues equals the shift {shift:.9g}")
             below += int(np.count_nonzero(shifted < 0))
             weights.append(1.0 / shifted)
-        if self._folded:
-            # Lq = Lp': K_Q - shift counts and weighs as K_P - shift does, transposed
-            below, weights = 2 * below, [weights[0], weights[0].T]
         w_p, w_q = weights
         vpx, _, _, vqy = self._bases
         yp, xq = self._yp, self._xq
@@ -686,18 +672,14 @@ class _KroneckerSector:
         # are outer products of flattened matrices.  T_P and T_Q are products
         # over the eigenvalue index of the outer products of the columns of
         # Yp and Xq, each made in the chunk as a batched matmul, which, unlike
-        # a broadcast multiply, allocates no buffer.  In a sector (a, a),
-        # where Yp = Xq and w_p = w_q', T_P is T_Q, and is copied
+        # a broadcast multiply, allocates no buffer
         left, right = self._left, self._right
-        if not self._folded:
-            pairs = chunk[: yp.size * nuy].reshape(-1, nuy, nuy)
-            np.matmul(yp.T[:, :, None], yp.T[:, None, :], out=pairs)
-            np.matmul(-w_p, pairs.reshape(-1, nuy * nuy), out=right[:npx])
+        pairs = np.matmul(yp.T[:, :, None], yp.T[:, None, :], out=chunk[: yp.size * nuy].reshape(-1, nuy, nuy))
+        np.matmul(-w_p, pairs.reshape(-1, nuy * nuy), out=right[:npx])
         right[-2] = (self._huy + (1.0 - shift) * np.eye(nuy)).reshape(-1)
         pairs = np.matmul(xq.T[:, :, None], xq.T[:, None, :], out=chunk[: xq.size * nux].reshape(-1, nux, nux))
         np.matmul(pairs.reshape(-1, nux * nux).T, -w_q, out=left[:, npx:-2])
         if self._folded:
-            right[:npx] = left[:, npx:-2].T
             self._fold_schur(*schurs, run[halves:].reshape(anti, nux * nux), chunk)
         else:
             self._write_schur(schurs[0], chunk)
@@ -1027,15 +1009,6 @@ def suggested_cutoff(t: float) -> int:
     return math.ceil(2.0 * math.sqrt(t)) + 6
 
 
-def _settled_cutoff(t: float, cutoff: Optional[int]) -> int:
-    """`cutoff`, or suggested_cutoff(t) when it is None, refused without printing it above the cap."""
-    if cutoff is None:
-        cutoff = suggested_cutoff(t)
-        if cutoff > MAX_CUTOFF:
-            raise ValueError(f"t = {t:g} needs a cutoff above the cap {MAX_CUTOFF}")
-    return cutoff
-
-
 def _require_adequate(report: SpectralReport) -> None:
     if report.cluster_ratio < ADEQUACY_RATIO:
         hint = max(suggested_cutoff(report.t), report.cutoff + 2)
@@ -1061,7 +1034,10 @@ def _problems(t: float, cutoff: Optional[int], degrees: Sequence[int], morse_sca
     if len(set(degrees)) != len(degrees):
         raise ValueError(f"cone degrees {list(degrees)} repeat a degree")
     _require_real("t", t)
-    cutoff = _settled_cutoff(t, cutoff)
+    if cutoff is None:
+        cutoff = suggested_cutoff(t)
+        if cutoff > MAX_CUTOFF:
+            raise ValueError(f"t = {t:g} needs a cutoff above the cap {MAX_CUTOFF}")
     return [SpectralProblem(t, cutoff, k, morse_scale) for k in degrees]
 
 

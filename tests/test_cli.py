@@ -648,6 +648,33 @@ def test_int_lists_take_only_ascii_digits(capsys, argv, what, item):
     assert err.startswith(f"error: invalid {what} list ")
 
 
+@pytest.mark.parametrize("item", ["\u0662", "0_2", "+2"], ids=["arabic-indic-two", "underscore", "plus"])
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["spectral", "--t", "2", "--cutoff", "{item}", "--degrees", "0"], "--cutoff"),
+        (["example", "torus", "--n", "{item}"], "--n"),
+        (["example", "cpn", "--n", "3", "--p", "{item}"], "--p"),
+        (["example", "stabilize", "--input", "{datum}", "--degree", "{item}"], "--degree"),
+    ],
+    ids=["cutoff", "n", "p", "degree"],
+)
+def test_int_options_take_only_ascii_digits(tmp_path, capsys, argv, option, item):
+    # the grammar of the comma lists, -?[0-9]+; argparse's int alone reads each as 2
+    datum = tmp_path / "t2.json"
+    datum.write_text(emit_datum(torus(1)))
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(item=item, datum=datum) for arg in argv])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument {option}: invalid integer {item!r}\n")
+
+
+def test_int_options_allow_blanks(capsys):
+    assert run(capsys, "example", "torus", "--n", " 01 ") == run(capsys, "example", "torus", "--n", "1")
+
+
 def test_int_lists_allow_blanks(capsys):
     code, out, _ = run(capsys, "example", "synthetic", "--betti", "1, 0, 1", "--ranks", " 1")
     assert code == EXIT_OK

@@ -1306,6 +1306,18 @@ class TestInertia:
         assert captured.out == ""
         assert captured.err.startswith("spectral solve failed: eigensolver found ")
 
+    def test_arpack_failure_is_a_solver_error(self, monkeypatch, capsys):
+        import scipy.sparse.linalg
+
+        def failed(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackError(-9999)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failed)
+        assert cli.main(["spectral", "--t", "10", "--cutoff", "10", "--degrees", "1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("spectral solve failed: eigensolver failed: ARPACK error -9999")
+
     def test_value_at_the_threshold_is_low(self, monkeypatch):
         def top_low_to_threshold(vals, vecs):
             low = np.flatnonzero(vals <= LOW_THRESHOLD)
@@ -1797,6 +1809,27 @@ class TestSectorBudget:
                 vals = low_spectrum(prob, count)
                 err = np.abs(vals - dense[:count])
                 assert np.all(err <= 1e-9 * np.maximum(1.0, dense[:count])), (cutoff, count)
+
+    def test_a_failed_settle_solves_the_last_sector(self, monkeypatch):
+        # a factorization that fails at beta settles nothing: (0, 0) is then
+        # solved by Lanczos, and the values do not move
+        prob = SpectralProblem(40.0, 19, 1)
+        factor, sector_spectrum, solved = spectral._factor, spectral._sector_spectrum, []
+        monkeypatch.setattr(
+            spectral, "_sector_spectrum", lambda *args: solved.append(args[1]) or sector_spectrum(*args)
+        )
+        vals = low_spectrum(prob, REPORT_COUNT)
+        assert solved == [weight for _, weight in SECTORS[:-1]]
+
+        def fail_off_threshold(block, shift):
+            if shift != LOW_THRESHOLD:
+                raise SolverError(f"factorization singular at {shift}")
+            return factor(block, shift)
+
+        solved.clear()
+        monkeypatch.setattr(spectral, "_factor", fail_off_threshold)
+        assert np.array_equal(low_spectrum(prob, REPORT_COUNT), vals)
+        assert solved == [weight for _, weight in SECTORS]
 
     @pytest.mark.parametrize("degree", [1, 2])
     def test_clusterless_sector_supplies_a_value(self, monkeypatch, degree):
